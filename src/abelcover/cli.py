@@ -31,7 +31,7 @@ from .divisors import (DEFAULT_NODE_CAP, InvariantDivisor, enumerate_nonspecial,
 from .errors import (AbelcoverError, ConsistencyError, ParseError,
                      ResourceCapError)
 from .exponents import exponent_table
-from .group_core import AbelianGroup, dual_group
+from .group_core import AbelianGroup
 
 __all__ = ["main", "console_main", "load_cover_document", "SELFTEST_DOCUMENTS"]
 
@@ -66,9 +66,7 @@ def parse_cover_object(raw) -> CoverSpec:
     if "branch_points" not in raw:
         raise ParseError("missing field", path="branch_points")
     factors = raw["group"]
-    if not isinstance(factors, list) or \
-            not all(isinstance(x, int) and not isinstance(x, bool)
-                    for x in factors):
+    if not _is_int_list(factors):
         raise ParseError("group must be a list of integers", path="group")
     group = AbelianGroup(tuple(factors))
     points = raw["branch_points"]
@@ -84,15 +82,18 @@ def parse_cover_object(raw) -> CoverSpec:
         if "lambda" not in entry:
             raise ParseError("missing field", path=f"{where}.lambda")
         res = entry["element"]
-        if not isinstance(res, list) or \
-                not all(isinstance(x, int) and not isinstance(x, bool)
-                        for x in res):
+        if not _is_int_list(res):
             raise ParseError("element must be a list of integers",
                              path=f"{where}.element")
         branch_points.append(BranchPoint(
             element=group.element(res),
             value=_parse_value(entry["lambda"], f"{where}.lambda")))
     return CoverSpec(group=group, branch_points=tuple(branch_points))
+
+
+def _is_int_list(raw) -> bool:
+    return isinstance(raw, list) and all(
+        isinstance(x, int) and not isinstance(x, bool) for x in raw)
 
 
 def _parse_value(raw, where: str) -> Fraction:
@@ -117,8 +118,8 @@ def _emit(obj) -> None:
 
 
 def _t_table(inv: CoverInvariants) -> list[dict]:
-    return [{"character": list(chi.residues), "t": inv.t[chi]}
-            for chi in dual_group(inv.group)]
+    return [{"character": list(chi.residues), "t": t}
+            for chi, t in inv.t.items()]
 
 
 def cmd_validate(args) -> int:
@@ -181,6 +182,9 @@ def _select_divisor(spec: CoverSpec, inv: CoverInvariants,
     except json.JSONDecodeError:
         parsed = None
     if isinstance(parsed, list):
+        if not _is_int_list(parsed):
+            raise ParseError("divisor weights must be a list of integers",
+                             path="--divisor")
         return make_divisor(spec, parsed)
     if isinstance(parsed, int) and not isinstance(parsed, bool):
         divisors = enumerate_nonspecial(spec, inv, cap=args.cap,

@@ -20,6 +20,10 @@ and the integers t_chi = sum over branch points of u_{chi,sigma} / o(sigma)
 are computed exactly for every character.  Both are cross-checked against
 the dimension identity sum over nontrivial chi of (t_{conj(chi)} - 1) = g
 before anything is returned.
+
+validate is the only place where u_{chi,sigma} is computed for a cover;
+it keeps the table as CoverInvariants.u.  The helpers of later layers
+take a validated CoverInvariants as given and check each divisor once.
 """
 
 from __future__ import annotations
@@ -127,20 +131,23 @@ class CoverSpec:
 @dataclass
 class CoverInvariants:
     """Validated numeric invariants of a cover: group order n, exponent m,
-    genus g, and the character integers t_chi."""
+    genus g, the character integers t_chi, and the pairing table u with
+    u[chi][k] = u_{chi,sigma} for the site at canonical position k.  Both
+    dicts hold every character, in dual-group order."""
 
     group: AbelianGroup
     n: int
     m: int
     g: int
     t: dict[Character, int] = field(repr=False)
+    u: dict[Character, tuple[int, ...]] = field(repr=False)
 
     def t_of(self, chi: Character) -> int:
         return self.t[chi]
 
 
 def validate(spec: CoverSpec) -> CoverInvariants:
-    """Check every cover invariant and compute (n, m, g, t).
+    """Check every cover invariant and compute (n, m, g, t, u).
 
     Raises MalformedDataError on duplicate branch values,
     InvalidCoverError (reason "monodromy") when the branch elements do not
@@ -175,10 +182,12 @@ def validate(spec: CoverSpec) -> CoverInvariants:
             f"inside a group of order {n}")
 
     t: dict[Character, int] = {}
+    u: dict[Character, tuple[int, ...]] = {}
     for chi in dual_group(group):
+        u[chi] = tuple(pairing_u(group, chi, site.element)
+                       for site in spec.sites)
         value = sum(
-            (Fraction(pairing_u(group, chi, site.element), o)
-             for site, o in zip(spec.sites, spec.site_orders)),
+            (Fraction(uk, o) for uk, o in zip(u[chi], spec.site_orders)),
             Fraction(0))
         if value.denominator != 1:
             raise ConsistencyError(
@@ -201,13 +210,13 @@ def validate(spec: CoverSpec) -> CoverInvariants:
     g = int(genus)
 
     dimension = sum(max(t[chi.conjugate()] - 1, 0)
-                    for chi in dual_group(group) if not chi.is_trivial())
+                    for chi in t if not chi.is_trivial())
     if dimension != g:
         raise ConsistencyError(
             f"differential dimension count {dimension} disagrees with "
             f"genus {g}")
 
-    return CoverInvariants(group=group, n=n, m=m, g=g, t=t)
+    return CoverInvariants(group=group, n=n, m=m, g=g, t=t, u=u)
 
 
 def differential_basis_descriptor(
@@ -218,7 +227,7 @@ def differential_basis_descriptor(
     characters in dual-group order with k ascending; the list has length g.
     """
     out: list[tuple[Character, int]] = []
-    for chi in dual_group(inv.group):
+    for chi in inv.t:
         if chi.is_trivial():
             continue
         for k in range(inv.t[chi.conjugate()] - 1):

@@ -26,6 +26,10 @@ Enumeration order is lexicographic in the canonical site order.  The
 search may be partitioned by the first weight across worker threads; the
 merged output is sorted back to the same order, so results do not depend
 on the worker count.  A configurable node cap bounds the search.
+
+Every u_{chi,sigma} is read from the table inv.u built by validate.  The
+helpers take a validated CoverInvariants as given and check each divisor
+once: a public function checks its input, its internal steps do not.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from fractions import Fraction
 from .cover import CoverInvariants, CoverSpec
 from .errors import (ConsistencyError, DomainError, MalformedDataError,
                      ResourceCapError)
-from .group_core import Character, dual_group, pairing_u
+from .group_core import Character, pairing_u
 
 __all__ = [
     "InvariantDivisor",
@@ -111,14 +115,10 @@ def is_nonspecial(spec: CoverSpec, inv: CoverInvariants,
     _require_same_cover(spec, D)
     if D.p != 1:
         return False
-    group = spec.group
-    for chi in dual_group(group):
-        if chi.is_trivial():
-            continue
-        count = 0
-        for site, o, b in zip(spec.sites, spec.site_orders, D.beta):
-            if b >= o - pairing_u(group, chi, site.element):
-                count += 1
+    # the trivial character has u = 0 everywhere, so its count is 0 = t
+    for chi, row in inv.u.items():
+        count = sum(1 for o, uk, b in zip(spec.site_orders, row, D.beta)
+                    if b >= o - uk)
         if count != inv.t[chi]:
             return False
     if degree(spec, D) != inv.g - 1:
@@ -155,19 +155,15 @@ def enumerate_nonspecial(spec: CoverSpec, inv: CoverInvariants, *,
     that remain.  Every attempted assignment costs one node against the
     cap; exceeding the cap raises ResourceCapError.
     """
-    group = spec.group
-    sites = spec.sites
     orders = spec.site_orders
-    B = len(sites)
-    chars = [chi for chi in dual_group(group) if not chi.is_trivial()]
+    B = len(orders)
+    chars = [chi for chi in inv.u if not chi.is_trivial()]
     targets = [inv.t[chi] for chi in chars]
     C = len(chars)
     # thresholds[c][k]: the weight at site k counts for character c
     # exactly when beta >= thresholds[c][k]; u = 0 gives o, never reached
-    thresholds = [
-        [orders[k] - pairing_u(group, chars[c], sites[k].element)
-         for k in range(B)]
-        for c in range(C)]
+    thresholds = [[o - uk for o, uk in zip(orders, inv.u[chi])]
+                  for chi in chars]
     # remaining[c][k]: sites at position >= k that can still contribute
     remaining = [[0] * (B + 1) for _ in range(C)]
     for c in range(C):
@@ -240,12 +236,18 @@ def chi_action(spec: CoverSpec, inv: CoverInvariants, D: InvariantDivisor,
     """The divisor chi . D.  Requires a non-special input and produces a
     non-special output with the same p."""
     _require_nonspecial(spec, inv, D)
-    group = spec.group
-    new = []
-    for site, o, b in zip(spec.sites, spec.site_orders, D.beta):
-        u = pairing_u(group, chi, site.element)
-        new.append(b + u if b < o - u else b + u - o)
-    result = InvariantDivisor(tuple(new), D.p, D.cover_fingerprint)
+    if chi not in inv.u:
+        raise MalformedDataError("character does not belong to this group")
+    return _act(spec, inv, D, inv.u[chi])
+
+
+def _act(spec: CoverSpec, inv: CoverInvariants, D: InvariantDivisor,
+         row: tuple[int, ...]) -> InvariantDivisor:
+    """chi . D for the character whose pairing row is given, with D
+    already known to be non-special; the result is checked."""
+    new = tuple(b + u if b < o - u else b + u - o
+                for o, u, b in zip(spec.site_orders, row, D.beta))
+    result = InvariantDivisor(new, D.p, D.cover_fingerprint)
     if not is_nonspecial(spec, inv, result):
         raise ConsistencyError(
             "dual-group action left the non-special set; this contradicts "
@@ -271,7 +273,8 @@ def orbit(spec: CoverSpec, inv: CoverInvariants,
     The action is free on non-special divisors, so the orbit always has
     exactly n distinct members; a repeat is an internal error.
     """
-    members = [chi_action(spec, inv, D, chi) for chi in dual_group(spec.group)]
+    _require_nonspecial(spec, inv, D)
+    members = [_act(spec, inv, D, row) for row in inv.u.values()]
     if len(set(members)) != spec.group.order:
         raise ConsistencyError(
             "dual-group orbit has repeats; the action should be free")
@@ -304,12 +307,19 @@ def half_form_exponents(spec: CoverSpec,
     return HalfFormExponents(exps=exps)
 
 
-def _require_same_cover(spec: CoverSpec, D: InvariantDivisor) -> None:
+def _require_same_cover(spec: CoverSpec, D: InvariantDivisor,
+                        *positions: int) -> None:
+    """D belongs to this cover, and each given site position is in range."""
     if D.cover_fingerprint != spec.fingerprint:
         raise MalformedDataError(
             "divisor belongs to a different cover than the one given")
-    if len(D.beta) != len(spec.sites):
+    B = len(spec.sites)
+    if len(D.beta) != B:
         raise MalformedDataError("divisor length does not match the cover")
+    for k in positions:
+        if not 0 <= k < B:
+            raise MalformedDataError(
+                f"site position {k} out of range for {B} branch sites")
 
 
 def _require_nonspecial(spec: CoverSpec, inv: CoverInvariants,

@@ -29,15 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .cover import CoverInvariants, CoverSpec
 from .dedekind import PhiKey, phi_exact
-from .divisors import InvariantDivisor, is_nonspecial, orbit
-from .errors import ConsistencyError, DomainError, MalformedDataError
-from .group_core import (AbelianGroup, GroupElement, IntersectionData,
-                         dual_group, element_order, intersection_data,
-                         pairing_u)
+from .divisors import (InvariantDivisor, _require_same_cover, is_nonspecial,
+                       orbit)
+from .errors import ConsistencyError, DomainError
+from .group_core import (AbelianGroup, GroupElement, dual_group,
+                         element_order, intersection_data, pairing_u)
 
 __all__ = [
     "PairKey",
@@ -85,19 +84,13 @@ class ExponentTable:
     divisor_fingerprint: str
 
 
-@lru_cache(maxsize=None)
-def _intersection(group: AbelianGroup, a: GroupElement,
-                  b: GroupElement) -> IntersectionData:
-    return intersection_data(group, a, b)
-
-
 def _centered(o: int, b: int) -> Fraction:
     return Fraction(2 * b - o + 1, 2 * o)
 
 
 def q_delta(spec: CoverSpec, D: InvariantDivisor, a: int, b: int) -> Fraction:
     """The product of the centered weights of D at sites a and b."""
-    _check_positions(spec, D, a, b)
+    _require_same_cover(spec, D, a, b)
     oa, ob = spec.site_orders[a], spec.site_orders[b]
     return _centered(oa, D.beta[a]) * _centered(ob, D.beta[b])
 
@@ -117,10 +110,11 @@ def q_e_closed_form(spec: CoverSpec, inv: CoverInvariants,
     Any member of the orbit of D gives the same value, because the
     argument beta_b - h beta_a is constant modulo d along the orbit.
     """
-    _check_positions(spec, D, a, b)
+    _require_same_cover(spec, D, a, b)
     group = spec.group
     oa, ob = spec.site_orders[a], spec.site_orders[b]
-    data = _intersection(group, spec.sites[a].element, spec.sites[b].element)
+    data = intersection_data(group, spec.sites[a].element,
+                             spec.sites[b].element)
     s = (D.beta[b] - data.h * D.beta[a]) % data.d
     return Fraction(group.order, oa * ob) * \
         phi_exact(PhiKey.of(data.d, data.h, s))
@@ -147,7 +141,7 @@ def gamma_closed_form(group: AbelianGroup, s: GroupElement,
         raise DomainError("gamma requires nontrivial elements")
     o_s = element_order(group, s)
     o_r = element_order(group, r)
-    data = _intersection(group, s, r)
+    data = intersection_data(group, s, r)
     phi0 = phi_exact(PhiKey.of(data.d, data.h, 0))
     return (phi0 + Fraction((o_s - 1) * (o_r - 1), 4)) / (o_s * o_r)
 
@@ -162,8 +156,12 @@ def thomae_exponent(spec: CoverSpec, inv: CoverInvariants,
     """
     if not is_nonspecial(spec, inv, D):
         raise DomainError("exponents are defined for non-special divisors")
-    a, b = pair.first, pair.second
-    _check_positions(spec, D, a, b)
+    return _pair_exponent(spec, inv, D, pair.first, pair.second)
+
+
+def _pair_exponent(spec: CoverSpec, inv: CoverInvariants,
+                   D: InvariantDivisor, a: int, b: int) -> int:
+    """thomae_exponent for a divisor already known to be non-special."""
     value = 4 * inv.m * (
         2 * q_e_closed_form(spec, inv, D, a, b)
         + inv.n * gamma_closed_form(spec.group, spec.sites[a].element,
@@ -188,8 +186,7 @@ def exponent_table(spec: CoverSpec, inv: CoverInvariants,
     B = len(spec.sites)
     for a in range(B):
         for b in range(a + 1, B):
-            key = PairKey(a, b)
-            entries[key] = thomae_exponent(spec, inv, D, key)
+            entries[PairKey(a, b)] = _pair_exponent(spec, inv, D, a, b)
     return ExponentTable(
         entries=entries,
         detC_exponent=4 * inv.m,
@@ -234,15 +231,3 @@ def relabel_equivalent(spec: CoverSpec, inv: CoverInvariants,
         if D2.beta[out[a]] != D1.beta[a]:
             raise ConsistencyError("relabeling permutation failed to verify")
     return out
-
-
-def _check_positions(spec: CoverSpec, D: InvariantDivisor,
-                     a: int, b: int) -> None:
-    if D.cover_fingerprint != spec.fingerprint:
-        raise MalformedDataError(
-            "divisor belongs to a different cover than the one given")
-    B = len(spec.sites)
-    for k in (a, b):
-        if not 0 <= k < B:
-            raise MalformedDataError(
-                f"site position {k} out of range for {B} branch sites")

@@ -39,7 +39,7 @@ from typing import Sequence
 
 from .cover import CoverInvariants, CoverSpec
 from .errors import ConsistencyError, DomainError, NoSolutionError
-from .group_core import Character, element_order, pairing_u
+from .group_core import Character
 
 __all__ = [
     "UniPoly",
@@ -202,11 +202,10 @@ def matrix_multiply(A: list[list[Fraction]],
              for j in range(len(B[0]))] for i in range(len(A))]
 
 
-def matrix_inverse(A: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan elimination."""
-    n = len(A)
-    work = [list(row) + [Fraction(1) if i == j else Fraction(0)
-                         for j in range(n)] for i, row in enumerate(A)]
+def _gauss_jordan(work: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Reduce the augmented rows [A | R] of a square A to [I | A^-1 R] in
+    place and return the right-hand blocks A^-1 R."""
+    n = len(work)
     for col in range(n):
         pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
         if pivot is None:
@@ -221,23 +220,18 @@ def matrix_inverse(A: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in work]
 
 
+def matrix_inverse(A: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Exact inverse by Gauss-Jordan elimination."""
+    n = len(A)
+    return _gauss_jordan([list(row) + [Fraction(int(i == j)) for j in range(n)]
+                          for i, row in enumerate(A)])
+
+
 def solve_linear_system(A: list[list[Fraction]],
                         b: list[Fraction]) -> list[Fraction]:
-    """Solve the square system A x = b exactly by Gaussian elimination."""
-    n = len(A)
+    """Solve the square system A x = b exactly by Gauss-Jordan elimination."""
     work = [list(row) + [rhs] for row, rhs in zip(A, b)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            raise ConsistencyError("linear system is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [c * inv for c in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [c - factor * p for c, p in zip(work[r], work[col])]
-    return [work[r][n] for r in range(n)]
+    return [x for (x,) in _gauss_jordan(work)]
 
 
 def solve_polexist(f0: UniPoly, f1: UniPoly, d: int, e: int) -> KernelSolution:
@@ -348,26 +342,22 @@ def build_pchichi(spec: CoverSpec, inv: CoverInvariants,
     """
     if chi.is_trivial():
         raise DomainError("the construction needs a nontrivial character")
-    group = spec.group
     tchi = inv.t[chi]
     tbar = inv.t[chi.conjugate()]
     if tchi < 1 or tbar < 1:
         raise DomainError(
             f"need t_chi >= 1 on both chi and its conjugate, got "
             f"{tchi} and {tbar}")
-    active = [site for site in spec.sites
-              if pairing_u(group, chi, site.element) > 0]
-    f0 = UniPoly.from_roots([site.value for site in active])
+    active = [(site.value, u, o) for site, u, o in
+              zip(spec.sites, inv.u[chi], spec.site_orders) if u > 0]
+    f0 = UniPoly.from_roots([value for value, _, _ in active])
     if f0.degree != tchi + tbar:
         raise ConsistencyError(
             f"support polynomial has degree {f0.degree}, expected "
             f"t_chi + t_conj = {tchi + tbar}")
     f1 = UniPoly.zero()
-    for site in active:
-        u = pairing_u(group, chi, site.element)
-        o = element_order(group, site.element)
-        quotient, remainder = f0.divmod(
-            UniPoly.of([-site.value, 1]))
+    for value, u, o in active:
+        quotient, remainder = f0.divmod(UniPoly.of([-value, 1]))
         if not remainder.is_zero():
             raise ConsistencyError(
                 "dividing out a branch factor left a remainder")

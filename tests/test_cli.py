@@ -221,6 +221,17 @@ class TestExponents:
         assert code == 1
         assert json.loads(out)["error"]["kind"] == "parse"
 
+    @pytest.mark.parametrize("selector", [
+        '["a",0,0,0,0,0]', '[null,0,0,0,0,0]', '[1.7,0,0,0,0,0]',
+        '[1.0,0,0,1,1,0]', '[true,0,0,1,1,0]', '[[0],0,0,1,1,1]'])
+    def test_non_integer_weights_exit_1(self, write_doc, capsys, selector):
+        code, out = run(capsys, "exponents", "--divisor", selector,
+                        write_doc(HYPERELLIPTIC))
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] == "parse"
+        assert error["path"] == "--divisor"
+
     def test_round_trip_with_enumeration(self, write_doc, capsys):
         """Feeding enumerated beta vectors back as selectors reproduces
         the by-index tables byte for byte."""

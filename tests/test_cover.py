@@ -94,6 +94,16 @@ class TestValidate:
         spec = build_cover([2], [([1], 0), ([1], 1)])
         assert validate(spec).g == 0
 
+    def test_pairing_table_matches_pairing_u(self, battery, mixed4):
+        from abelcover import pairing_u
+        for cover in list(battery) + [mixed4]:
+            spec, inv = cover.spec, cover.inv
+            group = spec.group
+            assert list(inv.u) == dual_group(group) == list(inv.t)
+            for chi, row in inv.u.items():
+                assert row == tuple(pairing_u(group, chi, site.element)
+                                    for site in spec.sites)
+
     def test_conjugate_count_sum(self, battery, mixed4):
         # t of chi plus t of its conjugate counts the branch points whose
         # monodromy chi does not annihilate

@@ -8,14 +8,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from abelcover import (DisconnectedCoverError, DomainError,
+from abelcover import (AbelianGroup, DisconnectedCoverError, DomainError,
                        MalformedDataError, ResourceCapError, chi_action,
                        degree, dual_group, enumerate_nonspecial,
                        half_form_exponents, is_nonspecial, make_divisor,
                        negation_N, orbit, pairing_u, support_p, validate)
-from conftest import build_cover
+from conftest import Cover, build_cover
 
 
 def brute_force_nonspecial(cover):
@@ -161,6 +161,28 @@ class TestEnumerate:
         for D in divisors:
             assert is_nonspecial(spec, inv, D)
             assert degree(spec, D) == inv.g - 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_noncyclic_covers_match_brute_force(self, data):
+        factors = data.draw(st.sampled_from(
+            [(2, 2), (2, 4), (3, 3), (2, 2, 2)]))
+        group = AbelianGroup(factors)
+        nontrivial = [s for s in group.elements() if not s.is_identity()]
+        elements = data.draw(st.lists(st.sampled_from(nontrivial),
+                                      min_size=2, max_size=5))
+        closing = -sum(elements[1:], elements[0])
+        if not closing.is_identity():
+            elements.append(closing)
+        spec = build_cover(factors, [(s.residues, i)
+                                     for i, s in enumerate(elements)])
+        try:
+            inv = validate(spec)
+        except DisconnectedCoverError:
+            assume(False)
+        cover = Cover(name="random", spec=spec, inv=inv, genus=inv.g)
+        assert [D.beta for D in enumerate_nonspecial(spec, inv)] == \
+            brute_force_nonspecial(cover)
 
 
 class TestActions:
