@@ -130,8 +130,7 @@ def cmd_validate(args) -> int:
 
 
 def _enumerated(spec: CoverSpec, inv: CoverInvariants, args):
-    divisors = enumerate_nonspecial(spec, inv, cap=args.cap,
-                                    workers=args.workers)
+    divisors = enumerate_nonspecial(spec, inv, cap=args.cap)
     index_of = {D.beta: i for i, D in enumerate(divisors)}
     orbit_label: dict[int, int] = {}
     next_orbit = 0
@@ -187,8 +186,7 @@ def _select_divisor(spec: CoverSpec, inv: CoverInvariants,
                              path="--divisor")
         return make_divisor(spec, parsed)
     if isinstance(parsed, int) and not isinstance(parsed, bool):
-        divisors = enumerate_nonspecial(spec, inv, cap=args.cap,
-                                        workers=args.workers)
+        divisors = enumerate_nonspecial(spec, inv, cap=args.cap)
         if not 0 <= parsed < len(divisors):
             raise ParseError(
                 f"divisor index {parsed} out of range; enumeration has "
@@ -337,8 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_search_flags(p):
         p.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP,
                        help="node cap for the divisor search")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker threads for the divisor search")
 
     p = sub.add_parser("validate", help="check a cover document")
     p.add_argument("path")

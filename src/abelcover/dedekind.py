@@ -94,6 +94,16 @@ def _unit_roots(d: int, prec: int):
         return tuple(mpmath.expjpi(mpmath.mpf(2 * j) / d) for j in range(d))
 
 
+@lru_cache(maxsize=None)
+def _oracle_weights(d: int, h: int, prec: int):
+    """1 / ((1 - zeta^{kh}) (1 - zeta^{-k})) for k = 1 .. d-1, with
+    zeta = e(1/d); shared by every s of the oracle at this (d, h)."""
+    roots = _unit_roots(d, prec)
+    with mpmath.workprec(prec):
+        return tuple(1 / ((1 - roots[(k * h) % d]) * (1 - roots[d - k]))
+                     for k in range(1, d))
+
+
 def phi_numeric_oracle(key: PhiKey, precision_bits: int = 64) -> mpmath.mpc:
     """The defining root-of-unity sum, evaluated in floating point.
 
@@ -104,13 +114,13 @@ def phi_numeric_oracle(key: PhiKey, precision_bits: int = 64) -> mpmath.mpc:
     if key.d < 2:
         raise DomainError("the defining sum needs d >= 2")
     prec = max(precision_bits + 12, 32)
+    d, s = key.d, key.s
+    roots = _unit_roots(d, prec)
+    weights = _oracle_weights(d, key.h, prec)
     with mpmath.workprec(prec):
-        roots = _unit_roots(key.d, prec)
-        d, h, s = key.d, key.h, key.s
         total = mpmath.mpc(0)
-        for k in range(1, d):
-            total += roots[(k * s) % d] / (
-                (1 - roots[(k * h) % d]) * (1 - roots[d - k]))
+        for k, weight in enumerate(weights, start=1):
+            total += roots[(k * s) % d] * weight
         return total
 
 

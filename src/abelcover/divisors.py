@@ -22,10 +22,8 @@ the negation involution beta -> o - 1 - beta, orbits under the action,
 the support sets of the associated polynomials, and the half-form
 exponent vectors beta/o - (o-1)/(2o).
 
-Enumeration order is lexicographic in the canonical site order.  The
-search may be partitioned by the first weight across worker threads; the
-merged output is sorted back to the same order, so results do not depend
-on the worker count.  A configurable node cap bounds the search.
+Enumeration order is lexicographic in the canonical site order.  A
+configurable node cap bounds the search.
 
 Every u_{chi,sigma} is read from the table inv.u built by validate.  The
 helpers take a validated CoverInvariants as given and check each divisor
@@ -34,8 +32,6 @@ once: a public function checks its input, its internal steps do not.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,17 +71,19 @@ class InvariantDivisor:
 
 @dataclass(frozen=True)
 class HalfFormExponents:
-    """Exact exponents beta/o - (o-1)/(2o) per site.  carries_half_dz
-    records the fixed square root of dz that completes the half-form;
-    it is constant and kept only so the object states what it describes."""
+    """Exact exponents beta/o - (o-1)/(2o) per site."""
 
     exps: tuple[Fraction, ...]
-    carries_half_dz: bool = True
 
 
 def make_divisor(spec: CoverSpec, beta, p: int = 1) -> InvariantDivisor:
-    """Build a divisor for this cover, checking every weight range."""
-    weights = tuple(int(b) for b in beta)
+    """Build a divisor for this cover, checking every weight range.  Each
+    weight and p must be an int (not a bool); nothing is converted."""
+    weights = tuple(beta)
+    if not all(isinstance(x, int) and not isinstance(x, bool)
+               for x in (*weights, p)):
+        raise MalformedDataError(
+            "divisor weights and pole multiplicity must be integers")
     if len(weights) != len(spec.sites):
         raise MalformedDataError(
             f"divisor has {len(weights)} weights for a cover with "
@@ -94,7 +92,7 @@ def make_divisor(spec: CoverSpec, beta, p: int = 1) -> InvariantDivisor:
         if not 0 <= b < o:
             raise MalformedDataError(
                 f"weight {b} out of range [0, {o})")
-    return InvariantDivisor(weights, int(p), spec.fingerprint)
+    return InvariantDivisor(weights, p, spec.fingerprint)
 
 
 def degree(spec: CoverSpec, D: InvariantDivisor) -> int:
@@ -128,24 +126,8 @@ def is_nonspecial(spec: CoverSpec, inv: CoverInvariants,
     return True
 
 
-class _NodeBudget:
-    """Shared node counter for the enumeration, safe across threads."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.used = 0
-        self._lock = threading.Lock()
-
-    def spend(self, amount: int = 1) -> None:
-        with self._lock:
-            self.used += amount
-            if self.used > self.cap:
-                raise ResourceCapError(self.cap)
-
-
 def enumerate_nonspecial(spec: CoverSpec, inv: CoverInvariants, *,
-                         cap: int = DEFAULT_NODE_CAP,
-                         workers: int = 1) -> list[InvariantDivisor]:
+                         cap: int = DEFAULT_NODE_CAP) -> list[InvariantDivisor]:
     """All non-special divisors, each exactly once, in lexicographic
     weight order.  May be empty; emptiness is a result, not an error.
 
@@ -171,64 +153,40 @@ def enumerate_nonspecial(spec: CoverSpec, inv: CoverInvariants, *,
             remaining[c][k] = remaining[c][k + 1] + \
                 (1 if thresholds[c][k] < orders[k] else 0)
 
-    budget = _NodeBudget(cap)
+    counts = [0] * C
+    beta = [0] * B
+    found: list[tuple[int, ...]] = []
+    nodes = 0
 
-    def search(prefix: tuple[int, ...]) -> list[tuple[int, ...]]:
-        if prefix:
-            budget.spend(len(prefix))
-        counts = [0] * C
-        for k, v in enumerate(prefix):
+    def dfs(k: int) -> None:
+        nonlocal nodes
+        if k == B:
+            found.append(tuple(beta))
+            return
+        for v in range(orders[k]):
+            nodes += 1
+            if nodes > cap:
+                raise ResourceCapError(cap)
+            ok = True
+            bumped = []
             for c in range(C):
                 if v >= thresholds[c][k]:
                     counts[c] += 1
-        start = len(prefix)
-        for c in range(C):
-            if counts[c] > targets[c] or \
-                    counts[c] + remaining[c][start] < targets[c]:
-                return []
-        found: list[tuple[int, ...]] = []
-        beta = list(prefix) + [0] * (B - start)
+                    bumped.append(c)
+            for c in range(C):
+                if counts[c] > targets[c] or \
+                        counts[c] + remaining[c][k + 1] < targets[c]:
+                    ok = False
+                    break
+            if ok:
+                beta[k] = v
+                dfs(k + 1)
+            for c in bumped:
+                counts[c] -= 1
+        beta[k] = 0
 
-        def dfs(k: int) -> None:
-            if k == B:
-                found.append(tuple(beta))
-                return
-            for v in range(orders[k]):
-                budget.spend()
-                ok = True
-                bumped = []
-                for c in range(C):
-                    if v >= thresholds[c][k]:
-                        counts[c] += 1
-                        bumped.append(c)
-                for c in range(C):
-                    if counts[c] > targets[c] or \
-                            counts[c] + remaining[c][k + 1] < targets[c]:
-                        ok = False
-                        break
-                if ok:
-                    beta[k] = v
-                    dfs(k + 1)
-                for c in bumped:
-                    counts[c] -= 1
-            beta[k] = 0
-
-        dfs(start)
-        return found
-
-    if B == 0:
-        results = [()]
-    elif workers <= 1:
-        results = search(())
-    else:
-        first_values = [(v,) for v in range(orders[0])]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(search, prefix) for prefix in first_values]
-            chunks = [f.result() for f in futures]
-        results = [beta for chunk in chunks for beta in chunk]
-        results.sort()
-
-    return [InvariantDivisor(beta, 1, spec.fingerprint) for beta in results]
+    dfs(0)
+    return [InvariantDivisor(b, 1, spec.fingerprint) for b in found]
 
 
 def chi_action(spec: CoverSpec, inv: CoverInvariants, D: InvariantDivisor,

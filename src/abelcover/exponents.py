@@ -178,9 +178,10 @@ def _pair_exponent(spec: CoverSpec, inv: CoverInvariants,
 
 def exponent_table(spec: CoverSpec, inv: CoverInvariants,
                    D: InvariantDivisor) -> ExponentTable:
-    """The full table over unordered site pairs, in ascending pair order."""
-    if not is_nonspecial(spec, inv, D):
-        raise DomainError("exponents are defined for non-special divisors")
+    """The full table over unordered site pairs, in ascending pair order.
+
+    D must be non-special: the first step, orbit, checks it and raises
+    DomainError otherwise, so the table does not check it again."""
     rep = min(member.beta for member in orbit(spec, inv, D))
     entries: dict[PairKey, int] = {}
     B = len(spec.sites)

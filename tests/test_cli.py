@@ -265,17 +265,6 @@ class TestDedekind:
 
 
 class TestDeterminism:
-    def test_worker_count_does_not_change_bytes(self, write_doc, capsys):
-        for doc in (HYPERELLIPTIC, CYCLIC3):
-            path = write_doc(doc)
-            outputs = set()
-            for workers in ("1", "8"):
-                for fmt in ("--json", "--csv"):
-                    _, out = run(capsys, "enumerate", fmt,
-                                 "--workers", workers, path)
-                    outputs.add((fmt, out))
-            assert len(outputs) == 2
-
     def test_repeated_runs_identical(self, write_doc, capsys):
         path = write_doc(HYPERELLIPTIC)
         _, first = run(capsys, "exponents", "--divisor", "0", path)

@@ -214,6 +214,8 @@ class TestThomaeExponent:
         with pytest.raises(DomainError):
             thomae_exponent(spec, inv, make_divisor(spec, [1] * 6),
                             PairKey(0, 1))
+        with pytest.raises(DomainError):
+            exponent_table(spec, inv, make_divisor(spec, [1] * 6))
 
 
 class TestExponentTable:
