@@ -9,10 +9,10 @@ lambda accepts fraction strings ("3/4"), decimal strings ("0.25", read
 exactly), or JSON integers.  JSON floats are rejected to keep the
 pipeline exact end to end.
 
-Exit codes: 0 success, 1 parse error, 2 invalid input (bad cover, bad
-key, selector not non-special), 3 search cap exceeded.  Results go to
-stdout; errors are reported as a JSON object on stdout as well, so both
-outcomes are machine readable.
+Exit codes: 0 success, 1 parse error (also a malformed command line),
+2 invalid input (bad cover, bad key, selector not non-special), 3 search
+cap exceeded.  Results go to stdout; errors are reported as a JSON object
+on stdout as well, so both outcomes are machine readable.
 """
 
 from __future__ import annotations
@@ -317,8 +317,31 @@ def _check(name: str, what: str, ok: bool) -> None:
     sys.stdout.write(f"ok {name}: {what}\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error (an unknown option, a malformed value, a
+    missing argument) as a ParseError, so that main reports it like any
+    other parse error instead of exiting.  --help still prints and exits."""
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
+def _node_cap(text: str) -> int:
+    """The --cap value, a positive integer.  argparse turns only
+    ValueError, TypeError and ArgumentTypeError from a type function into
+    a usage error, so this ParseError keeps its path."""
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = None
+    if cap is None or cap < 1:
+        raise ParseError(f"cap must be a positive integer, got {text!r}",
+                         path="--cap")
+    return cap
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="abelcover",
         description="Exact non-special divisor enumeration, generalized "
                     "Dedekind sums, and Thomae exponent tables for abelian "
@@ -333,8 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="CSV output")
 
     def add_search_flags(p):
-        p.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP,
-                       help="node cap for the divisor search")
+        p.add_argument("--cap", type=_node_cap, default=DEFAULT_NODE_CAP,
+                       help="node cap for the divisor search, a positive "
+                            "integer")
 
     p = sub.add_parser("validate", help="check a cover document")
     p.add_argument("path")
@@ -370,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         payload = {"kind": "parse", "detail": str(exc)}

@@ -16,16 +16,16 @@ coefficients x_l = a_{l, d+e-h-l} through the equations
 
     sum_l C(l, i) x_l = 0          for i = 0, ..., d-h-1.
 
-At level 0 the unknowns x_1, ..., x_d form the square system M x = b with
-M[i][l] = C(l, i) and b determined by the leading coefficient of f_0.
-M factors as J T with T the upper unipotent Pascal matrix and J the lower
-unipotent Jordan matrix, so it is invertible, and the upper-left entry of
-its inverse equals d; that entry is exactly why lead(f_1) = d lead(f_0)
-is forced.  At level h >= 1 the coefficients x_l with 2 <= l <= min(h, e)
-are free and the canonical solution sets them, along with every
-coefficient that appears in no constraint, to zero; the remaining square
-system is solved exactly.  The finished solution is verified by fully
-expanding S(z, w) symbolically and reading off its w-degree.
+With a = min(h, e) and r = d - h, the canonical solution sets the free
+x_l with 2 <= l <= a, and every coefficient in no constraint, to zero.
+x_0 and x_1 are given (x_1 is only checked at level 0), so level h is a
+square system in x_{a+1}, ..., x_{a+r} of determinant 1 whose right-hand
+side is zero past its first two entries; solve_level solves it in closed
+form, with no elimination.  At level 0 the matrix is
+M = binomial_level_matrix(d) = J T (jordan_factor, pascal_factor), and
+M^-1[0][0] = d forces x_1 = -d x_0, that is lead(f_1) = d lead(f_0).
+The finished solution is verified by fully expanding S(z, w) and reading
+off its w-degree.
 
 All arithmetic is over exact rationals.
 """
@@ -38,13 +38,15 @@ from math import comb
 from typing import Sequence
 
 from .cover import CoverInvariants, CoverSpec
-from .errors import ConsistencyError, DomainError, NoSolutionError
+from .errors import (ConsistencyError, DomainError, MalformedDataError,
+                     NoSolutionError)
 from .group_core import Character
 
 __all__ = [
     "UniPoly",
     "KernelSolution",
     "solve_polexist",
+    "solve_level",
     "build_pchichi",
     "assembly_by_z_power",
     "assembly_w_degree",
@@ -57,23 +59,31 @@ __all__ = [
 ]
 
 
+def _exact(c) -> Fraction:
+    """c as a Fraction; a float, a bool or any other type is refused."""
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+        raise MalformedDataError(
+            f"polynomial coefficient {c!r} is not an int or a Fraction")
+    return Fraction(c)
+
+
 @dataclass(frozen=True)
 class UniPoly:
     """A univariate polynomial with exact rational coefficients, stored
     low degree first with trailing zeros trimmed.  The zero polynomial
-    has degree -1."""
+    has degree -1.  Coefficients must be Fractions or ints (not bools)."""
 
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        cs = [Fraction(c) for c in self.coeffs]
+        cs = [c if type(c) is Fraction else _exact(c) for c in self.coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
     @classmethod
     def of(cls, coeffs: Sequence) -> "UniPoly":
-        return cls(tuple(Fraction(c) for c in coeffs))
+        return cls(tuple(coeffs))
 
     @classmethod
     def zero(cls) -> "UniPoly":
@@ -81,14 +91,16 @@ class UniPoly:
 
     @classmethod
     def monomial(cls, c, k: int) -> "UniPoly":
-        return cls((Fraction(0),) * k + (Fraction(c),))
+        return cls((Fraction(0),) * k + (c,))
 
     @classmethod
     def from_roots(cls, roots: Sequence) -> "UniPoly":
-        out = cls((Fraction(1),))
-        for r in roots:
-            out = out * cls((-Fraction(r), Fraction(1)))
-        return out
+        out = [Fraction(1)]
+        for r in map(_exact, roots):
+            out = [Fraction(0)] + out  # times z, then minus r times the old
+            for k in range(len(out) - 1):
+                out[k] -= r * out[k + 1]
+        return cls(tuple(out))
 
     @property
     def degree(self) -> int:
@@ -234,6 +246,24 @@ def solve_linear_system(A: list[list[Fraction]],
     return [x for (x,) in _gauss_jordan(work)]
 
 
+def solve_level(a: int, r: int, b0: Fraction, b1: Fraction) -> list[Fraction]:
+    """Solve sum_{l=a+1}^{a+r} C(l, i) x_l = b_i for i = 0..r-1, where
+    b_0 = b0, b_1 = b1 (absent when r = 1) and every other b_i is zero.
+
+    As sum_i C(l, i) y^i = (1+y)^l, x_{a+j} is the coefficient of s^(j-1)
+    in Q(s-1), Q(y) = (b0 - b1)(1+y)^-(a+1) + b1 (1+y)^-a mod y^r.  In
+    ((1+y)^-p mod y^r)(s-1), s^m has the coefficient
+    (-1)^m C(p-1+m, m) C(p-1+r, r-1-m) by the hockey-stick identity.
+    """
+    def at_s_minus_one(p: int, m: int) -> int:
+        if p == 0:
+            return int(m == 0)
+        return (-1) ** m * comb(p - 1 + m, m) * comb(p - 1 + r, r - 1 - m)
+    c = b0 - b1
+    return [c * at_s_minus_one(a + 1, m) + b1 * at_s_minus_one(a, m)
+            for m in range(r)]
+
+
 def solve_polexist(f0: UniPoly, f1: UniPoly, d: int, e: int) -> KernelSolution:
     """Construct the canonical f_2, ..., f_d for the given f_0, f_1.
 
@@ -244,89 +274,55 @@ def solve_polexist(f0: UniPoly, f1: UniPoly, d: int, e: int) -> KernelSolution:
     """
     if d < 1 or e < 1:
         raise DomainError(f"need d >= 1 and e >= 1, got d={d}, e={e}")
-    if f0.degree != d + e:
-        raise DomainError(
-            f"f0 must have degree d+e = {d + e}, got {f0.degree}")
-    if f1.degree != d + e - 1:
-        raise DomainError(
-            f"f1 must have degree d+e-1 = {d + e - 1}, got {f1.degree}")
-
-    def a_known(l: int, k: int) -> Fraction:
-        # coefficient of (-w)^k in f_l for the two given polynomials
-        c = (f0 if l == 0 else f1).coefficient(k)
-        return c if k % 2 == 0 else -c
-
-    # unknown a-coefficients per polynomial index l, keyed by power k
-    a_solved: dict[int, dict[int, Fraction]] = {l: {} for l in range(2, d + 1)}
-
+    n = d + e
+    for name, f, want in (("f0", f0, n), ("f1", f1, n - 1)):
+        if f.degree != want:
+            raise DomainError(
+                f"{name} must have degree {want}, got {f.degree}")
+    # a_{l,k} is the coefficient of (-w)^k in f_l, coeffs[l][k] that of w^k
+    a0, a1 = ([c if k % 2 == 0 else -c for k, c in enumerate(f.coeffs)]
+              for f in (f0, f1))
+    coeffs = [[Fraction(0)] * (n - l + 1) for l in range(d + 1)]
     for h in range(d):
-        if h == 0:
-            A = binomial_level_matrix(d)
-            b = [-a_known(0, d + e)] + [Fraction(0)] * (d - 1)
-            sol = solve_linear_system(A, b)
-            if sol[0] != a_known(1, d + e - 1):
-                raise NoSolutionError(
-                    f"the leading coefficient of f1 must be d = {d} times "
-                    f"that of f0; got {f1.lead} against {f0.lead}")
-            for l in range(2, d + 1):
-                a_solved[l][d + e - l] = sol[l - 1]
-            continue
-        L = min(d, d + e - h)
-        frozen_top = min(h, e)
-        unknowns = list(range(frozen_top + 1, L + 1))
-        if not unknowns:
-            continue
-        rows = d - h
-        A = [[Fraction(comb(l, i)) for l in unknowns] for i in range(rows)]
-        b = []
-        for i in range(rows):
-            rhs = -(a_known(0, d + e - h) * comb(0, i)
-                    + a_known(1, d + e - h - 1) * comb(1, i))
-            b.append(Fraction(rhs))
-        sol = solve_linear_system(A, b)
-        for l, val in zip(unknowns, sol):
-            a_solved[l][d + e - h - l] = val
-
-    polys = [f0, f1]
-    for l in range(2, d + 1):
-        size = max(a_solved[l], default=-1) + 1
-        std = [Fraction(0)] * size
-        for k, val in a_solved[l].items():
-            std[k] = val if k % 2 == 0 else -val
-        polys.append(UniPoly(tuple(std)))
-
-    solution = KernelSolution(tuple(polys), d, e)
-    _verify(solution)
+        x1 = a1[n - h - 1] if h else 0  # unknown at level 0, checked below
+        top = min(h, e)
+        sol = solve_level(top, d - h, -(a0[n - h] + x1), -x1)
+        if h == 0 and sol[0] != a1[n - 1]:
+            raise NoSolutionError(
+                f"the leading coefficient of f1 must be d = {d} times "
+                f"that of f0; got {f1.lead} against {f0.lead}")
+        for l, x in enumerate(sol, top + 1):
+            k = n - h - l
+            coeffs[l][k] = x if k % 2 == 0 else -x
+    solution = KernelSolution(
+        (f0, f1, *(UniPoly(tuple(c)) for c in coeffs[2:])), d, e)
+    for l, fl in enumerate(solution.polys):
+        if fl.degree > n - l:
+            raise ConsistencyError(
+                f"f_{l} has degree {fl.degree}, above the bound {n - l}")
+    wdeg = assembly_w_degree(solution)
+    if wdeg > e:
+        raise ConsistencyError(
+            f"assembly has w-degree {wdeg}, above the bound e = {e}")
     return solution
 
 
 def assembly_by_z_power(solution: KernelSolution) -> list[UniPoly]:
     """The assembly S(z, w), expanded fully: entry i is the coefficient
     of z^i as a polynomial in w."""
-    d = solution.d
-    out = [UniPoly.zero() for _ in range(d + 1)]
+    width = max(len(fl.coeffs) + l for l, fl in enumerate(solution.polys))
+    rows = [[Fraction(0)] * width for _ in solution.polys]
     for l, fl in enumerate(solution.polys):
         for i in range(l + 1):
             c = comb(l, i) * (-1) ** (l - i)
-            out[i] = out[i] + fl.shift(l - i) * c
-    return out
+            for k, a in enumerate(fl.coeffs, l - i):
+                rows[i][k] += c * a
+    return [UniPoly(tuple(row)) for row in rows]
 
 
 def assembly_w_degree(solution: KernelSolution) -> int:
     """The exact w-degree of the assembly, from the full expansion."""
     return max(p.degree for p in assembly_by_z_power(solution))
-
-
-def _verify(solution: KernelSolution) -> None:
-    d, e = solution.d, solution.e
-    for l, fl in enumerate(solution.polys):
-        if fl.degree > d + e - l:
-            raise ConsistencyError(
-                f"f_{l} has degree {fl.degree}, above the bound {d + e - l}")
-    wdeg = assembly_w_degree(solution)
-    if wdeg > e:
-        raise ConsistencyError(
-            f"assembly has w-degree {wdeg}, above the bound e = {e}")
 
 
 def build_pchichi(spec: CoverSpec, inv: CoverInvariants,
@@ -336,9 +332,9 @@ def build_pchichi(spec: CoverSpec, inv: CoverInvariants,
     f_0 is the monic product of (z - lambda) over the branch sites whose
     monodromy lies outside ker chi; its degree is t_chi + t_conj.  f_1
     multiplies f_0 by the weighted sum of 1/(z - lambda) with weights
-    u_{chi,sigma}/o(sigma), each term an exact polynomial quotient, so
-    lead(f_1) = t_chi.  The pair is then handed to solve_polexist with
-    d = t_chi and e = t_conj.
+    u_{chi,sigma}/o(sigma), each quotient f_0/(z - lambda) taken by
+    synthetic division with a zero remainder, so lead(f_1) = t_chi.  The
+    pair is then handed to solve_polexist with d = t_chi and e = t_conj.
     """
     if chi.is_trivial():
         raise DomainError("the construction needs a nontrivial character")
@@ -355,13 +351,17 @@ def build_pchichi(spec: CoverSpec, inv: CoverInvariants,
         raise ConsistencyError(
             f"support polynomial has degree {f0.degree}, expected "
             f"t_chi + t_conj = {tchi + tbar}")
-    f1 = UniPoly.zero()
+    f1_coeffs = [Fraction(0)] * f0.degree
     for value, u, o in active:
-        quotient, remainder = f0.divmod(UniPoly.of([-value, 1]))
-        if not remainder.is_zero():
+        # synthetic division of f0 by (z - value), top coefficient first
+        weight, carry = Fraction(u, o), Fraction(0)
+        for k in range(f0.degree, 0, -1):
+            carry = carry * value + f0.coeffs[k]
+            f1_coeffs[k - 1] += weight * carry
+        if carry * value + f0.coeffs[0]:
             raise ConsistencyError(
                 "dividing out a branch factor left a remainder")
-        f1 = f1 + quotient * Fraction(u, o)
+    f1 = UniPoly(tuple(f1_coeffs))
     if f1.lead != tchi * f0.lead:
         raise ConsistencyError(
             f"lead(f1) = {f1.lead} is not t_chi = {tchi} times lead(f0)")

@@ -97,6 +97,43 @@ class TestParsing:
         assert code == 2
 
 
+class TestCommandLine:
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--workers", "2"], ["enumerate", "--bogus"],
+        ["exponents"], ["frobnicate"], [], ["dedekind", "a", "1", "0"],
+        ["dedekind", "5", "2"], ["enumerate", "--json", "--csv"]])
+    def test_usage_error_exit_1_with_json(self, write_doc, capsys, argv):
+        path = write_doc(HYPERELLIPTIC)
+        if argv and argv[0] in ("enumerate", "exponents"):
+            argv = argv + [path]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out)["error"]["kind"] == "parse"
+        assert captured.err == ""
+
+    def test_help_still_prints_and_exits(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: abelcover" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cap", ["0", "-1", "abc", "2.5"])
+    def test_cap_must_be_positive_int(self, write_doc, capsys, cap):
+        code, out = run(capsys, "enumerate", "--cap", cap,
+                        write_doc(HYPERELLIPTIC))
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] == "parse"
+        assert error["path"] == "--cap"
+
+    def test_cap_of_one_is_a_cap(self, write_doc, capsys):
+        code, out = run(capsys, "exponents", "--divisor", "0", "--cap", "1",
+                        write_doc(HYPERELLIPTIC))
+        assert code == 3
+        assert json.loads(out)["error"]["cap"] == 1
+
+
 class TestValidate:
     def test_hyperelliptic_report(self, write_doc, capsys):
         code, out = run(capsys, "validate", write_doc(HYPERELLIPTIC))

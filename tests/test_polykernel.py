@@ -1,21 +1,26 @@
 """Kernel polynomial solver: exact univariate algebra, the Pascal-shaped
-level matrices, the existence construction with its degree bound, the
-perturbation refusal, and the cover-derived instances."""
+level matrices and their closed-form solution, the existence construction
+with its degree bound, the perturbation refusal, and the cover-derived
+instances."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
-from abelcover import (DomainError, NoSolutionError, UniPoly, build_pchichi,
-                       dual_group, solve_polexist)
+from abelcover import (DomainError, MalformedDataError, NoSolutionError,
+                       UniPoly, build_pchichi, dual_group, solve_polexist)
 from abelcover.polykernel import (assembly_by_z_power, assembly_w_degree,
                                   binomial_level_matrix, jordan_factor,
                                   matrix_inverse, matrix_multiply,
-                                  pascal_factor)
+                                  pascal_factor, solve_level,
+                                  solve_linear_system)
 
 fractions = st.fractions(
     min_value=-10, max_value=10, max_denominator=6)
@@ -60,7 +65,7 @@ class TestUniPoly:
         num = UniPoly.from_roots([1, 2, 3])
         den = UniPoly.from_roots([2])
         q, r = num.divmod(den)
-        assert r.is_zero
+        assert r.is_zero()
         assert q == UniPoly.from_roots([1, 3])
 
     @given(st.lists(fractions, min_size=1, max_size=5),
@@ -68,11 +73,29 @@ class TestUniPoly:
     def test_divmod_round_trip(self, a_coeffs, b_coeffs):
         a = UniPoly.of(a_coeffs)
         b = UniPoly.of(b_coeffs)
-        if b.is_zero:
+        if b.is_zero():
             return
         q, r = a.divmod(b)
         assert q * b + r == a
         assert r.degree < b.degree
+
+    def test_int_coefficients_become_fractions(self):
+        p = UniPoly.of([3, Fraction(1, 2), 0])
+        assert p.coeffs == (Fraction(3), Fraction(1, 2))
+        assert all(type(c) is Fraction for c in p.coeffs)
+        assert all(type(c) is Fraction
+                   for c in UniPoly.from_roots([1, 2]).coeffs)
+
+    @pytest.mark.parametrize("bad", [0.1, 1.0, True, False, "1/3", None])
+    def test_inexact_coefficients_rejected(self, bad):
+        with pytest.raises(MalformedDataError):
+            UniPoly.of([bad, 1])
+        with pytest.raises(MalformedDataError):
+            UniPoly((Fraction(1), bad))
+        with pytest.raises(MalformedDataError):
+            UniPoly.monomial(bad, 2)
+        with pytest.raises(MalformedDataError):
+            UniPoly.from_roots([1, bad])
 
 
 class TestLevelMatrices:
@@ -95,6 +118,58 @@ class TestLevelMatrices:
             for i in range(d):
                 for j in range(d):
                     assert product[i][j] == (1 if i == j else 0)
+
+    def test_closed_form_level_solve_matches_gauss_jordan(self):
+        """solve_level against elimination on the level matrix C(l, i),
+        l = a+1..a+r, with a right-hand side zero past b0 and b1."""
+        rng = random.Random(31)
+        for a in range(11):
+            for r in range(1, 13):
+                for _ in range(2):
+                    b0, b1 = (Fraction(rng.randint(-30, 30),
+                                       rng.randint(1, 12)) for _ in range(2))
+                    A = [[Fraction(comb(l, i))
+                          for l in range(a + 1, a + r + 1)]
+                         for i in range(r)]
+                    b = ([b0, b1] + [Fraction(0)] * r)[:r]
+                    assert solve_level(a, r, b0, b1) == \
+                        solve_linear_system(A, b)
+
+    def test_level_zero_gives_d_times_b0(self):
+        b0 = Fraction(-2, 3)
+        for d in range(1, 13):
+            assert solve_level(0, d, b0, 0)[0] == d * b0
+
+
+def solutions_digest(solutions) -> str:
+    """sha256 over the solutions, one JSON line each with every
+    coefficient as its exact fraction string."""
+    h = hashlib.sha256()
+    for s in solutions:
+        h.update(json.dumps({
+            "d": s.d, "e": s.e,
+            "polys": [[str(c) for c in p.coeffs] for p in s.polys],
+        }).encode() + b"\n")
+    return h.hexdigest()
+
+
+# solutions_digest of the kernel solutions, recorded from the Gauss-Jordan
+# solver.  The canonical solution zeroes every free coefficient; a degree
+# or w-degree check alone would accept other choices.
+BATTERY_KERNEL_SHA256 = {
+    "hyperelliptic":
+        "c9fd8f8a45760eaa6da22e85e7c9be05789b8271f7ff45f3d1158acb47ac598b",
+    "cyclic3":
+        "fda4154fcaf0ea3f577d05ac07589663e4e2bd3d7ce27858ae66d2374de4c1ea",
+    "cyclic4":
+        "fd576bf0a54362e8f33a6ac38d155f9fdb69a7f616ebd614fb7db2f1c49060d6",
+    "klein":
+        "7bc574c86ea8a8c5c2c8afbbb5ceab1d09c949bd8b758cb2b6a654eb2553f2c6",
+    "cyclic6":
+        "7c0176c0476ad69ac6dfea1ae495faf2f0139f3f661ca2898789a454abeb7233",
+}
+RANDOM_KERNEL_SHA256 = \
+    "634cdb83f44154328171f858c1b2d0f1047418c388339288341166dc4b40d411"
 
 
 def random_instance(rng, d, e):
@@ -121,7 +196,7 @@ class TestSolvePolexist:
         per_power = assembly_by_z_power(solution)
         # the combination collapses to w * z^2
         assert per_power[2] == UniPoly.monomial(1, 1)
-        assert all(p.is_zero for i, p in enumerate(per_power) if i != 2)
+        assert all(p.is_zero() for i, p in enumerate(per_power) if i != 2)
 
     def test_degree_bound_and_counts(self):
         rng = random.Random(7)
@@ -175,6 +250,16 @@ class TestSolvePolexist:
         with pytest.raises(DomainError):
             solve_polexist(f0, UniPoly.monomial(2, 1), 2, 1)
 
+    def test_solutions_match_recorded_digest(self):
+        rng = random.Random(404)
+        solutions = []
+        for _ in range(30):
+            d = rng.randint(1, 12)
+            e = rng.randint(1, 12)
+            f0, f1 = random_instance(rng, d, e)
+            solutions.append(solve_polexist(f0, f1, d, e))
+        assert solutions_digest(solutions) == RANDOM_KERNEL_SHA256
+
     def test_d_equals_one(self):
         f0 = UniPoly.of([1, 2, 1])
         f1 = UniPoly.of([5, 1])
@@ -199,6 +284,17 @@ class TestBuildPchichi:
                 assert f0.degree == t + tc
                 assert f1.lead == t * f0.lead
                 assert assembly_w_degree(solution) <= tc
+
+    def test_battery_solutions_match_recorded_digests(self, battery):
+        for cover in battery:
+            spec, inv = cover.spec, cover.inv
+            solutions = [
+                build_pchichi(spec, inv, chi)
+                for chi in dual_group(spec.group)
+                if not chi.is_trivial() and inv.t[chi] >= 1
+                and inv.t[chi.conjugate()] >= 1]
+            assert solutions_digest(solutions) == \
+                BATTERY_KERNEL_SHA256[cover.name], cover.name
 
     def test_roots_are_active_branch_values(self, cyclic3):
         spec, inv = cyclic3.spec, cyclic3.inv
