@@ -14,8 +14,8 @@ from .dedekind import (PhiKey, classical_dedekind_sum, integrality_class,
                        phi_exact, phi_numeric_oracle)
 from .divisors import (DEFAULT_NODE_CAP, HalfFormExponents, InvariantDivisor,
                        chi_action, degree, enumerate_nonspecial,
-                       half_form_exponents, is_nonspecial, make_divisor,
-                       negation_N, orbit, support_p)
+                       enumerate_orbits, half_form_exponents, is_nonspecial,
+                       make_divisor, negation_N, orbit, support_p)
 from .errors import (AbelcoverError, ConsistencyError, DisconnectedCoverError,
                      DomainError, InvalidCoverError, MalformedDataError,
                      NoSolutionError, ParseError, ResourceCapError)
@@ -40,7 +40,7 @@ __all__ = [
     "integrality_class",
     "InvariantDivisor", "HalfFormExponents", "DEFAULT_NODE_CAP",
     "make_divisor", "degree", "is_nonspecial", "enumerate_nonspecial",
-    "chi_action",
+    "enumerate_orbits", "chi_action",
     "negation_N", "orbit", "support_p", "half_form_exponents",
     "PairKey", "ExponentTable", "q_delta", "q_e", "q_e_closed_form",
     "gamma", "gamma_closed_form", "thomae_exponent", "exponent_table",

@@ -27,7 +27,8 @@ from fractions import Fraction
 from .cover import CoverInvariants, CoverSpec, BranchPoint, validate
 from .dedekind import PhiKey, phi_exact
 from .divisors import (DEFAULT_NODE_CAP, InvariantDivisor, enumerate_nonspecial,
-                       is_nonspecial, make_divisor, negation_N, orbit)
+                       enumerate_orbits, is_nonspecial, make_divisor,
+                       negation_N, orbit)
 from .errors import (AbelcoverError, ConsistencyError, ParseError,
                      ResourceCapError)
 from .exponents import exponent_table
@@ -129,28 +130,10 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _enumerated(spec: CoverSpec, inv: CoverInvariants, args):
-    divisors = enumerate_nonspecial(spec, inv, cap=args.cap)
-    index_of = {D.beta: i for i, D in enumerate(divisors)}
-    orbit_label: dict[int, int] = {}
-    next_orbit = 0
-    for i, D in enumerate(divisors):
-        if i in orbit_label:
-            continue
-        for member in orbit(spec, inv, D):
-            j = index_of.get(member.beta)
-            if j is None:
-                raise ConsistencyError(
-                    "enumeration is not closed under the dual action")
-            orbit_label[j] = next_orbit
-        next_orbit += 1
-    return divisors, orbit_label, next_orbit
-
-
 def cmd_enumerate(args) -> int:
     spec = load_cover_document(args.path)
     inv = validate(spec)
-    divisors, orbit_label, orbit_count = _enumerated(spec, inv, args)
+    divisors, orbit_label = enumerate_orbits(spec, inv, cap=args.cap)
     if args.csv:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
@@ -163,7 +146,7 @@ def cmd_enumerate(args) -> int:
     else:
         _emit({
             "count": len(divisors),
-            "orbit_count": orbit_count,
+            "orbit_count": len(divisors) // inv.n,
             "empty": not divisors,
             "divisors": [
                 {"index": i, "orbit": orbit_label[i], "p": D.p,
@@ -178,7 +161,7 @@ def _select_divisor(spec: CoverSpec, inv: CoverInvariants,
     text = selector.strip()
     try:
         parsed = json.loads(text)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):  # also too many digits, deep nesting
         parsed = None
     if isinstance(parsed, list):
         if not _is_int_list(parsed):
@@ -284,19 +267,14 @@ def cmd_selftest(args) -> int:
         spec = parse_cover_object(document)
         inv = validate(spec)
         _check(name, "genus", inv.g == expected["g"])
-        divisors = enumerate_nonspecial(spec, inv)
+        divisors, labels = enumerate_orbits(spec, inv)
         _check(name, "count", len(divisors) == expected["count"])
         seen = set(D.beta for D in divisors)
-        orbits_seen = set()
-        closed = negated = True
-        for D in divisors:
-            members = orbit(spec, inv, D)
-            closed = closed and all(m.beta in seen for m in members)
-            orbits_seen.add(min(m.beta for m in members))
-            negated = negated and negation_N(spec, inv, D).beta in seen
-        _check(name, "closure", closed)
-        _check(name, "negation", negated)
-        _check(name, "orbit count", len(orbits_seen) == expected["orbits"])
+        _check(name, "closure", all(m.beta in seen for D in divisors
+                                    for m in orbit(spec, inv, D)))
+        _check(name, "negation", all(negation_N(spec, inv, D).beta in seen
+                                     for D in divisors))
+        _check(name, "orbit count", len(set(labels)) == expected["orbits"])
         even = homogeneous = True
         for D in divisors[:2]:
             table = exponent_table(spec, inv, D)
@@ -396,6 +374,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse stores [] for "--opt=--"; no option here takes a list
+        if any(isinstance(v, list) for v in vars(args).values()):
+            raise ParseError("an option is missing its value")
         return args.func(args)
     except ParseError as exc:
         payload = {"kind": "parse", "detail": str(exc)}

@@ -12,8 +12,7 @@ for every character chi, the counting condition
     #{ sites with beta >= o(sigma) - u_{chi,sigma} } = t_chi;
 
 such a divisor automatically has degree g - 1.  This module decides the
-condition, enumerates all solutions by pruned depth-first backtracking,
-and implements the dual-group action
+condition, enumerates all solutions, and implements the dual-group action
 
     beta -> beta + u            when beta < o - u,
     beta -> beta + u - o        otherwise,
@@ -22,8 +21,9 @@ the negation involution beta -> o - 1 - beta, orbits under the action,
 the support sets of the associated polynomials, and the half-form
 exponent vectors beta/o - (o-1)/(2o).
 
-Enumeration order is lexicographic in the canonical site order.  A
-configurable node cap bounds the search.
+Enumeration searches the slice beta_0 = 0, which meets every orbit, by
+pruned depth-first backtracking under a node cap, then expands it by the
+action, labelling the orbits; its order is lexicographic by canonical site.
 
 Every u_{chi,sigma} is read from the table inv.u built by validate.  The
 helpers take a validated CoverInvariants as given and check each divisor
@@ -47,6 +47,7 @@ __all__ = [
     "degree",
     "is_nonspecial",
     "enumerate_nonspecial",
+    "enumerate_orbits",
     "chi_action",
     "negation_N",
     "orbit",
@@ -113,29 +114,62 @@ def is_nonspecial(spec: CoverSpec, inv: CoverInvariants,
     _require_same_cover(spec, D)
     if D.p != 1:
         return False
+    orders = spec.site_orders
     # the trivial character has u = 0 everywhere, so its count is 0 = t
     for chi, row in inv.u.items():
-        count = sum(1 for o, uk, b in zip(spec.site_orders, row, D.beta)
+        count = sum(1 for o, uk, b in zip(orders, row, D.beta)
                     if b >= o - uk)
         if count != inv.t[chi]:
             return False
-    if degree(spec, D) != inv.g - 1:
+    deg = sum(b * (inv.n // o) for b, o in zip(D.beta, orders)) - inv.n
+    if deg != inv.g - 1:
         raise ConsistencyError(
             "divisor meets the counting condition but has degree "
-            f"{degree(spec, D)} instead of g - 1 = {inv.g - 1}")
+            f"{deg} instead of g - 1 = {inv.g - 1}")
     return True
 
 
 def enumerate_nonspecial(spec: CoverSpec, inv: CoverInvariants, *,
                          cap: int = DEFAULT_NODE_CAP) -> list[InvariantDivisor]:
-    """All non-special divisors, each exactly once, in lexicographic
-    weight order.  May be empty; emptiness is a result, not an error.
+    """All non-special divisors, in lex order: enumerate_orbits(...)[0]."""
+    return enumerate_orbits(spec, inv, cap=cap)[0]
 
-    Backtracking assigns weights site by site and keeps one running count
-    per nontrivial character.  A branch dies as soon as some count
-    overshoots its target t_chi or can no longer reach it with the sites
-    that remain.  Every attempted assignment costs one node against the
-    cap; exceeding the cap raises ResourceCapError.
+
+def enumerate_orbits(spec: CoverSpec, inv: CoverInvariants, *,
+                     cap: int = DEFAULT_NODE_CAP
+                     ) -> tuple[list[InvariantDivisor], list[int]]:
+    """All non-special divisors in lex order (maybe none) and the orbit
+    label of each, by first appearance.  Every orbit meets the slice
+    beta_0 = 0 first at its lex-min member: each unlabelled slice hit, in
+    lex order, is expanded by the rows of inv.u into its checked orbit."""
+    hits = _search_slice(spec, inv, cap)
+    label: dict[tuple[int, ...], int] = {}
+    for hit in hits:
+        if hit in label:
+            continue
+        D = InvariantDivisor(hit, 1, spec.fingerprint)
+        members = {_act(spec, inv, D, row).beta for row in inv.u.values()}
+        if len(members) != inv.n:
+            raise ConsistencyError("orbit has repeats, yet the action is free")
+        if any(m in label for m in members):
+            raise ConsistencyError("a divisor lies in two dual-group orbits")
+        # the new label is the number of orbits expanded so far
+        label.update(dict.fromkeys(members, len(label) // inv.n))
+    # every expanded member with beta_0 = 0 must be a slice hit
+    if sum(1 for b in label if not b or b[0] == 0) != len(hits):
+        raise ConsistencyError("the slice search missed an orbit member")
+    ordered = sorted(label)
+    return ([InvariantDivisor(b, 1, spec.fingerprint) for b in ordered],
+            [label[b] for b in ordered])
+
+
+def _search_slice(spec: CoverSpec, inv: CoverInvariants,
+                  cap: int) -> list[tuple[int, ...]]:
+    """The non-special weight vectors with beta_0 = 0, in lex order.
+    Backtracking assigns weights site by site with one running count per
+    nontrivial character; a branch dies once some count overshoots t_chi
+    or can no longer reach it with the sites that remain.  Every attempted
+    assignment costs one node; exceeding the cap raises ResourceCapError.
     """
     orders = spec.site_orders
     B = len(orders)
@@ -163,7 +197,7 @@ def enumerate_nonspecial(spec: CoverSpec, inv: CoverInvariants, *,
         if k == B:
             found.append(tuple(beta))
             return
-        for v in range(orders[k]):
+        for v in range(orders[k] if k else 1):
             nodes += 1
             if nodes > cap:
                 raise ResourceCapError(cap)
@@ -186,7 +220,7 @@ def enumerate_nonspecial(spec: CoverSpec, inv: CoverInvariants, *,
         beta[k] = 0
 
     dfs(0)
-    return [InvariantDivisor(b, 1, spec.fingerprint) for b in found]
+    return found
 
 
 def chi_action(spec: CoverSpec, inv: CoverInvariants, D: InvariantDivisor,

@@ -3,11 +3,13 @@ selftest, output schemas, exit codes, and cross-format determinism."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abelcover.cli import main
 
@@ -132,6 +134,76 @@ class TestCommandLine:
                         write_doc(HYPERELLIPTIC))
         assert code == 3
         assert json.loads(out)["error"]["cap"] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["exponents", "--divisor=--"], ["enumerate", "--cap=--"]])
+    def test_option_value_of_double_dash_exit_1(self, write_doc, capsys,
+                                                 argv):
+        # argparse stores an empty list for "--opt=--"
+        code, out = run(capsys, *argv, write_doc(HYPERELLIPTIC))
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "parse"
+
+
+class TestFuzz:
+    """Random selectors and caps through enumerate and exponents on a
+    battery document: every case ends in exit 0-3 with JSON on stdout and
+    nothing on stderr, and none raises."""
+
+    SELECTORS = st.one_of(
+        st.text(max_size=30),
+        st.integers(min_value=-3, max_value=40).map(str),
+        st.lists(st.integers(min_value=-2, max_value=3), max_size=8)
+        .map(json.dumps),
+        st.lists(st.one_of(st.integers(), st.floats(), st.booleans(),
+                           st.none(), st.text(max_size=3)), max_size=7)
+        .map(json.dumps),
+        st.lists(st.integers(min_value=-2, max_value=3), max_size=8)
+        .map(lambda xs: ",".join(map(str, xs))),
+        st.sampled_from(["1" * 5000, "[" * 5000, "[" + "1" * 5000 + "]",
+                         "--", "-h", "NaN", "1e400", "[0,0,0,1,1,1]"]))
+    CAPS = st.one_of(
+        st.integers(min_value=-3, max_value=300).map(str),
+        st.text(max_size=12),
+        st.sampled_from(["1" * 5000, "--", "1_000", " 7", "1e3"]))
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "hyperelliptic.json"
+        path.write_text(json.dumps(HYPERELLIPTIC))
+        return str(path)
+
+    @staticmethod
+    def run_quietly(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        assert err.getvalue() == ""
+        return code, json.loads(out.getvalue())
+
+    @settings(max_examples=100, deadline=None)
+    @given(selector=SELECTORS, cap=st.one_of(st.none(), CAPS),
+           joined=st.booleans())
+    def test_exponents_selector_and_cap(self, path, selector, cap, joined):
+        argv = ["exponents", path]
+        argv += [f"--divisor={selector}"] if joined else \
+            ["--divisor", selector]
+        if cap is not None:
+            argv += [f"--cap={cap}"] if joined else ["--cap", cap]
+        code, payload = self.run_quietly(argv)
+        assert ("error" in payload) == (code != 0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(cap=CAPS, joined=st.booleans())
+    def test_enumerate_cap(self, path, cap, joined):
+        argv = ["enumerate", path]
+        argv += [f"--cap={cap}"] if joined else ["--cap", cap]
+        code, payload = self.run_quietly(argv)
+        if code == 0:
+            assert payload["count"] == 20 and payload["orbit_count"] == 10
+        else:
+            assert payload["error"]["kind"] in ("parse", "resource-cap")
 
 
 class TestValidate:
@@ -262,6 +334,20 @@ class TestExponents:
         '["a",0,0,0,0,0]', '[null,0,0,0,0,0]', '[1.7,0,0,0,0,0]',
         '[1.0,0,0,1,1,0]', '[true,0,0,1,1,0]', '[[0],0,0,1,1,1]'])
     def test_non_integer_weights_exit_1(self, write_doc, capsys, selector):
+        code, out = run(capsys, "exponents", "--divisor", selector,
+                        write_doc(HYPERELLIPTIC))
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] == "parse"
+        assert error["path"] == "--divisor"
+
+    @pytest.mark.parametrize("selector", [
+        "1" * 5000, "[" * 5000, "[" + "1" * 5000 + ",0,0,0,0,0]"],
+        ids=["digits", "nesting", "digits-in-list"])
+    def test_unreadable_json_selector_exit_1(self, write_doc, capsys,
+                                             selector):
+        # json.loads raises ValueError past 4300 digits and RecursionError
+        # on deep nesting; neither is a JSONDecodeError
         code, out = run(capsys, "exponents", "--divisor", selector,
                         write_doc(HYPERELLIPTIC))
         assert code == 1

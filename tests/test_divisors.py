@@ -4,17 +4,20 @@ support sets, and half-form exponent vectors."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from abelcover import (AbelianGroup, DisconnectedCoverError, DomainError,
-                       MalformedDataError, ResourceCapError, chi_action,
-                       degree, dual_group, enumerate_nonspecial,
-                       half_form_exponents, is_nonspecial, make_divisor,
-                       negation_N, orbit, pairing_u, support_p, validate)
+import abelcover.divisors as divisors_module
+from abelcover import (AbelianGroup, ConsistencyError, DisconnectedCoverError,
+                       DomainError, MalformedDataError, ResourceCapError,
+                       chi_action, degree, dual_group, enumerate_nonspecial,
+                       enumerate_orbits, half_form_exponents, is_nonspecial,
+                       make_divisor, negation_N, orbit, pairing_u, support_p,
+                       validate)
 from conftest import Cover, build_cover
 
 
@@ -39,6 +42,45 @@ def brute_force_nonspecial(cover):
         if ok:
             out.append(beta)
     return sorted(out)
+
+
+def reference_orbit_labels(cover):
+    """Orbit labels by the direct route: every non-special weight vector
+    of the full weight space, then orbit() of each one not yet labelled,
+    labels numbered by first appearance in lex order."""
+    spec, inv = cover.spec, cover.inv
+    betas = [beta for beta in product(*(range(o) for o in spec.site_orders))
+             if is_nonspecial(spec, inv, make_divisor(spec, beta))]
+    index_of = {beta: i for i, beta in enumerate(betas)}
+    labels: dict[int, int] = {}
+    next_orbit = 0
+    for i, beta in enumerate(betas):
+        if i in labels:
+            continue
+        for member in orbit(spec, inv, make_divisor(spec, beta)):
+            labels[index_of[member.beta]] = next_orbit
+        next_orbit += 1
+    return betas, [labels[i] for i in range(len(betas))]
+
+
+def draw_noncyclic_cover(data) -> Cover:
+    """A random connected cover of Z2xZ2, Z2xZ4, Z3xZ3 or Z2^3 with at
+    most 6 branch sites."""
+    factors = data.draw(st.sampled_from([(2, 2), (2, 4), (3, 3), (2, 2, 2)]))
+    group = AbelianGroup(factors)
+    nontrivial = [s for s in group.elements() if not s.is_identity()]
+    elements = data.draw(st.lists(st.sampled_from(nontrivial),
+                                  min_size=2, max_size=5))
+    closing = -sum(elements[1:], elements[0])
+    if not closing.is_identity():
+        elements.append(closing)
+    spec = build_cover(factors, [(s.residues, i)
+                                 for i, s in enumerate(elements)])
+    try:
+        inv = validate(spec)
+    except DisconnectedCoverError:
+        assume(False)
+    return Cover(name="random", spec=spec, inv=inv, genus=inv.g)
 
 
 class TestMakeDivisor:
@@ -146,10 +188,12 @@ class TestEnumerate:
         assert "10" in str(info.value)
 
     @pytest.mark.parametrize("name,minimal_cap", [
-        ("cyclic6", 18_510), ("klein", 54), ("mixed4", 684)])
+        ("cyclic6", 2_197), ("klein", 27), ("mixed4", 193)],
+        ids=["cyclic6", "klein", "mixed4"])
     def test_minimal_cap_pins_node_accounting(self, request, name,
                                               minimal_cap):
-        # one node per attempted assignment of a weight to a site
+        # one node per attempted assignment of a weight to a site; only
+        # the slice beta_0 = 0 is searched, so site 0 costs one node
         cover = request.getfixturevalue(name)
         enumerate_nonspecial(cover.spec, cover.inv, cap=minimal_cap)
         with pytest.raises(ResourceCapError):
@@ -179,24 +223,64 @@ class TestEnumerate:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_random_noncyclic_covers_match_brute_force(self, data):
-        factors = data.draw(st.sampled_from(
-            [(2, 2), (2, 4), (3, 3), (2, 2, 2)]))
-        group = AbelianGroup(factors)
-        nontrivial = [s for s in group.elements() if not s.is_identity()]
-        elements = data.draw(st.lists(st.sampled_from(nontrivial),
-                                      min_size=2, max_size=5))
-        closing = -sum(elements[1:], elements[0])
-        if not closing.is_identity():
-            elements.append(closing)
-        spec = build_cover(factors, [(s.residues, i)
-                                     for i, s in enumerate(elements)])
-        try:
-            inv = validate(spec)
-        except DisconnectedCoverError:
-            assume(False)
-        cover = Cover(name="random", spec=spec, inv=inv, genus=inv.g)
-        assert [D.beta for D in enumerate_nonspecial(spec, inv)] == \
+        cover = draw_noncyclic_cover(data)
+        assert [D.beta for D in
+                enumerate_nonspecial(cover.spec, cover.inv)] == \
             brute_force_nonspecial(cover)
+
+
+class TestOrbitLabels:
+    """enumerate_orbits against reference_orbit_labels, and each of its
+    consistency checks against a broken action or search."""
+
+    def test_battery_matches_reference(self, battery, mixed4):
+        for cover in (*battery, mixed4):
+            divisors, labels = enumerate_orbits(cover.spec, cover.inv)
+            assert ([D.beta for D in divisors], labels) == \
+                reference_orbit_labels(cover)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_noncyclic_covers_match_reference(self, data):
+        # o(sigma_0) < n on all of these groups, so an orbit meets the
+        # slice beta_0 = 0 more than once
+        cover = draw_noncyclic_cover(data)
+        divisors, labels = enumerate_orbits(cover.spec, cover.inv)
+        assert ([D.beta for D in divisors], labels) == \
+            reference_orbit_labels(cover)
+
+    def test_corrupted_pairing_row_is_caught(self, hyperelliptic):
+        spec, inv = hyperelliptic.spec, hyperelliptic.inv
+        chi = spec.group.character([1])
+        bad = replace(inv, u={**inv.u, chi: inv.u[chi][:-1] + (0,)})
+        with pytest.raises(ConsistencyError, match="non-special set"):
+            enumerate_orbits(spec, bad)
+
+    def test_action_that_is_not_free_is_caught(self, klein, monkeypatch):
+        monkeypatch.setattr(divisors_module, "_act",
+                            lambda spec, inv, D, row: D)
+        with pytest.raises(ConsistencyError, match="repeats"):
+            enumerate_orbits(klein.spec, klein.inv)
+
+    def test_overlapping_orbits_are_caught(self, klein, monkeypatch):
+        # every slice hit expands to the orbit of the first one
+        first = enumerate_nonspecial(klein.spec, klein.inv)[0]
+        act = divisors_module._act
+        monkeypatch.setattr(divisors_module, "_act",
+                            lambda spec, inv, D, row:
+                            act(spec, inv, first, row))
+        with pytest.raises(ConsistencyError, match="two"):
+            enumerate_orbits(klein.spec, klein.inv)
+
+    def test_missed_slice_member_is_caught(self, klein, monkeypatch):
+        # each Klein orbit meets the slice beta_0 = 0 twice, so dropping
+        # the last slice hit leaves every orbit expanded but one hit short
+        search = divisors_module._search_slice
+        monkeypatch.setattr(divisors_module, "_search_slice",
+                            lambda spec, inv, cap:
+                            search(spec, inv, cap)[:-1])
+        with pytest.raises(ConsistencyError, match="missed"):
+            enumerate_orbits(klein.spec, klein.inv)
 
 
 class TestActions:
