@@ -3,15 +3,15 @@
 The package enumerates the non-special invariant divisors of a branched
 abelian cover, evaluates the generalized Dedekind sums that govern their
 quadrilateral exponents, and assembles integral Thomae exponent tables.
-Everything runs over exact rationals; the only floating point in the
-library is the high precision root-of-unity oracle used to cross-check
-the closed forms.
+Everything runs over exact rationals: every result is a Fraction or an
+int, the library has no floating point, and it needs nothing outside
+the standard library.
 """
 
 from .cover import (BranchPoint, BranchSite, CoverInvariants, CoverSpec,
                     differential_basis_descriptor, validate)
 from .dedekind import (PhiKey, classical_dedekind_sum, integrality_class,
-                       phi_exact, phi_numeric_oracle)
+                       phi_exact)
 from .divisors import (DEFAULT_NODE_CAP, HalfFormExponents, InvariantDivisor,
                        chi_action, degree, enumerate_nonspecial,
                        enumerate_orbits, half_form_exponents, is_nonspecial,
@@ -36,8 +36,7 @@ __all__ = [
     "intersection_data",
     "BranchPoint", "BranchSite", "CoverSpec", "CoverInvariants",
     "validate", "differential_basis_descriptor",
-    "PhiKey", "phi_exact", "phi_numeric_oracle", "classical_dedekind_sum",
-    "integrality_class",
+    "PhiKey", "phi_exact", "classical_dedekind_sum", "integrality_class",
     "InvariantDivisor", "HalfFormExponents", "DEFAULT_NODE_CAP",
     "make_divisor", "degree", "is_nonspecial", "enumerate_nonspecial",
     "enumerate_orbits", "chi_action",

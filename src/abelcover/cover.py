@@ -142,9 +142,6 @@ class CoverInvariants:
     t: dict[Character, int] = field(repr=False)
     u: dict[Character, tuple[int, ...]] = field(repr=False)
 
-    def t_of(self, chi: Character) -> int:
-        return self.t[chi]
-
 
 def validate(spec: CoverSpec) -> CoverInvariants:
     """Check every cover invariant and compute (n, m, g, t, u).

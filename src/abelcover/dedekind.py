@@ -14,9 +14,10 @@ which clears denominators to the integer expression
     sum_{u=0}^{d-1} (2u - d + 1) (2 ((hu+s) mod d) - d + 1)   over   4d,
 
 so the whole computation is integer arithmetic with a single Fraction at
-the end.  The defining complex sum survives only as a floating point test
-oracle.  Keys are normalized to 0 <= h, s < d with gcd(h, d) = 1 and the
-values are memoized; d = 1 is allowed and gives phi identically zero.
+the end.  The defining complex sum is not part of the library; it lives
+in tests/oracles.py as a floating point test oracle.  Keys are
+normalized to 0 <= h, s < d with gcd(h, d) = 1 and the values are
+memoized; d = 1 is allowed and gives phi identically zero.
 
 Known laws, all exercised by the test suite: the shift law
 phi(s+h) = phi(s) + s - (d-1)/2, the reciprocity recursion lowering d to
@@ -33,14 +34,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-import mpmath
-
 from .errors import DomainError
 
 __all__ = [
     "PhiKey",
     "phi_exact",
-    "phi_numeric_oracle",
     "classical_dedekind_sum",
     "integrality_class",
 ]
@@ -86,42 +84,6 @@ def _phi_core(d: int, h: int, s: int) -> Fraction:
 def phi_exact(key: PhiKey) -> Fraction:
     """The exact rational value of phi_{h+dZ}(s)."""
     return _phi_core(key.d, key.h, key.s)
-
-
-@lru_cache(maxsize=None)
-def _unit_roots(d: int, prec: int):
-    with mpmath.workprec(prec):
-        return tuple(mpmath.expjpi(mpmath.mpf(2 * j) / d) for j in range(d))
-
-
-@lru_cache(maxsize=None)
-def _oracle_weights(d: int, h: int, prec: int):
-    """1 / ((1 - zeta^{kh}) (1 - zeta^{-k})) for k = 1 .. d-1, with
-    zeta = e(1/d); shared by every s of the oracle at this (d, h)."""
-    roots = _unit_roots(d, prec)
-    with mpmath.workprec(prec):
-        return tuple(1 / ((1 - roots[(k * h) % d]) * (1 - roots[d - k]))
-                     for k in range(1, d))
-
-
-def phi_numeric_oracle(key: PhiKey, precision_bits: int = 64) -> mpmath.mpc:
-    """The defining root-of-unity sum, evaluated in floating point.
-
-    Intended only as a test oracle against phi_exact; the imaginary part
-    of the result must vanish up to roundoff.  Requires d >= 2 because
-    the defining sum is empty for d = 1.
-    """
-    if key.d < 2:
-        raise DomainError("the defining sum needs d >= 2")
-    prec = max(precision_bits + 12, 32)
-    d, s = key.d, key.s
-    roots = _unit_roots(d, prec)
-    weights = _oracle_weights(d, key.h, prec)
-    with mpmath.workprec(prec):
-        total = mpmath.mpc(0)
-        for k, weight in enumerate(weights, start=1):
-            total += roots[(k * s) % d] * weight
-        return total
 
 
 def classical_dedekind_sum(h: int, d: int) -> Fraction:

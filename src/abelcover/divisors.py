@@ -115,11 +115,12 @@ def is_nonspecial(spec: CoverSpec, inv: CoverInvariants,
     if D.p != 1:
         return False
     orders = spec.site_orders
-    # the trivial character has u = 0 everywhere, so its count is 0 = t
-    for chi, row in inv.u.items():
+    # the trivial character has u = 0 everywhere, so its count is 0 = t;
+    # validate fills u and t in one dual-group loop, so their orders match
+    for row, target in zip(inv.u.values(), inv.t.values()):
         count = sum(1 for o, uk, b in zip(orders, row, D.beta)
                     if b >= o - uk)
-        if count != inv.t[chi]:
+        if count != target:
             return False
     deg = sum(b * (inv.n // o) for b, o in zip(D.beta, orders)) - inv.n
     if deg != inv.g - 1:

@@ -21,9 +21,9 @@ x_l with 2 <= l <= a, and every coefficient in no constraint, to zero.
 x_0 and x_1 are given (x_1 is only checked at level 0), so level h is a
 square system in x_{a+1}, ..., x_{a+r} of determinant 1 whose right-hand
 side is zero past its first two entries; solve_level solves it in closed
-form, with no elimination.  At level 0 the matrix is
-M = binomial_level_matrix(d) = J T (jordan_factor, pascal_factor), and
-M^-1[0][0] = d forces x_1 = -d x_0, that is lead(f_1) = d lead(f_0).
+form, with no elimination.  At level 0 the matrix M has the entries
+C(l, i) for i = 0..d-1 and l = 1..d, and M^-1[0][0] = d forces
+x_1 = -d x_0, that is lead(f_1) = d lead(f_0).
 The finished solution is verified by fully expanding S(z, w) and reading
 off its w-degree.
 
@@ -50,12 +50,6 @@ __all__ = [
     "build_pchichi",
     "assembly_by_z_power",
     "assembly_w_degree",
-    "binomial_level_matrix",
-    "pascal_factor",
-    "jordan_factor",
-    "matrix_multiply",
-    "matrix_inverse",
-    "solve_linear_system",
 ]
 
 
@@ -186,64 +180,6 @@ class KernelSolution:
     polys: tuple[UniPoly, ...]
     d: int
     e: int
-
-
-def binomial_level_matrix(d: int) -> list[list[Fraction]]:
-    """The level-0 system matrix M: rows i = 0..d-1, columns l = 1..d,
-    entries C(l, i)."""
-    return [[Fraction(comb(l, i)) for l in range(1, d + 1)]
-            for i in range(d)]
-
-
-def pascal_factor(d: int) -> list[list[Fraction]]:
-    """The upper unipotent Pascal matrix T with T[i][l] = C(l, i) for
-    i, l = 0..d-1."""
-    return [[Fraction(comb(l, i)) for l in range(d)] for i in range(d)]
-
-
-def jordan_factor(d: int) -> list[list[Fraction]]:
-    """The lower unipotent Jordan matrix J: ones on the diagonal and the
-    first subdiagonal."""
-    return [[Fraction(1) if i == l or i == l + 1 else Fraction(0)
-             for l in range(d)] for i in range(d)]
-
-
-def matrix_multiply(A: list[list[Fraction]],
-                    B: list[list[Fraction]]) -> list[list[Fraction]]:
-    return [[sum((A[i][k] * B[k][j] for k in range(len(B))), Fraction(0))
-             for j in range(len(B[0]))] for i in range(len(A))]
-
-
-def _gauss_jordan(work: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Reduce the augmented rows [A | R] of a square A to [I | A^-1 R] in
-    place and return the right-hand blocks A^-1 R."""
-    n = len(work)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            raise ConsistencyError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [c * inv for c in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [c - factor * p for c, p in zip(work[r], work[col])]
-    return [row[n:] for row in work]
-
-
-def matrix_inverse(A: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan elimination."""
-    n = len(A)
-    return _gauss_jordan([list(row) + [Fraction(int(i == j)) for j in range(n)]
-                          for i, row in enumerate(A)])
-
-
-def solve_linear_system(A: list[list[Fraction]],
-                        b: list[Fraction]) -> list[Fraction]:
-    """Solve the square system A x = b exactly by Gauss-Jordan elimination."""
-    work = [list(row) + [rhs] for row, rhs in zip(A, b)]
-    return [x for (x,) in _gauss_jordan(work)]
 
 
 def solve_level(a: int, r: int, b0: Fraction, b1: Fraction) -> list[Fraction]:

@@ -22,11 +22,11 @@ from abelcover import (NoSolutionError, PairKey, PhiKey, UniPoly,
                        degree, dual_group, enumerate_nonspecial,
                        exponent_table, gamma, gamma_closed_form,
                        integrality_class, negation_N, orbit, pairing_u,
-                       phi_exact, phi_numeric_oracle, q_delta, q_e,
-                       q_e_closed_form, relabel_equivalent, solve_polexist)
+                       phi_exact, q_delta, q_e, q_e_closed_form,
+                       relabel_equivalent, solve_polexist)
 from abelcover.cli import main as cli_main
-from abelcover.polykernel import (assembly_w_degree, binomial_level_matrix,
-                                  matrix_inverse)
+from abelcover.polykernel import assembly_w_degree
+from oracles import binomial_level_matrix, matrix_inverse, phi_numeric_oracle
 from test_polykernel import random_instance
 
 

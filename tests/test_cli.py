@@ -7,6 +7,10 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -400,3 +404,18 @@ class TestSelftest:
         code, out = run(capsys, "selftest")
         assert code == 0
         assert out.rstrip().endswith("selftest ok")
+
+    def test_runs_without_mpmath(self):
+        """The library needs nothing outside the standard library: with
+        mpmath made unimportable, abelcover and its CLI still import and
+        the selftest passes."""
+        script = ("import sys\n"
+                  "sys.modules['mpmath'] = None\n"
+                  "import abelcover, abelcover.cli\n"
+                  "sys.exit(abelcover.cli.main(['selftest']))\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.rstrip().endswith("selftest ok")

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abelcover import (DomainError, PhiKey, classical_dedekind_sum,
-                       integrality_class, phi_exact, phi_numeric_oracle)
+                       integrality_class, phi_exact)
+from oracles import phi_numeric_oracle
 
 
 @st.composite

@@ -17,10 +17,9 @@ from hypothesis import given, strategies as st
 from abelcover import (DomainError, MalformedDataError, NoSolutionError,
                        UniPoly, build_pchichi, dual_group, solve_polexist)
 from abelcover.polykernel import (assembly_by_z_power, assembly_w_degree,
-                                  binomial_level_matrix, jordan_factor,
-                                  matrix_inverse, matrix_multiply,
-                                  pascal_factor, solve_level,
-                                  solve_linear_system)
+                                  solve_level)
+from oracles import (binomial_level_matrix, jordan_factor, matrix_inverse,
+                     matrix_multiply, pascal_factor, solve_linear_system)
 
 fractions = st.fractions(
     min_value=-10, max_value=10, max_denominator=6)
