@@ -23,6 +23,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .cover import CoverInvariants, CoverSpec, BranchPoint, validate
 from .dedekind import PhiKey, phi_exact
@@ -209,9 +210,7 @@ def cmd_exponents(args) -> int:
         writer.writerow(["sigma_rank", "j", "rho_rank", "i",
                          "lambda_a", "lambda_b", "exponent"])
         for row in rows:
-            writer.writerow([row["sigma_rank"], row["j"], row["rho_rank"],
-                             row["i"], row["lambda_a"], row["lambda_b"],
-                             row["exponent"]])
+            writer.writerow(row.values())
         sys.stdout.write(out.getvalue())
     else:
         _emit({
@@ -318,6 +317,7 @@ def _node_cap(text: str) -> int:
     return cap
 
 
+@cache  # one parser per process, built by the first main(), not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="abelcover",
@@ -371,9 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         # argparse stores [] for "--opt=--"; no option here takes a list
         if any(isinstance(v, list) for v in vars(args).values()):
             raise ParseError("an option is missing its value")

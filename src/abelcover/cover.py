@@ -22,8 +22,9 @@ the dimension identity sum over nontrivial chi of (t_{conj(chi)} - 1) = g
 before anything is returned.
 
 validate is the only place where u_{chi,sigma} is computed for a cover;
-it keeps the table as CoverInvariants.u.  The helpers of later layers
-take a validated CoverInvariants as given and check each divisor once.
+it keeps the table as CoverInvariants.u, and compiles the counting
+condition into packed ints.  The helpers of later layers take a
+validated CoverInvariants as given and check each divisor once.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .errors import (ConsistencyError, DisconnectedCoverError,
                      InvalidCoverError, MalformedDataError)
@@ -133,7 +135,9 @@ class CoverInvariants:
     """Validated numeric invariants of a cover: group order n, exponent m,
     genus g, the character integers t_chi, and the pairing table u with
     u[chi][k] = u_{chi,sigma} for the site at canonical position k.  Both
-    dicts hold every character, in dual-group order."""
+    dicts hold every character, in dual-group order.  packed[k][v] has a
+    B-counting bit field per character, 1 where weight v at site k counts;
+    packed_target has t_chi there; degree_weights[k] = n / o(sigma)."""
 
     group: AbelianGroup
     n: int
@@ -141,6 +145,9 @@ class CoverInvariants:
     g: int
     t: dict[Character, int] = field(repr=False)
     u: dict[Character, tuple[int, ...]] = field(repr=False)
+    packed: tuple[tuple[int, ...], ...] = field(repr=False)
+    packed_target: int = field(repr=False)
+    degree_weights: tuple[int, ...] = field(repr=False)
 
 
 def validate(spec: CoverSpec) -> CoverInvariants:
@@ -178,19 +185,17 @@ def validate(spec: CoverSpec) -> CoverInvariants:
             f"branch elements generate a subgroup of order {len(generated)} "
             f"inside a group of order {n}")
 
+    weights = tuple(n // o for o in spec.site_orders)
     t: dict[Character, int] = {}
     u: dict[Character, tuple[int, ...]] = {}
     for chi in dual_group(group):
         u[chi] = tuple(pairing_u(group, chi, site.element)
                        for site in spec.sites)
-        value = sum(
-            (Fraction(uk, o) for uk, o in zip(u[chi], spec.site_orders)),
-            Fraction(0))
-        if value.denominator != 1:
+        t[chi], rest = divmod(sum(map(mul, u[chi], weights)), n)
+        if rest:
             raise ConsistencyError(
-                f"t for character {chi.residues} is non-integral ({value}) "
-                f"despite monodromy closure")
-        t[chi] = int(value)
+                f"t for character {chi.residues} is non-integral despite "
+                f"monodromy closure")
         if chi.is_trivial():
             if t[chi] != 0:
                 raise ConsistencyError("t at the trivial character is nonzero")
@@ -199,9 +204,8 @@ def validate(spec: CoverSpec) -> CoverInvariants:
                 f"t for nontrivial character {chi.residues} is {t[chi]}, "
                 f"expected positive on a connected cover")
 
-    ramification = sum(
-        (Fraction(n, o) * (o - 1) for o in spec.site_orders), Fraction(0))
-    genus = 1 - n + Fraction(1, 2) * ramification
+    genus = 1 - n + Fraction(sum(
+        w * (o - 1) for w, o in zip(weights, spec.site_orders)), 2)
     if genus.denominator != 1 or genus < 0:
         raise ConsistencyError(f"genus came out as {genus}")
     g = int(genus)
@@ -213,7 +217,16 @@ def validate(spec: CoverSpec) -> CoverInvariants:
             f"differential dimension count {dimension} disagrees with "
             f"genus {g}")
 
-    return CoverInvariants(group=group, n=n, m=m, g=g, t=t, u=u)
+    width = len(spec.sites).bit_length()  # a count never exceeds B
+    packed = tuple(tuple(sum(1 << (c * width)
+                             for c, row in enumerate(u.values())
+                             if v >= o - row[k]) for v in range(o))
+                   for k, o in enumerate(spec.site_orders))
+    return CoverInvariants(
+        group=group, n=n, m=m, g=g, t=t, u=u, packed=packed,
+        packed_target=sum(tc << (c * width)
+                          for c, tc in enumerate(t.values())),
+        degree_weights=weights)
 
 
 def differential_basis_descriptor(

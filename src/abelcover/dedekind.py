@@ -73,17 +73,18 @@ class PhiKey:
 
 
 @lru_cache(maxsize=None)
-def _phi_core(d: int, h: int, s: int) -> Fraction:
+def _phi_sum(d: int, h: int, s: int) -> int:
+    """The integer numerator 4d phi_{h+dZ}(s)."""
     shift = d - 1
     total = 0
     for u in range(d):
         total += (2 * u - shift) * (2 * ((h * u + s) % d) - shift)
-    return Fraction(total, 4 * d)
+    return total
 
 
 def phi_exact(key: PhiKey) -> Fraction:
     """The exact rational value of phi_{h+dZ}(s)."""
-    return _phi_core(key.d, key.h, key.s)
+    return Fraction(_phi_sum(key.d, key.h, key.s), 4 * key.d)
 
 
 def classical_dedekind_sum(h: int, d: int) -> Fraction:

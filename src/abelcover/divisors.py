@@ -21,19 +21,24 @@ the negation involution beta -> o - 1 - beta, orbits under the action,
 the support sets of the associated polynomials, and the half-form
 exponent vectors beta/o - (o-1)/(2o).
 
-Enumeration searches the slice beta_0 = 0, which meets every orbit, by
-pruned depth-first backtracking under a node cap, then expands it by the
-action, labelling the orbits; its order is lexicographic by canonical site.
+The condition holds exactly when the packed ints inv.packed[k][beta_k]
+compiled by validate sum to inv.packed_target.  Enumeration searches the
+slice beta_0 = 0, which meets every orbit, by pruned depth-first
+backtracking under a node cap, then expands it by the action on int
+tuples, checking each member by the packed sum and labelling the orbits;
+its order is lexicographic by canonical site.
 
 Every u_{chi,sigma} is read from the table inv.u built by validate.  The
 helpers take a validated CoverInvariants as given and check each divisor
-once: a public function checks its input, its internal steps do not.
+once: public functions check their input (weights too), internal steps
+do not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem, mul
 
 from .cover import CoverInvariants, CoverSpec
 from .errors import (ConsistencyError, DomainError, MalformedDataError,
@@ -80,20 +85,9 @@ class HalfFormExponents:
 def make_divisor(spec: CoverSpec, beta, p: int = 1) -> InvariantDivisor:
     """Build a divisor for this cover, checking every weight range.  Each
     weight and p must be an int (not a bool); nothing is converted."""
-    weights = tuple(beta)
-    if not all(isinstance(x, int) and not isinstance(x, bool)
-               for x in (*weights, p)):
-        raise MalformedDataError(
-            "divisor weights and pole multiplicity must be integers")
-    if len(weights) != len(spec.sites):
-        raise MalformedDataError(
-            f"divisor has {len(weights)} weights for a cover with "
-            f"{len(spec.sites)} branch sites")
-    for b, o in zip(weights, spec.site_orders):
-        if not 0 <= b < o:
-            raise MalformedDataError(
-                f"weight {b} out of range [0, {o})")
-    return InvariantDivisor(weights, p, spec.fingerprint)
+    D = InvariantDivisor(tuple(beta), p, spec.fingerprint)
+    _require_same_cover(spec, D)
+    return D
 
 
 def degree(spec: CoverSpec, D: InvariantDivisor) -> int:
@@ -112,17 +106,14 @@ def is_nonspecial(spec: CoverSpec, inv: CoverInvariants,
     internal error rather than a veto.
     """
     _require_same_cover(spec, D)
-    if D.p != 1:
+    return D.p == 1 and _meets_counts(inv, D.beta)
+
+
+def _meets_counts(inv: CoverInvariants, beta: tuple[int, ...]) -> bool:
+    """The packed counting test on in-range weights; degree g - 1 asserted."""
+    if sum(map(getitem, inv.packed, beta)) != inv.packed_target:
         return False
-    orders = spec.site_orders
-    # the trivial character has u = 0 everywhere, so its count is 0 = t;
-    # validate fills u and t in one dual-group loop, so their orders match
-    for row, target in zip(inv.u.values(), inv.t.values()):
-        count = sum(1 for o, uk, b in zip(orders, row, D.beta)
-                    if b >= o - uk)
-        if count != target:
-            return False
-    deg = sum(b * (inv.n // o) for b, o in zip(D.beta, orders)) - inv.n
+    deg = sum(map(mul, inv.degree_weights, beta)) - inv.n
     if deg != inv.g - 1:
         raise ConsistencyError(
             "divisor meets the counting condition but has degree "
@@ -148,8 +139,7 @@ def enumerate_orbits(spec: CoverSpec, inv: CoverInvariants, *,
     for hit in hits:
         if hit in label:
             continue
-        D = InvariantDivisor(hit, 1, spec.fingerprint)
-        members = {_act(spec, inv, D, row).beta for row in inv.u.values()}
+        members = set(_expand(spec, inv, hit, inv.u.values()))
         if len(members) != inv.n:
             raise ConsistencyError("orbit has repeats, yet the action is free")
         if any(m in label for m in members):
@@ -231,21 +221,22 @@ def chi_action(spec: CoverSpec, inv: CoverInvariants, D: InvariantDivisor,
     _require_nonspecial(spec, inv, D)
     if chi not in inv.u:
         raise MalformedDataError("character does not belong to this group")
-    return _act(spec, inv, D, inv.u[chi])
+    [new] = _expand(spec, inv, D.beta, [inv.u[chi]])
+    return InvariantDivisor(new, D.p, D.cover_fingerprint)
 
 
-def _act(spec: CoverSpec, inv: CoverInvariants, D: InvariantDivisor,
-         row: tuple[int, ...]) -> InvariantDivisor:
-    """chi . D for the character whose pairing row is given, with D
-    already known to be non-special; the result is checked."""
-    new = tuple(b + u if b < o - u else b + u - o
-                for o, u, b in zip(spec.site_orders, row, D.beta))
-    result = InvariantDivisor(new, D.p, D.cover_fingerprint)
-    if not is_nonspecial(spec, inv, result):
+def _expand(spec: CoverSpec, inv: CoverInvariants, beta: tuple[int, ...],
+            rows) -> list[tuple[int, ...]]:
+    """chi . beta, sitewise beta + u mod o, for the non-special weights
+    beta and each pairing row given, in order; each result is checked."""
+    orders = spec.site_orders
+    members = [tuple([(b + u) % o for o, u, b in zip(orders, row, beta)])
+               for row in rows]
+    if not all(_meets_counts(inv, member) for member in members):
         raise ConsistencyError(
             "dual-group action left the non-special set; this contradicts "
             "its defining property")
-    return result
+    return members
 
 
 def negation_N(spec: CoverSpec, inv: CoverInvariants,
@@ -253,10 +244,9 @@ def negation_N(spec: CoverSpec, inv: CoverInvariants,
     """The negation involution, sitewise beta -> o - 1 - beta with p = 1."""
     _require_nonspecial(spec, inv, D)
     new = tuple(o - 1 - b for o, b in zip(spec.site_orders, D.beta))
-    result = InvariantDivisor(new, 1, D.cover_fingerprint)
-    if not is_nonspecial(spec, inv, result):
+    if not _meets_counts(inv, new):
         raise ConsistencyError("negation left the non-special set")
-    return result
+    return InvariantDivisor(new, 1, D.cover_fingerprint)
 
 
 def orbit(spec: CoverSpec, inv: CoverInvariants,
@@ -267,11 +257,11 @@ def orbit(spec: CoverSpec, inv: CoverInvariants,
     exactly n distinct members; a repeat is an internal error.
     """
     _require_nonspecial(spec, inv, D)
-    members = [_act(spec, inv, D, row) for row in inv.u.values()]
+    members = _expand(spec, inv, D.beta, inv.u.values())
     if len(set(members)) != spec.group.order:
         raise ConsistencyError(
             "dual-group orbit has repeats; the action should be free")
-    return members
+    return [InvariantDivisor(b, D.p, D.cover_fingerprint) for b in members]
 
 
 def support_p(spec: CoverSpec, D: InvariantDivisor,
@@ -302,13 +292,21 @@ def half_form_exponents(spec: CoverSpec,
 
 def _require_same_cover(spec: CoverSpec, D: InvariantDivisor,
                         *positions: int) -> None:
-    """D belongs to this cover, and each given site position is in range."""
+    """D belongs to this cover, p and the weights are ints, each weight is
+    in [0, o(sigma)), and each given site position is in range."""
+    if not all(isinstance(x, int) and not isinstance(x, bool)
+               for x in (D.p, *D.beta)):
+        raise MalformedDataError(
+            "divisor weights and pole multiplicity must be integers")
     if D.cover_fingerprint != spec.fingerprint:
         raise MalformedDataError(
             "divisor belongs to a different cover than the one given")
     B = len(spec.sites)
     if len(D.beta) != B:
         raise MalformedDataError("divisor length does not match the cover")
+    for b, o in zip(D.beta, spec.site_orders):
+        if not 0 <= b < o:
+            raise MalformedDataError(f"weight {b} out of range [0, {o})")
     for k in positions:
         if not 0 <= k < B:
             raise MalformedDataError(

@@ -22,21 +22,28 @@ always an even integer; the full table over unordered pairs, together
 with the det C exponent 4m and the theta exponent 8m, is what this
 module assembles.  Both q_e and gamma are provided in their definitional
 brute-force form and in closed form so they can be played against each
-other in tests.
+other in tests, and thomae_exponent combines the closed forms.
+exponent_table instead builds one integer row per pair of element ranks
+r_a <= r_b, E[s] = m n (2 T(d,h,s) + T(d,h,0) + d (o_a-1)(o_b-1)) /
+(d o_a o_b) with T = 4d phi, checks it to be an even integer for every
+s < d as it builds it, and reads a pair as E[(beta_b - h beta_a) mod d].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
+from operator import mul
 
 from .cover import CoverInvariants, CoverSpec
-from .dedekind import PhiKey, phi_exact
-from .divisors import (InvariantDivisor, _require_same_cover, is_nonspecial,
-                       orbit)
+from .dedekind import PhiKey, _phi_sum, phi_exact
+from .divisors import (InvariantDivisor, _expand, _require_same_cover,
+                       is_nonspecial, orbit)
 from .errors import ConsistencyError, DomainError
-from .group_core import (AbelianGroup, GroupElement, dual_group,
-                         element_order, intersection_data, pairing_u)
+from .group_core import (AbelianGroup, GroupElement, _require_membership,
+                         element_order, intersection_data)
 
 __all__ = [
     "PairKey",
@@ -122,15 +129,19 @@ def q_e_closed_form(spec: CoverSpec, inv: CoverInvariants,
 
 def gamma(group: AbelianGroup, s: GroupElement,
           r: GroupElement) -> Fraction:
-    """The definitional character average
-    (1/n) sum over chi of u_{chi,s} u_{chi,r} / (o(s) o(r))."""
+    """The definitional character average (1/n) sum over chi of
+    u_{chi,s} u_{chi,r} / (o(s) o(r)), summed in ints: u_{chi,s} / o(s) =
+    sum_l e_l d_l / m_l mod 1 = (sum_l e_l d_l (m/m_l) mod m) / m."""
     if s.is_identity() or r.is_identity():
         raise DomainError("gamma requires nontrivial elements")
-    o_s = element_order(group, s)
-    o_r = element_order(group, r)
-    total = sum(pairing_u(group, chi, s) * pairing_u(group, chi, r)
-                for chi in dual_group(group))
-    return Fraction(total, group.order * o_s * o_r)
+    _require_membership(group, s)
+    _require_membership(group, r)
+    m = group.exponent
+    ws, wr = ([x * (m // f) for x, f in zip(e.residues, group.factor_orders)]
+              for e in (s, r))
+    total = sum(sum(map(mul, e, ws)) % m * (sum(map(mul, e, wr)) % m)
+                for e in product(*map(range, group.factor_orders)))
+    return Fraction(total, group.order * m * m)
 
 
 def gamma_closed_form(group: AbelianGroup, s: GroupElement,
@@ -156,43 +167,59 @@ def thomae_exponent(spec: CoverSpec, inv: CoverInvariants,
     """
     if not is_nonspecial(spec, inv, D):
         raise DomainError("exponents are defined for non-special divisors")
-    return _pair_exponent(spec, inv, D, pair.first, pair.second)
-
-
-def _pair_exponent(spec: CoverSpec, inv: CoverInvariants,
-                   D: InvariantDivisor, a: int, b: int) -> int:
-    """thomae_exponent for a divisor already known to be non-special."""
+    a, b = pair.first, pair.second
     value = 4 * inv.m * (
         2 * q_e_closed_form(spec, inv, D, a, b)
         + inv.n * gamma_closed_form(spec.group, spec.sites[a].element,
                                     spec.sites[b].element))
-    if value.denominator != 1:
+    if value.denominator != 1 or value.numerator % 2:
         raise ConsistencyError(
-            f"exponent for pair ({a}, {b}) is non-integral: {value}")
-    result = int(value)
-    if result % 2 != 0:
-        raise ConsistencyError(
-            f"exponent for pair ({a}, {b}) is odd: {result}")
-    return result
+            f"exponent for pair ({a}, {b}) is not an even integer: {value}")
+    return int(value)
 
 
 def exponent_table(spec: CoverSpec, inv: CoverInvariants,
                    D: InvariantDivisor) -> ExponentTable:
-    """The full table over unordered site pairs, in ascending pair order.
-
-    D must be non-special: the first step, orbit, checks it and raises
-    DomainError otherwise, so the table does not check it again."""
-    rep = min(member.beta for member in orbit(spec, inv, D))
-    entries: dict[PairKey, int] = {}
-    B = len(spec.sites)
-    for a in range(B):
-        for b in range(a + 1, B):
-            entries[PairKey(a, b)] = _pair_exponent(spec, inv, D, a, b)
+    """The full table over unordered site pairs, in ascending pair order,
+    read from the integer rows of the module docstring.  D must be
+    non-special, otherwise DomainError is raised."""
+    if not is_nonspecial(spec, inv, D):
+        raise DomainError("exponents are defined for non-special divisors")
+    rep = min(_expand(spec, inv, D.beta, inv.u.values()))
+    rows, entries = {}, {}
+    for key in _pair_keys(len(D.beta)):
+        a, b = key.first, key.second
+        # canonical site order makes a < b imply r_a <= r_b
+        ranks = spec.sites[a].element_rank, spec.sites[b].element_rank
+        if ranks not in rows:
+            rows[ranks] = _exponent_row(spec, inv, a, b)
+        row, d, h = rows[ranks]
+        entries[key] = row[(D.beta[b] - h * D.beta[a]) % d]
     return ExponentTable(
         entries=entries,
         detC_exponent=4 * inv.m,
         theta_exponent=8 * inv.m,
         divisor_fingerprint=f"{spec.fingerprint}:orbit{list(rep)}")
+
+
+@lru_cache(maxsize=None)
+def _pair_keys(B: int) -> tuple[PairKey, ...]:
+    return tuple(PairKey(a, b) for a in range(B) for b in range(a + 1, B))
+
+
+def _exponent_row(spec: CoverSpec, inv: CoverInvariants, a: int,
+                  b: int) -> tuple[tuple[int, ...], int, int]:
+    """(E, d, h) for the monodromies of sites a, b; E[s] checked even."""
+    data = intersection_data(spec.group, spec.sites[a].element,
+                             spec.sites[b].element)
+    d, h, oa, ob = data.d, data.h, spec.site_orders[a], spec.site_orders[b]
+    base = _phi_sum(d, h, 0) + d * (oa - 1) * (ob - 1)
+    row = [divmod(inv.m * inv.n * (2 * _phi_sum(d, h, s) + base),
+                  d * oa * ob) for s in range(d)]
+    if any(rest or value % 2 for value, rest in row):
+        raise ConsistencyError(f"exponent row of sites ({a}, {b}) has an "
+                               f"odd or non-integral entry: {row}")
+    return tuple(value for value, _ in row), d, h
 
 
 def relabel_equivalent(spec: CoverSpec, inv: CoverInvariants,

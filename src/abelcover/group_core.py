@@ -250,14 +250,16 @@ def intersection_data(group: AbelianGroup, s: GroupElement,
         raise DomainError("intersection data requires nontrivial elements")
     o_s = element_order(group, s)
     o_r = element_order(group, r)
-    inter = set(cyclic_subgroup(group, s)) & set(cyclic_subgroup(group, r))
-    d = len(inter)
+    # the multiples k*s and k*r as residue tuples
+    powers_s, powers_r = (
+        [tuple([x * k % m for x, m in zip(e.residues, group.factor_orders)])
+         for k in range(o)] for e, o in ((s, o_s), (r, o_r)))
+    d = len(set(powers_s) & set(powers_r))
     if o_s % d or o_r % d:
         raise ConsistencyError("intersection size does not divide both orders")
-    gen = s * (o_s // d)
-    target = r * (o_r // d)
+    target = powers_r[o_r // d % o_r]
     for h in range(d):
-        if gen * h == target:
+        if powers_s[o_s // d * h % o_s] == target:
             if gcd(h, d) != 1:
                 raise ConsistencyError(
                     f"discrete log h={h} is not a unit modulo d={d}")

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abelcover.cli import main
+from abelcover.cli import build_parser, main
 
 HYPERELLIPTIC = {
     "group": [2],
@@ -397,6 +397,40 @@ class TestDeterminism:
         _, first = run(capsys, "exponents", "--divisor", "0", path)
         _, second = run(capsys, "exponents", "--divisor", "0", path)
         assert first == second
+
+
+class TestParserReuse:
+    """main builds its argparse parser on the first call and reuses it;
+    no flag or default of one call may reach the next."""
+
+    def test_reused_parser_matches_fresh_parser(self, write_doc, capsys):
+        path = write_doc(HYPERELLIPTIC)
+        calls = [["exponents", "--divisor", "0", "--csv", path],
+                 ["exponents", "--divisor", "0", path],
+                 ["enumerate", "--cap", "1", path],
+                 ["enumerate", path],
+                 ["enumerate", "--csv", "--cap", "1000", path],
+                 ["exponents", "--divisor", "[1,1,1,0,0,0]", "--json", path]]
+        build_parser.cache_clear()
+        reused = [run(capsys, *argv) for argv in calls]
+        assert build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert reused == fresh
+        # the calls differ, so a leaked flag would have shown
+        assert len({out for _, out in fresh}) == len(calls)
+        assert [code for code, _ in fresh] == [0, 0, 3, 0, 0, 0]
+
+    def test_not_built_at_import(self):
+        script = ("import abelcover.cli as cli\n"
+                  "assert cli.build_parser.cache_info().currsize == 0\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSelftest:

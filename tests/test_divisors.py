@@ -13,11 +13,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 import abelcover.divisors as divisors_module
 from abelcover import (AbelianGroup, ConsistencyError, DisconnectedCoverError,
-                       DomainError, MalformedDataError, ResourceCapError,
-                       chi_action, degree, dual_group, enumerate_nonspecial,
-                       enumerate_orbits, half_form_exponents, is_nonspecial,
-                       make_divisor, negation_N, orbit, pairing_u, support_p,
-                       validate)
+                       DomainError, InvariantDivisor, MalformedDataError,
+                       ResourceCapError, chi_action, degree, dual_group,
+                       enumerate_nonspecial, enumerate_orbits, exponent_table,
+                       half_form_exponents, is_nonspecial, make_divisor,
+                       negation_N, orbit, pairing_u, support_p, validate)
 from conftest import Cover, build_cover
 
 
@@ -150,6 +150,77 @@ class TestIsNonspecial:
                     (beta in expected)
 
 
+def character_counts(cover, beta):
+    """Per character, in dual-group order, the number of sites whose
+    weight counts for it, straight from the counting definition."""
+    spec = cover.spec
+    return [sum(1 for site, o, b in zip(spec.sites, spec.site_orders, beta)
+                if b >= o - pairing_u(spec.group, chi, site.element))
+            for chi in dual_group(spec.group)]
+
+
+def packed_fields(cover, beta):
+    """The packed sum of beta cut back into its per-character fields."""
+    width = len(beta).bit_length()
+    total = sum(cover.inv.packed[k][b] for k, b in enumerate(beta))
+    return [total >> (c * width) & ((1 << width) - 1)
+            for c in range(cover.inv.n)]
+
+
+class TestPackedCheck:
+    """The packed counting test of validate against the per-character
+    counting definition."""
+
+    @staticmethod
+    def check(cover, beta):
+        counts = character_counts(cover, beta)
+        # every field holds its exact count: no carry between fields
+        assert packed_fields(cover, beta) == counts
+        expected = counts == list(cover.inv.t.values())
+        D = make_divisor(cover.spec, beta)
+        assert is_nonspecial(cover.spec, cover.inv, D) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_random_noncyclic_covers(self, data):
+        cover = draw_noncyclic_cover(data)
+        beta = data.draw(st.tuples(*(st.integers(0, o - 1)
+                                     for o in cover.spec.site_orders)))
+        self.check(cover, beta)
+
+    @pytest.mark.parametrize("order,sites", [(3, 3), (4, 4), (7, 7), (2, 8)])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_counts_reaching_the_site_count(self, order, sites, data):
+        # all weights o - 1 make every nontrivial character count at every
+        # site, so each field holds B, which needs its full width
+        spec = build_cover([order], [([1], v) for v in range(sites)])
+        inv = validate(spec)
+        cover = Cover("cyclic", spec, inv, inv.g)
+        top = tuple(o - 1 for o in cover.spec.site_orders)
+        assert max(character_counts(cover, top)) == sites
+        self.check(cover, top)
+        beta = data.draw(st.tuples(*(st.integers(0, o - 1)
+                                     for o in cover.spec.site_orders)))
+        self.check(cover, beta)
+
+    def test_full_weight_space_of_the_battery(self, battery, mixed4):
+        for cover in (*battery[:4], mixed4):
+            for beta in product(*(range(o)
+                                  for o in cover.spec.site_orders)):
+                self.check(cover, beta)
+
+    @pytest.mark.parametrize("beta", [(2, 0, 0, 1, 1, 1), (-1, 0, 0, 1, 1, 1),
+                                      (0, 0, 0, 1, 1, -2), (1.0, 0, 0, 1, 1, 1)])
+    def test_hand_built_weights_out_of_range(self, hyperelliptic, beta):
+        # the weights index the packed tables, so each one is checked first
+        spec, inv = hyperelliptic.spec, hyperelliptic.inv
+        D = InvariantDivisor(beta, 1, spec.fingerprint)
+        for call in (is_nonspecial, orbit, exponent_table, negation_N):
+            with pytest.raises(MalformedDataError):
+                call(spec, inv, D)
+
+
 class TestEnumerate:
     def test_counts(self, battery):
         expected = {"hyperelliptic": 20, "cyclic3": 6, "cyclic4": 24,
@@ -257,18 +328,19 @@ class TestOrbitLabels:
             enumerate_orbits(spec, bad)
 
     def test_action_that_is_not_free_is_caught(self, klein, monkeypatch):
-        monkeypatch.setattr(divisors_module, "_act",
-                            lambda spec, inv, D, row: D)
+        monkeypatch.setattr(divisors_module, "_expand",
+                            lambda spec, inv, beta, rows:
+                            [beta for _ in rows])
         with pytest.raises(ConsistencyError, match="repeats"):
             enumerate_orbits(klein.spec, klein.inv)
 
     def test_overlapping_orbits_are_caught(self, klein, monkeypatch):
         # every slice hit expands to the orbit of the first one
         first = enumerate_nonspecial(klein.spec, klein.inv)[0]
-        act = divisors_module._act
-        monkeypatch.setattr(divisors_module, "_act",
-                            lambda spec, inv, D, row:
-                            act(spec, inv, first, row))
+        expand = divisors_module._expand
+        monkeypatch.setattr(divisors_module, "_expand",
+                            lambda spec, inv, beta, rows:
+                            expand(spec, inv, first.beta, rows))
         with pytest.raises(ConsistencyError, match="two"):
             enumerate_orbits(klein.spec, klein.inv)
 

@@ -9,12 +9,13 @@ from itertools import product
 
 import pytest
 
+import abelcover.exponents as exponents_module
 from abelcover import (AbelianGroup, ConsistencyError, DomainError,
                        MalformedDataError, PairKey, dual_group,
                        enumerate_nonspecial, exponent_table, gamma,
                        gamma_closed_form, make_divisor, orbit, pairing_u,
                        q_delta, q_e, q_e_closed_form, relabel_equivalent,
-                       thomae_exponent)
+                       thomae_exponent, validate)
 from conftest import build_cover
 
 
@@ -281,6 +282,48 @@ class TestExponentTable:
                      for chi in dual_group(group)),
                     Fraction(0))
                 assert lhs == rhs
+
+    def test_rows_match_thomae_exponent_on_battery(self, battery):
+        # the integer rows against the rational closed-form route, on
+        # every divisor of every battery cover
+        for cover in battery:
+            spec, inv = cover.spec, cover.inv
+            B = len(spec.sites)
+            for D in enumerate_nonspecial(spec, inv):
+                expected = {PairKey(a, b): thomae_exponent(
+                    spec, inv, D, PairKey(a, b))
+                    for a in range(B) for b in range(a + 1, B)}
+                assert exponent_table(spec, inv, D).entries == expected
+
+    def test_rows_on_every_pair_of_small_group_elements(self):
+        # one cover per group carrying every nontrivial element twice, so
+        # sites 2i and 2i + 1 carry the element of rank i; every pair of
+        # ranks i <= j, the only pairs a table reads, gets a row, and
+        # every entry of every row must be an even integer
+        for factors in all_small_factorizations(24):
+            group = AbelianGroup(factors)
+            elements = [s for s in group.elements() if not s.is_identity()]
+            spec = build_cover(factors, [(s.residues, k) for k, s in
+                                         enumerate(elements + elements)])
+            inv = validate(spec)
+            for i in range(len(elements)):
+                for j in range(i, len(elements)):
+                    row, d, _ = exponents_module._exponent_row(
+                        spec, inv, 2 * i, 2 * j + (i == j))
+                    assert len(row) == d and all(e % 2 == 0 for e in row)
+
+    def test_every_residue_of_a_row_is_checked(self, hyperelliptic,
+                                               monkeypatch):
+        # spoil T(d, h, s) only at s = d - 1 = 1; a divisor whose pairs
+        # all read s = 0 is still refused, because the row is checked
+        # for every s when it is built
+        phi_sum = exponents_module._phi_sum
+        monkeypatch.setattr(exponents_module, "_phi_sum",
+                            lambda d, h, s: phi_sum(d, h, s) + (s == d - 1))
+        spec, inv = hyperelliptic.spec, hyperelliptic.inv
+        D = make_divisor(spec, [0, 0, 0, 1, 1, 1])
+        with pytest.raises(ConsistencyError, match="odd or non-integral"):
+            exponent_table(spec, inv, D)
 
     def test_evenness_on_mixed_cover(self, mixed4):
         spec, inv = mixed4.spec, mixed4.inv
