@@ -13,6 +13,12 @@ Exit codes: 0 success, 1 parse error (also a malformed command line),
 2 invalid input (bad cover, bad key, selector not non-special), 3 search
 cap exceeded.  Results go to stdout; errors are reported as a JSON object
 on stdout as well, so both outcomes are machine readable.
+
+JSON output has a fixed layout: the bytes of json.dumps(obj, indent=2)
+plus a newline, keys in the order documented per verb, one array item
+per line.  The enumerate listing and the exponents table are written
+with format strings in that layout (they can be large); smaller payloads
+go through json.dumps itself.
 """
 
 from __future__ import annotations
@@ -119,6 +125,14 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
+def _array(items: list[str], indent: int) -> str:
+    """json.dumps(indent=2) of a list whose items are already rendered
+    one per line at indent + 2 spaces; the closing bracket is at indent."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + " " * indent + "]"
+
+
 def _t_table(inv: CoverInvariants) -> list[dict]:
     return [{"character": list(chi.residues), "t": t}
             for chi, t in inv.t.items()]
@@ -145,15 +159,16 @@ def cmd_enumerate(args) -> int:
             writer.writerow([i, orbit_label[i], D.p] + list(D.beta))
         sys.stdout.write(out.getvalue())
     else:
-        _emit({
-            "count": len(divisors),
-            "orbit_count": len(divisors) // inv.n,
-            "empty": not divisors,
-            "divisors": [
-                {"index": i, "orbit": orbit_label[i], "p": D.p,
-                 "beta": list(D.beta)}
-                for i, D in enumerate(divisors)],
-        })
+        beta = _array(["        %d"] * len(spec.sites), 6)
+        record = ('    {\n      "index": %d,\n      "orbit": %d,\n'
+                  '      "p": %d,\n      "beta": ' + beta + '\n    }')
+        sys.stdout.write(
+            f'{{\n  "count": {len(divisors)},\n'
+            f'  "orbit_count": {len(divisors) // inv.n},\n'
+            f'  "empty": {"false" if divisors else "true"},\n  "divisors": '
+            + _array([record % (i, orbit_label[i], D.p, *D.beta)
+                      for i, D in enumerate(divisors)], 2)
+            + "\n}\n")
     return EXIT_OK
 
 
@@ -198,28 +213,30 @@ def cmd_exponents(args) -> int:
     rows = []
     for key, value in table.entries.items():
         sa, sb = spec.sites[key.first], spec.sites[key.second]
-        rows.append({
-            "sigma_rank": sa.element_rank, "j": sa.occurrence,
-            "rho_rank": sb.element_rank, "i": sb.occurrence,
-            "lambda_a": str(sa.value), "lambda_b": str(sb.value),
-            "exponent": value,
-        })
+        rows.append((sa.element_rank, sa.occurrence, sb.element_rank,
+                     sb.occurrence, str(sa.value), str(sb.value), value))
     if args.csv:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["sigma_rank", "j", "rho_rank", "i",
                          "lambda_a", "lambda_b", "exponent"])
-        for row in rows:
-            writer.writerow(row.values())
+        writer.writerows(rows)
         sys.stdout.write(out.getvalue())
     else:
-        _emit({
-            "theta_exponent": table.theta_exponent,
-            "detC_exponent": table.detC_exponent,
-            "divisor": {"p": D.p, "beta": list(D.beta),
-                        "orbit_fingerprint": table.divisor_fingerprint},
-            "pairs": rows,
-        })
+        pair = ('    {\n      "sigma_rank": %d,\n      "j": %d,\n'
+                '      "rho_rank": %d,\n      "i": %d,\n'
+                '      "lambda_a": %s,\n      "lambda_b": %s,\n'
+                '      "exponent": %d\n    }')
+        sys.stdout.write(
+            f'{{\n  "theta_exponent": {table.theta_exponent},\n'
+            f'  "detC_exponent": {table.detC_exponent},\n'
+            f'  "divisor": {{\n    "p": {D.p},\n    "beta": '
+            + _array([f"      {b}" for b in D.beta], 4)
+            + f',\n    "orbit_fingerprint": '
+              f'{json.dumps(table.divisor_fingerprint)}\n  }},\n  "pairs": '
+            + _array([pair % (ra, j, rb, i, json.dumps(la), json.dumps(lb), e)
+                      for ra, j, rb, i, la, lb, e in rows], 2)
+            + "\n}\n")
     return EXIT_OK
 
 

@@ -178,8 +178,8 @@ def validate(spec: CoverSpec) -> CoverInvariants:
             f"branch monodromies sum to {total.residues} instead of the "
             f"identity")
 
-    generated = _generated_subgroup(group, [bp.element for bp in
-                                            spec.branch_points])
+    generated = _generated_subgroup(group, list(dict.fromkeys(
+        bp.element for bp in spec.branch_points)))
     if len(generated) != n:
         raise DisconnectedCoverError(
             f"branch elements generate a subgroup of order {len(generated)} "

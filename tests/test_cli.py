@@ -15,7 +15,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abelcover.cli import build_parser, main
+from abelcover import enumerate_orbits, exponent_table, make_divisor, validate
+from abelcover.cli import build_parser, main, parse_cover_object
+from test_divisors import draw_noncyclic_cover
 
 HYPERELLIPTIC = {
     "group": [2],
@@ -371,6 +373,168 @@ class TestExponents:
             _, by_beta = run(capsys, "exponents", "--divisor",
                              json.dumps(row["beta"]), path)
             assert by_index == by_beta
+
+
+def cover_document(spec) -> dict:
+    return {"group": list(spec.group.factor_orders),
+            "branch_points": [{"element": list(bp.element.residues),
+                               "lambda": str(bp.value)}
+                              for bp in spec.branch_points]}
+
+
+def dumps_listing(document) -> str:
+    """The enumerate listing as json.dumps(indent=2) of one dict per
+    record: the oracle for the CLI's format-string writer."""
+    spec = parse_cover_object(document)
+    inv = validate(spec)
+    divisors, labels = enumerate_orbits(spec, inv)
+    return json.dumps({
+        "count": len(divisors),
+        "orbit_count": len(divisors) // inv.n,
+        "empty": not divisors,
+        "divisors": [{"index": i, "orbit": labels[i], "p": D.p,
+                      "beta": list(D.beta)}
+                     for i, D in enumerate(divisors)],
+    }, indent=2) + "\n"
+
+
+def dumps_tables(document):
+    """(beta, json.dumps(indent=2) of the exponents table) for every
+    non-special divisor of the document."""
+    spec = parse_cover_object(document)
+    inv = validate(spec)
+    for D in enumerate_orbits(spec, inv)[0]:
+        table = exponent_table(spec, inv, D)
+        rows = []
+        for key, value in table.entries.items():
+            sa, sb = spec.sites[key.first], spec.sites[key.second]
+            rows.append({
+                "sigma_rank": sa.element_rank, "j": sa.occurrence,
+                "rho_rank": sb.element_rank, "i": sb.occurrence,
+                "lambda_a": str(sa.value), "lambda_b": str(sb.value),
+                "exponent": value,
+            })
+        yield D.beta, json.dumps({
+            "theta_exponent": table.theta_exponent,
+            "detC_exponent": table.detC_exponent,
+            "divisor": {"p": D.p, "beta": list(D.beta),
+                        "orbit_fingerprint": table.divisor_fingerprint},
+            "pairs": rows,
+        }, indent=2) + "\n"
+
+
+# negative fractions, decimal strings and integers; str() of the parsed
+# Fraction is what lambda_a and lambda_b print
+SIGNED_LAMBDAS = {
+    "group": [4],
+    "branch_points": [
+        {"element": [1], "lambda": "-1/3"},
+        {"element": [1], "lambda": "0.25"},
+        {"element": [3], "lambda": "-2.5"},
+        {"element": [3], "lambda": -7},
+        {"element": [2], "lambda": "-0.125"},
+        {"element": [2], "lambda": "22/7"}],
+}
+
+NO_SITES = {"group": [], "branch_points": []}
+
+
+class TestWriterOracle:
+    """The enumerate and exponents JSON writers reproduce
+    json.dumps(indent=2) of the record dicts byte for byte."""
+
+    COVERS = ["hyperelliptic", "cyclic3", "cyclic4", "klein", "cyclic6",
+              "mixed4"]
+
+    @pytest.mark.parametrize("name", COVERS + ["sparse6"])
+    def test_listing(self, request, write_doc, capsys, name):
+        document = cover_document(request.getfixturevalue(name).spec)
+        code, out = run(capsys, "enumerate", write_doc(document))
+        assert code == 0
+        assert out == dumps_listing(document)
+
+    @pytest.mark.parametrize("document", [SIGNED_LAMBDAS, NO_SITES],
+                             ids=["signed-lambdas", "no-sites"])
+    def test_listing_of_document(self, write_doc, capsys, document):
+        code, out = run(capsys, "enumerate", write_doc(document))
+        assert code == 0
+        assert out == dumps_listing(document)
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("oracle") / "cover.json"
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_listing_noncyclic(self, path, data):
+        document = cover_document(draw_noncyclic_cover(data).spec)
+        path.write_text(json.dumps(document))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["enumerate", str(path)]) == 0
+        assert out.getvalue() == dumps_listing(document)
+
+    @pytest.mark.parametrize("name", COVERS)
+    def test_every_table(self, request, write_doc, capsys, name):
+        document = cover_document(request.getfixturevalue(name).spec)
+        self.check_every_table(write_doc(document), document, capsys)
+
+    @pytest.mark.parametrize("document", [SIGNED_LAMBDAS, NO_SITES],
+                             ids=["signed-lambdas", "no-sites"])
+    def test_every_table_of_document(self, write_doc, capsys, document):
+        self.check_every_table(write_doc(document), document, capsys)
+
+    @staticmethod
+    def check_every_table(path, document, capsys):
+        checked = 0
+        for beta, expected in dumps_tables(document):
+            code, out = run(capsys, "exponents", "--divisor",
+                            json.dumps(list(beta)), path)
+            assert code == 0
+            assert out == expected, beta
+            checked += 1
+        assert checked > 0
+
+
+class TestErrorPayloads:
+    """Small payloads still go through json.dumps(indent=2); their bytes
+    are pinned here."""
+
+    def test_not_nonspecial(self, write_doc, capsys):
+        assert run(capsys, "exponents", "--divisor", "[0,0,0,0,0,0]",
+                   write_doc(HYPERELLIPTIC)) == (2, (
+                       '{\n  "error": {\n    "kind": "not-nonspecial",\n'
+                       '    "detail": "selected divisor fails the counting '
+                       'condition"\n  }\n}\n'))
+
+    def test_parse_error_with_position(self, write_doc, capsys):
+        path = write_doc('{"group": [2],\n "branch_points": [}')
+        assert run(capsys, "enumerate", path) == (1, (
+            '{\n  "error": {\n    "kind": "parse",\n'
+            '    "detail": "invalid JSON: Expecting value",\n'
+            '    "line": 2,\n    "column": 20\n  }\n}\n'))
+
+    def test_parse_error_with_path(self, write_doc, capsys):
+        path = write_doc({"group": [2], "branch_points": [{"element": [1]}]})
+        assert run(capsys, "validate", path) == (1, (
+            '{\n  "error": {\n    "kind": "parse",\n'
+            '    "detail": "missing field",\n'
+            '    "path": "branch_points[0].lambda"\n  }\n}\n'))
+
+    def test_resource_cap(self, write_doc, capsys):
+        assert run(capsys, "enumerate", "--cap", "3",
+                   write_doc(HYPERELLIPTIC)) == (3, (
+                       '{\n  "error": {\n    "kind": "resource-cap",\n'
+                       '    "detail": "search exceeded the configured cap '
+                       'of 3 nodes",\n    "cap": 3\n  }\n}\n'))
+
+    def test_repeated_generator_disconnected(self, write_doc, capsys):
+        path = write_doc({"group": [4], "branch_points": [
+            {"element": [2], "lambda": str(v)} for v in range(4)]})
+        assert run(capsys, "validate", path) == (2, (
+            '{\n  "error": {\n    "kind": "disconnected",\n'
+            '    "detail": "branch elements generate a subgroup of order 2 '
+            'inside a group of order 4"\n  }\n}\n'))
 
 
 class TestDedekind:

@@ -60,6 +60,14 @@ class TestValidate:
         with pytest.raises(DisconnectedCoverError):
             validate(spec)
 
+    def test_repeated_generator_disconnected(self):
+        # four copies of 2 in Z4 close the monodromy but generate {0, 2}
+        spec = build_cover([4], [([2], v) for v in range(4)])
+        with pytest.raises(DisconnectedCoverError) as info:
+            validate(spec)
+        assert str(info.value) == ("branch elements generate a subgroup of "
+                                   "order 2 inside a group of order 4")
+
     def test_hyperelliptic_invariants(self, hyperelliptic):
         inv = hyperelliptic.inv
         assert (inv.n, inv.m, inv.g) == (2, 2, 2)
