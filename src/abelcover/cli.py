@@ -53,7 +53,8 @@ def load_cover_document(path: str) -> CoverSpec:
     """Read and structurally check a cover document, returning a CoverSpec.
 
     Syntax problems carry line/column; schema problems carry the JSON
-    path of the offending field.
+    path of the offending field.  Bytes that are not UTF-8, too many
+    digits and too deep nesting are parse errors without a position.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -63,6 +64,10 @@ def load_cover_document(path: str) -> CoverSpec:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}",
                          line=exc.lineno, column=exc.colno)
+    except UnicodeDecodeError:
+        raise ParseError(f"cannot read {path}: not UTF-8 text")
+    except (ValueError, RecursionError):  # too many digits, deep nesting
+        raise ParseError("invalid JSON: integer too long or nesting too deep")
     return parse_cover_object(raw)
 
 

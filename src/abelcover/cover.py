@@ -136,8 +136,12 @@ class CoverInvariants:
     genus g, the character integers t_chi, and the pairing table u with
     u[chi][k] = u_{chi,sigma} for the site at canonical position k.  Both
     dicts hold every character, in dual-group order.  packed[k][v] has a
-    B-counting bit field per character, 1 where weight v at site k counts;
-    packed_target has t_chi there; degree_weights[k] = n / o(sigma)."""
+    bit field per character, 1 where weight v at site k counts;
+    packed_target has t_chi there; degree_weights[k] = n / o(sigma).
+    Fields are B.bit_length() + 1 bits wide: a count never exceeds B, so
+    sums never carry between fields and the top bit of each is a free
+    guard bit, set in packed_guard.  (x | packed_guard) - y keeps a
+    field's guard bit exactly when that field of x is >= that of y."""
 
     group: AbelianGroup
     n: int
@@ -147,6 +151,7 @@ class CoverInvariants:
     u: dict[Character, tuple[int, ...]] = field(repr=False)
     packed: tuple[tuple[int, ...], ...] = field(repr=False)
     packed_target: int = field(repr=False)
+    packed_guard: int = field(repr=False)
     degree_weights: tuple[int, ...] = field(repr=False)
 
 
@@ -169,17 +174,16 @@ def validate(spec: CoverSpec) -> CoverInvariants:
             raise MalformedDataError(f"duplicate branch value {bp.value}")
         seen.add(bp.value)
 
-    total = group.identity()
-    for bp in spec.branch_points:
-        total = total + bp.element
-    if not total.is_identity():
+    orders = group.factor_orders
+    residues = [bp.element.residues for bp in spec.branch_points]
+    total = tuple(sum(r[i] for r in residues) % o
+                  for i, o in enumerate(orders))
+    if any(total):
         raise InvalidCoverError(
             "monodromy",
-            f"branch monodromies sum to {total.residues} instead of the "
-            f"identity")
+            f"branch monodromies sum to {total} instead of the identity")
 
-    generated = _generated_subgroup(group, list(dict.fromkeys(
-        bp.element for bp in spec.branch_points)))
+    generated = _generated_subgroup(orders, list(dict.fromkeys(residues)))
     if len(generated) != n:
         raise DisconnectedCoverError(
             f"branch elements generate a subgroup of order {len(generated)} "
@@ -217,7 +221,7 @@ def validate(spec: CoverSpec) -> CoverInvariants:
             f"differential dimension count {dimension} disagrees with "
             f"genus {g}")
 
-    width = len(spec.sites).bit_length()  # a count never exceeds B
+    width = len(spec.sites).bit_length() + 1  # counts <= B: top bit free
     packed = tuple(tuple(sum(1 << (c * width)
                              for c, row in enumerate(u.values())
                              if v >= o - row[k]) for v in range(o))
@@ -226,6 +230,7 @@ def validate(spec: CoverSpec) -> CoverInvariants:
         group=group, n=n, m=m, g=g, t=t, u=u, packed=packed,
         packed_target=sum(tc << (c * width)
                           for c, tc in enumerate(t.values())),
+        packed_guard=sum(1 << (c * width + width - 1) for c in range(n)),
         degree_weights=weights)
 
 
@@ -248,15 +253,16 @@ def differential_basis_descriptor(
     return out
 
 
-def _generated_subgroup(group: AbelianGroup,
-                        gens: list[GroupElement]) -> set[GroupElement]:
-    closure = {group.identity()}
-    frontier = [group.identity()]
+def _generated_subgroup(orders: tuple[int, ...],
+                        gens: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    identity = (0,) * len(orders)
+    closure = {identity}
+    frontier = [identity]
     while frontier:
         nxt = []
         for x in frontier:
             for gen in gens:
-                y = x + gen
+                y = tuple([(a + b) % o for a, b, o in zip(x, gen, orders)])
                 if y not in closure:
                     closure.add(y)
                     nxt.append(y)

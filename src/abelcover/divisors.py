@@ -23,15 +23,15 @@ exponent vectors beta/o - (o-1)/(2o).
 
 The condition holds exactly when the packed ints inv.packed[k][beta_k]
 compiled by validate sum to inv.packed_target.  Enumeration searches the
-slice beta_0 = 0, which meets every orbit, by pruned depth-first
-backtracking under a node cap, then expands it by the action on int
-tuples, checking each member by the packed sum and labelling the orbits;
-its order is lexicographic by canonical site.
+slice beta_0 = 0, which meets every orbit, by backtracking on that sum
+alone under a node cap, then expands it by the action on int tuples,
+checking each member by the packed sum and labelling the orbits; its
+order is lexicographic by canonical site.
 
-Every u_{chi,sigma} is read from the table inv.u built by validate.  The
-helpers take a validated CoverInvariants as given and check each divisor
-once: public functions check their input (weights too), internal steps
-do not.
+The action reads u_{chi,sigma} from the table inv.u built by validate.
+The helpers take a validated CoverInvariants as given and check each
+divisor once: public functions check their input (weights too),
+internal steps do not.
 """
 
 from __future__ import annotations
@@ -157,60 +157,41 @@ def enumerate_orbits(spec: CoverSpec, inv: CoverInvariants, *,
 def _search_slice(spec: CoverSpec, inv: CoverInvariants,
                   cap: int) -> list[tuple[int, ...]]:
     """The non-special weight vectors with beta_0 = 0, in lex order.
-    Backtracking assigns weights site by site with one running count per
-    nontrivial character; a branch dies once some count overshoots t_chi
-    or can no longer reach it with the sites that remain.  Every attempted
-    assignment costs one node; exceeding the cap raises ResourceCapError.
+    Backtracking carries one packed sum down and reads only inv.packed,
+    inv.packed_target and inv.packed_guard; a branch dies once some field
+    overshoots its target or can no longer reach it with the sites that
+    remain, two guard-bit compares.  Every attempted assignment costs one
+    node; exceeding the cap raises ResourceCapError.
     """
-    orders = spec.site_orders
-    B = len(orders)
-    chars = [chi for chi in inv.u if not chi.is_trivial()]
-    targets = [inv.t[chi] for chi in chars]
-    C = len(chars)
-    # thresholds[c][k]: the weight at site k counts for character c
-    # exactly when beta >= thresholds[c][k]; u = 0 gives o, never reached
-    thresholds = [[o - uk for o, uk in zip(orders, inv.u[chi])]
-                  for chi in chars]
-    # remaining[c][k]: sites at position >= k that can still contribute
-    remaining = [[0] * (B + 1) for _ in range(C)]
-    for c in range(C):
-        for k in range(B - 1, -1, -1):
-            remaining[c][k] = remaining[c][k + 1] + \
-                (1 if thresholds[c][k] < orders[k] else 0)
-
-    counts = [0] * C
+    packed, target, guard = inv.packed, inv.packed_target, inv.packed_guard
+    B = len(packed)
+    # reach[k]: the most each field can gain from the sites >= k; the top
+    # weight of a site counts for every character any weight there does
+    reach = [0] * (B + 1)
+    for k in range(B - 1, -1, -1):
+        reach[k] = reach[k + 1] + packed[k][-1]
+    ceiling = target | guard
     beta = [0] * B
     found: list[tuple[int, ...]] = []
     nodes = 0
 
-    def dfs(k: int) -> None:
+    def dfs(k: int, acc: int) -> None:
         nonlocal nodes
         if k == B:
             found.append(tuple(beta))
             return
-        for v in range(orders[k] if k else 1):
+        rest = reach[k + 1]
+        for v, step in enumerate(packed[k] if k else packed[k][:1]):
             nodes += 1
             if nodes > cap:
                 raise ResourceCapError(cap)
-            ok = True
-            bumped = []
-            for c in range(C):
-                if v >= thresholds[c][k]:
-                    counts[c] += 1
-                    bumped.append(c)
-            for c in range(C):
-                if counts[c] > targets[c] or \
-                        counts[c] + remaining[c][k + 1] < targets[c]:
-                    ok = False
-                    break
-            if ok:
+            now = acc + step
+            if (ceiling - now) & guard == guard and \
+                    (((now + rest) | guard) - target) & guard == guard:
                 beta[k] = v
-                dfs(k + 1)
-            for c in bumped:
-                counts[c] -= 1
-        beta[k] = 0
+                dfs(k + 1, now)
 
-    dfs(0)
+    dfs(0, 0)
     return found
 
 

@@ -87,6 +87,30 @@ def sparse6() -> Cover:
     return _make("sparse6", [6], [([2], 0), ([3], 1), ([1], 2)], 1)
 
 
+@pytest.fixture(scope="session")
+def z7x7() -> Cover:
+    """Z7 with seven sites: B = 7 = 2^3 - 1, so a packed field holding B
+    fills every bit below its guard bit."""
+    return _make("z7x7", [7], [([1], v) for v in range(7)], 15)
+
+
+@pytest.fixture(scope="session")
+def z4z4x6() -> Cover:
+    """Z4 x Z4 with six sites of order 4."""
+    return _make("z4z4x6", [4, 4], [
+        ([1, 0], 0), ([3, 0], 1), ([0, 1], 2),
+        ([0, 3], 3), ([1, 1], 4), ([3, 3], 5)], 21)
+
+
+@pytest.fixture(scope="session")
+def klein10() -> Cover:
+    """The Klein cover with four points on each of two involutions and
+    two on the third."""
+    return _make("klein10", [2, 2], [([1, 0], v) for v in range(4)]
+                 + [([0, 1], v) for v in range(4, 8)]
+                 + [([1, 1], 8), ([1, 1], 9)], 7)
+
+
 _ACCEPTANCE_LINES: list[tuple[int, str]] = []
 
 

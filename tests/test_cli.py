@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,21 @@ class TestParsing:
         code, out = run(capsys, "validate", write_doc(doc))
         assert code == 2
 
+    @pytest.mark.parametrize("payload", [
+        b'{"group": [' + b"1" * 5000 + b'], "branch_points": []}',
+        b'{"group": [2], "branch_points": '
+        + b"[" * 100_000 + b"]" * 100_000 + b"}",
+        b'{"group": [2], "branch_points": [], "note": "\xff"}'],
+        ids=["integer-too-long", "nesting-too-deep", "not-utf8"])
+    def test_unreadable_document_exit_1(self, tmp_path, capsys, payload):
+        path = tmp_path / "cover.json"
+        path.write_bytes(payload)
+        code = main(["validate", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out)["error"]["kind"] == "parse"
+        assert captured.err == ""
+
 
 class TestCommandLine:
     @pytest.mark.parametrize("argv", [
@@ -151,10 +167,67 @@ class TestCommandLine:
         assert json.loads(out)["error"]["kind"] == "parse"
 
 
+# any JSON value, for a field that should hold something else
+ANY_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+              st.text(max_size=5)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=5), inner,
+                                            max_size=3)),
+    max_leaves=6)
+
+EXACT_LAMBDAS = st.one_of(
+    st.integers(min_value=-20, max_value=20).map(str),
+    st.fractions(max_denominator=9).map(str),
+    st.decimals(places=2, allow_nan=False, allow_infinity=False).map(str),
+    st.integers())
+
+
+@st.composite
+def cover_documents(draw):
+    """A cover document with random values in every field.  A group has
+    at most 3 factors of order at most 8.  Half the documents have
+    in-range elements closed up to the identity, so many are valid
+    covers; then one field may be swapped for any JSON value."""
+    clean = draw(st.booleans())
+    factors = draw(st.lists(st.integers(min_value=2 if clean else -1,
+                                        max_value=8), max_size=3))
+    elements = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        elements.append([draw(st.integers(min_value=0, max_value=m - 1)
+                              if clean and m > 1 else
+                              st.integers(min_value=-1, max_value=8))
+                         for m in factors])
+    if clean and elements and all(m > 1 for m in factors):
+        elements.append([-sum(col) % m
+                         for col, m in zip(zip(*elements), factors)])
+    lambdas = draw(st.lists(
+        EXACT_LAMBDAS if clean else st.one_of(EXACT_LAMBDAS, st.floats(),
+                                              st.text(max_size=5)),
+        min_size=len(elements), max_size=len(elements),
+        unique_by=Fraction if clean else None))
+    document = {"group": factors, "branch_points": [
+        {"element": e, "lambda": v} for e, v in zip(elements, lambdas)]}
+    swap = draw(st.one_of(st.none(), st.sampled_from([
+        "document", "group", "branch_points", "element", "lambda", "point"])))
+    if swap == "document":
+        return draw(ANY_JSON)
+    if swap in ("group", "branch_points"):
+        document[swap] = draw(ANY_JSON)
+    elif swap is not None and elements:
+        point = document["branch_points"][0]
+        if swap == "point":
+            document["branch_points"][0] = draw(ANY_JSON)
+        else:
+            point[swap] = draw(ANY_JSON)
+    return document
+
+
 class TestFuzz:
     """Random selectors and caps through enumerate and exponents on a
-    battery document: every case ends in exit 0-3 with JSON on stdout and
-    nothing on stderr, and none raises."""
+    battery document, and random cover documents through validate and
+    enumerate: every case ends in exit 0-3 with JSON on stdout and nothing
+    on stderr, and none raises."""
 
     SELECTORS = st.one_of(
         st.text(max_size=30),
@@ -172,6 +245,31 @@ class TestFuzz:
         st.integers(min_value=-3, max_value=300).map(str),
         st.text(max_size=12),
         st.sampled_from(["1" * 5000, "--", "1_000", " 7", "1e3"]))
+
+    # raw bytes that a Python value cannot carry through json.dumps
+    POISON = st.one_of(st.none(), st.sampled_from([
+        b"1" * 5000, b"-" + b"7" * 4400, b"[" * 50_000 + b"]" * 50_000,
+        b'"\xff\xfe"', b'"\xc3"']))
+
+    @pytest.fixture(scope="class")
+    def document_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("documents") / "cover.json"
+
+    @settings(max_examples=150, deadline=None)
+    @given(document=cover_documents(), poison=POISON,
+           field=st.sampled_from(["group", "branch_points", "note"]))
+    def test_random_documents(self, document_path, document, poison,
+                              field):
+        text = json.dumps(document).encode()
+        if poison is not None and isinstance(document, dict):
+            text = json.dumps({**document, field: "POISON"}).encode() \
+                .replace(b'"POISON"', poison)
+        elif poison is not None:
+            text = poison
+        document_path.write_bytes(text)
+        for argv in (["validate"], ["enumerate", "--cap", "10000"]):
+            code, payload = self.run_quietly(argv + [str(document_path)])
+            assert ("error" in payload) == (code != 0)
 
     @pytest.fixture(scope="class")
     def path(self, tmp_path_factory):

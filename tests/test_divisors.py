@@ -161,7 +161,7 @@ def character_counts(cover, beta):
 
 def packed_fields(cover, beta):
     """The packed sum of beta cut back into its per-character fields."""
-    width = len(beta).bit_length()
+    width = len(beta).bit_length() + 1
     total = sum(cover.inv.packed[k][b] for k, b in enumerate(beta))
     return [total >> (c * width) & ((1 << width) - 1)
             for c in range(cover.inv.n)]
@@ -259,8 +259,9 @@ class TestEnumerate:
         assert "10" in str(info.value)
 
     @pytest.mark.parametrize("name,minimal_cap", [
-        ("cyclic6", 2_197), ("klein", 27), ("mixed4", 193)],
-        ids=["cyclic6", "klein", "mixed4"])
+        ("cyclic6", 2_197), ("klein", 27), ("mixed4", 193),
+        ("z7x7", 21_596), ("z4z4x6", 201), ("klein10", 313)],
+        ids=["cyclic6", "klein", "mixed4", "z7x7", "z4z4x6", "klein10"])
     def test_minimal_cap_pins_node_accounting(self, request, name,
                                               minimal_cap):
         # one node per attempted assignment of a weight to a site; only
