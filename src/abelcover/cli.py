@@ -47,6 +47,9 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
+# most mantissa digits plus |exponent| in a lambda string: the value then
+# prints within CPython's 4300-digit limit (".1e-4298" is 1/10**4299)
+LAMBDA_DIGITS = 4299
 
 
 def load_cover_document(path: str) -> CoverSpec:
@@ -118,11 +121,18 @@ def _parse_value(raw, where: str) -> Fraction:
         raise ParseError(
             "lambda must be given as a string to stay exact", path=where)
     if isinstance(raw, str):
+        # Fraction builds 10**|exponent| before any check: bound the size
+        mantissa, _, exponent = raw.lower().partition("e")
         try:
-            return Fraction(raw)
+            digits = sum(map(str.isdigit, mantissa)) + abs(int(exponent or 0))
+            if digits <= LAMBDA_DIGITS:
+                return Fraction(raw)
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"cannot parse {raw!r} as a rational",
                              path=where)
+        raise ParseError(
+            f"lambda has {digits} mantissa digits plus |exponent|, over "
+            f"the limit of {LAMBDA_DIGITS}", path=where)
     raise ParseError("lambda must be a string or integer", path=where)
 
 

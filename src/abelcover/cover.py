@@ -141,7 +141,8 @@ class CoverInvariants:
     Fields are B.bit_length() + 1 bits wide: a count never exceeds B, so
     sums never carry between fields and the top bit of each is a free
     guard bit, set in packed_guard.  (x | packed_guard) - y keeps a
-    field's guard bit exactly when that field of x is >= that of y."""
+    field's guard bit exactly when that field of x is >= that of y.
+    cover_fingerprint is that of the validated CoverSpec."""
 
     group: AbelianGroup
     n: int
@@ -153,6 +154,7 @@ class CoverInvariants:
     packed_target: int = field(repr=False)
     packed_guard: int = field(repr=False)
     degree_weights: tuple[int, ...] = field(repr=False)
+    cover_fingerprint: str = field(repr=False)
 
 
 def validate(spec: CoverSpec) -> CoverInvariants:
@@ -231,7 +233,14 @@ def validate(spec: CoverSpec) -> CoverInvariants:
         packed_target=sum(tc << (c * width)
                           for c, tc in enumerate(t.values())),
         packed_guard=sum(1 << (c * width + width - 1) for c in range(n)),
-        degree_weights=weights)
+        degree_weights=weights, cover_fingerprint=spec.fingerprint)
+
+
+def _require_validated(spec: CoverSpec, inv: CoverInvariants) -> None:
+    """inv came from validate on spec or on the same canonical sites."""
+    if inv.cover_fingerprint != spec.fingerprint:
+        raise MalformedDataError(
+            "cover invariants belong to a different cover than the one given")
 
 
 def differential_basis_descriptor(

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import getitem, mul
 
-from .cover import CoverInvariants, CoverSpec
+from .cover import CoverInvariants, CoverSpec, _require_validated
 from .errors import (ConsistencyError, DomainError, MalformedDataError,
                      ResourceCapError)
 from .group_core import Character, pairing_u
@@ -105,6 +105,7 @@ def is_nonspecial(spec: CoverSpec, inv: CoverInvariants,
     g - 1; that is a consequence of the condition, so a mismatch is an
     internal error rather than a veto.
     """
+    _require_validated(spec, inv)
     _require_same_cover(spec, D)
     return D.p == 1 and _meets_counts(inv, D.beta)
 
@@ -134,6 +135,7 @@ def enumerate_orbits(spec: CoverSpec, inv: CoverInvariants, *,
     label of each, by first appearance.  Every orbit meets the slice
     beta_0 = 0 first at its lex-min member: each unlabelled slice hit, in
     lex order, is expanded by the rows of inv.u into its checked orbit."""
+    _require_validated(spec, inv)
     hits = _search_slice(spec, inv, cap)
     label: dict[tuple[int, ...], int] = {}
     for hit in hits:

@@ -45,16 +45,19 @@ __all__ = [
 class AbelianGroup:
     """The product Z_{m_1} x ... x Z_{m_q}.
 
-    The empty product is the trivial group.  Each factor order must be at
-    least 2.
+    The empty product is the trivial group.  Each factor order must be an
+    int (not a bool) of at least 2; nothing is converted.
     """
 
     factor_orders: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        orders = tuple(int(m) for m in self.factor_orders)
+        orders = tuple(self.factor_orders)
         object.__setattr__(self, "factor_orders", orders)
         for m in orders:
+            if type(m) is not int:
+                raise MalformedDataError(
+                    f"cyclic factor order {m!r} is not an int")
             if m < 2:
                 raise MalformedDataError(
                     f"cyclic factor orders must be at least 2, got {m}")
@@ -98,6 +101,8 @@ def _check_residues(group: AbelianGroup, residues: tuple[int, ...],
             f"{kind} has {len(residues)} residues for a group with "
             f"{len(group.factor_orders)} factors")
     for r, m in zip(residues, group.factor_orders):
+        if type(r) is not int:
+            raise MalformedDataError(f"{kind} residue {r!r} is not an int")
         if not 0 <= r < m:
             raise MalformedDataError(
                 f"{kind} residue {r} out of range [0, {m})")
@@ -105,14 +110,14 @@ def _check_residues(group: AbelianGroup, residues: tuple[int, ...],
 
 @dataclass(frozen=True)
 class GroupElement:
-    """An element of an AbelianGroup, stored as one residue per factor."""
+    """An element of an AbelianGroup, stored as one int residue per
+    factor; a bool or any other type is refused, not converted."""
 
     group: AbelianGroup
     residues: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "residues",
-                           tuple(int(r) for r in self.residues))
+        object.__setattr__(self, "residues", tuple(self.residues))
         _check_residues(self.group, self.residues, "element")
 
     def is_identity(self) -> bool:
@@ -150,17 +155,16 @@ class GroupElement:
 class Character:
     """A character of an AbelianGroup.
 
-    The residue vector (e_1, ..., e_q) represents the homomorphism sending
-    the l-th standard generator to e(e_l / m_l).  The conjugate character
-    negates every residue.
+    The int residue vector (e_1, ..., e_q) represents the homomorphism
+    sending the l-th standard generator to e(e_l / m_l).  The conjugate
+    character negates every residue.
     """
 
     group: AbelianGroup
     residues: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "residues",
-                           tuple(int(r) for r in self.residues))
+        object.__setattr__(self, "residues", tuple(self.residues))
         _check_residues(self.group, self.residues, "character")
 
     def is_trivial(self) -> bool:

@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .cover import CoverInvariants, CoverSpec
+from .cover import CoverInvariants, CoverSpec, _require_validated
 from .errors import (ConsistencyError, DomainError, MalformedDataError,
                      NoSolutionError)
 from .group_core import Character
@@ -57,7 +57,7 @@ def _exact(c) -> Fraction:
     """c as a Fraction; a float, a bool or any other type is refused."""
     if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
         raise MalformedDataError(
-            f"polynomial coefficient {c!r} is not an int or a Fraction")
+            f"polynomial input {c!r} is not an int or a Fraction")
     return Fraction(c)
 
 
@@ -112,65 +112,12 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(tuple(self.coefficient(k) + other.coefficient(k)
-                             for k in range(n)))
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, UniPoly):
-            if self.is_zero() or other.is_zero():
-                return UniPoly.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return UniPoly(tuple(out))
-        if isinstance(other, (int, Fraction)):
-            return UniPoly(tuple(c * other for c in self.coeffs))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def shift(self, k: int) -> "UniPoly":
-        """Multiply by w^k."""
-        if self.is_zero():
-            return self
-        return UniPoly((Fraction(0),) * k + self.coeffs)
-
-    def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        """Exact rational polynomial division, quotient and remainder."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        dlead = other.lead
-        dlen = len(other.coeffs)
-        for k in range(len(rem) - dlen, -1, -1):
-            factor = rem[k + dlen - 1] / dlead
-            q[k] = factor
-            if factor:
-                for j, c in enumerate(other.coeffs):
-                    rem[k + j] -= factor * c
-        return UniPoly(tuple(q)), UniPoly(tuple(rem[:dlen - 1]))
-
-    def __call__(self, x):
-        acc = Fraction(0)
+    def __call__(self, x) -> Fraction:
+        """The value at x, which must be an int or a Fraction."""
+        x, acc = _exact(x), Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = [f"{c}*w^{k}" for k, c in enumerate(self.coeffs) if c]
-        return " + ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -272,6 +219,7 @@ def build_pchichi(spec: CoverSpec, inv: CoverInvariants,
     synthetic division with a zero remainder, so lead(f_1) = t_chi.  The
     pair is then handed to solve_polexist with d = t_chi and e = t_conj.
     """
+    _require_validated(spec, inv)
     if chi.is_trivial():
         raise DomainError("the construction needs a nontrivial character")
     tchi = inv.t[chi]

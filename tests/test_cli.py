@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abelcover import enumerate_orbits, exponent_table, make_divisor, validate
-from abelcover.cli import build_parser, main, parse_cover_object
+from abelcover.cli import (build_parser, console_main, main,
+                           parse_cover_object)
 from test_divisors import draw_noncyclic_cover
 
 HYPERELLIPTIC = {
@@ -120,8 +121,43 @@ class TestParsing:
         assert json.loads(captured.out)["error"]["kind"] == "parse"
         assert captured.err == ""
 
+    @pytest.mark.parametrize("value", [
+        "1e5000", "1e-5000", "0.5e4400", "1e999999999", ".1e-4299"])
+    @pytest.mark.parametrize("verb", [
+        ["validate"], ["enumerate"], ["exponents", "--divisor", "0"]],
+        ids=["validate", "enumerate", "exponents"])
+    def test_lambda_with_too_many_digits_exit_1(self, write_doc, capsys,
+                                                value, verb):
+        # each value prints to over 4300 digits; the last would also
+        # build a 10**999999999 if it reached Fraction
+        doc = {"group": [2], "branch_points": [
+            {"element": [1], "lambda": "0"},
+            {"element": [1], "lambda": value}]}
+        code = main([verb[0], write_doc(doc), *verb[1:]])
+        captured = capsys.readouterr()
+        assert code == 1
+        error = json.loads(captured.out)["error"]
+        assert (error["kind"], error["path"]) == \
+            ("parse", "branch_points[1].lambda")
+        assert captured.err == ""
+
+    def test_lambda_at_the_digit_limit_is_listed(self, write_doc, capsys):
+        doc = {"group": [2], "branch_points": [
+            {"element": [1], "lambda": "0"},
+            {"element": [1], "lambda": ".1e-4298"}]}
+        code, out = run(capsys, "enumerate", write_doc(doc))
+        assert code == 0
+        assert json.loads(out)["count"] == 2
+
 
 class TestCommandLine:
+    def test_console_script_entry_point(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["abelcover", "selftest"])
+        with pytest.raises(SystemExit) as exc:
+            console_main()
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.endswith("selftest ok\n")
+
     @pytest.mark.parametrize("argv", [
         ["enumerate", "--workers", "2"], ["enumerate", "--bogus"],
         ["exponents"], ["frobnicate"], [], ["dedekind", "a", "1", "0"],

@@ -140,6 +140,21 @@ class TestIsNonspecial:
         D = make_divisor(spec, [0, 0, 0, 1, 1, 1], p=2)
         assert not is_nonspecial(spec, inv, D)
 
+    def test_invariants_of_another_cover_refused(self, hyperelliptic,
+                                                 klein):
+        spec = hyperelliptic.spec
+        D = make_divisor(spec, [0, 0, 0, 1, 1, 1])
+        with pytest.raises(MalformedDataError):
+            is_nonspecial(spec, klein.inv, D)
+        with pytest.raises(MalformedDataError):
+            enumerate_orbits(spec, klein.inv)
+        # the same canonical sites, listed in another document order
+        shuffled = build_cover([2, 2], [
+            ([1, 1], 4), ([0, 1], 2), ([1, 0], 0),
+            ([1, 1], 5), ([0, 1], 3), ([1, 0], 1)])
+        assert enumerate_orbits(shuffled, klein.inv) == \
+            enumerate_orbits(klein.spec, klein.inv)
+
     def test_matches_brute_force(self, cyclic3, cyclic4, klein):
         for cover in (cyclic3, cyclic4, klein):
             expected = set(brute_force_nonspecial(cover))

@@ -47,6 +47,19 @@ class TestAbelianGroup:
         with pytest.raises(MalformedDataError):
             g.element([-1])
 
+    @pytest.mark.parametrize("bad", [2.9, "4", Fraction(4), True])
+    def test_non_int_factor_order_rejected(self, bad):
+        with pytest.raises(MalformedDataError):
+            AbelianGroup((bad,))
+
+    @pytest.mark.parametrize("bad", [1.7, "1", Fraction(1), True])
+    def test_non_int_residue_rejected(self, bad):
+        g = AbelianGroup((4,))
+        with pytest.raises(MalformedDataError):
+            g.element((bad,))
+        with pytest.raises(MalformedDataError):
+            g.character((bad,))
+
     def test_wrong_length_rejected(self):
         g = AbelianGroup((2, 2))
         with pytest.raises(MalformedDataError):

@@ -1,7 +1,7 @@
-"""Kernel polynomial solver: exact univariate algebra, the Pascal-shaped
-level matrices and their closed-form solution, the existence construction
-with its degree bound, the perturbation refusal, and the cover-derived
-instances."""
+"""Kernel polynomial solver: the exact coefficient container, the
+Pascal-shaped level matrices and their closed-form solution, the existence
+construction with its degree bound, the perturbation refusal, and the
+cover-derived instances."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
 
 from abelcover import (DomainError, MalformedDataError, NoSolutionError,
                        UniPoly, build_pchichi, dual_group, solve_polexist)
@@ -20,9 +19,6 @@ from abelcover.polykernel import (assembly_by_z_power, assembly_w_degree,
                                   solve_level)
 from oracles import (binomial_level_matrix, jordan_factor, matrix_inverse,
                      matrix_multiply, pascal_factor, solve_linear_system)
-
-fractions = st.fractions(
-    min_value=-10, max_value=10, max_denominator=6)
 
 
 def eval_assembly(polys, z: Fraction, w: Fraction) -> Fraction:
@@ -51,32 +47,10 @@ class TestUniPoly:
         assert p == UniPoly.of([2, -3, 1])
         assert p(1) == 0 and p(2) == 0 and p(0) == 2
 
-    def test_arithmetic(self):
-        a = UniPoly.of([1, 1])
-        b = UniPoly.of([-1, 1])
-        assert a * b == UniPoly.of([-1, 0, 1])
-        assert a + b == UniPoly.of([0, 2])
-        assert a - a == UniPoly.zero()
-        assert a.shift(2) == UniPoly.of([0, 0, 1, 1])
-        assert (a * Fraction(1, 2))(1) == 1
-
-    def test_divmod_exact(self):
-        num = UniPoly.from_roots([1, 2, 3])
-        den = UniPoly.from_roots([2])
-        q, r = num.divmod(den)
-        assert r.is_zero()
-        assert q == UniPoly.from_roots([1, 3])
-
-    @given(st.lists(fractions, min_size=1, max_size=5),
-           st.lists(fractions, min_size=2, max_size=4))
-    def test_divmod_round_trip(self, a_coeffs, b_coeffs):
-        a = UniPoly.of(a_coeffs)
-        b = UniPoly.of(b_coeffs)
-        if b.is_zero():
-            return
-        q, r = a.divmod(b)
-        assert q * b + r == a
-        assert r.degree < b.degree
+    @pytest.mark.parametrize("bad", [0.5, True, "1/2", None])
+    def test_inexact_argument_rejected(self, bad):
+        with pytest.raises(MalformedDataError):
+            UniPoly.of([1, 1])(bad)
 
     def test_int_coefficients_become_fractions(self):
         p = UniPoly.of([3, Fraction(1, 2), 0])
@@ -302,6 +276,11 @@ class TestBuildPchichi:
         f0 = solution.polys[0]
         for site in spec.sites:
             assert f0(site.value) == 0
+
+    def test_invariants_of_another_cover_refused(self, cyclic3, cyclic4):
+        chi = cyclic4.spec.group.character([1])
+        with pytest.raises(MalformedDataError):
+            build_pchichi(cyclic3.spec, cyclic4.inv, chi)
 
     def test_trivial_character_rejected(self, cyclic3):
         spec, inv = cyclic3.spec, cyclic3.inv
