@@ -10,8 +10,7 @@ the standard library.
 
 from .cover import (BranchPoint, BranchSite, CoverInvariants, CoverSpec,
                     differential_basis_descriptor, validate)
-from .dedekind import (PhiKey, classical_dedekind_sum, integrality_class,
-                       phi_exact)
+from .dedekind import PhiKey, phi_exact
 from .divisors import (DEFAULT_NODE_CAP, HalfFormExponents, InvariantDivisor,
                        chi_action, degree, enumerate_nonspecial,
                        enumerate_orbits, half_form_exponents, is_nonspecial,
@@ -19,8 +18,7 @@ from .divisors import (DEFAULT_NODE_CAP, HalfFormExponents, InvariantDivisor,
 from .errors import (AbelcoverError, ConsistencyError, DisconnectedCoverError,
                      DomainError, InvalidCoverError, MalformedDataError,
                      NoSolutionError, ParseError, ResourceCapError)
-from .exponents import (ExponentTable, PairKey, exponent_table, gamma,
-                        gamma_closed_form, q_delta, q_e, q_e_closed_form,
+from .exponents import (ExponentTable, PairKey, exponent_table,
                         relabel_equivalent, thomae_exponent)
 from .group_core import (AbelianGroup, Character, GroupElement,
                          IntersectionData, cyclic_subgroup, dual_group,
@@ -36,13 +34,12 @@ __all__ = [
     "intersection_data",
     "BranchPoint", "BranchSite", "CoverSpec", "CoverInvariants",
     "validate", "differential_basis_descriptor",
-    "PhiKey", "phi_exact", "classical_dedekind_sum", "integrality_class",
+    "PhiKey", "phi_exact",
     "InvariantDivisor", "HalfFormExponents", "DEFAULT_NODE_CAP",
     "make_divisor", "degree", "is_nonspecial", "enumerate_nonspecial",
     "enumerate_orbits", "chi_action",
     "negation_N", "orbit", "support_p", "half_form_exponents",
-    "PairKey", "ExponentTable", "q_delta", "q_e", "q_e_closed_form",
-    "gamma", "gamma_closed_form", "thomae_exponent", "exponent_table",
+    "PairKey", "ExponentTable", "thomae_exponent", "exponent_table",
     "relabel_equivalent",
     "UniPoly", "KernelSolution", "solve_polexist", "build_pchichi",
     "AbelcoverError", "MalformedDataError", "DomainError",

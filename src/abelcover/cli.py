@@ -128,8 +128,8 @@ def _parse_value(raw, where: str) -> Fraction:
             if digits <= LAMBDA_DIGITS:
                 return Fraction(raw)
         except (ValueError, ZeroDivisionError):
-            raise ParseError(f"cannot parse {raw!r} as a rational",
-                             path=where)
+            raise ParseError(f"cannot parse {raw[:40]!r} ({len(raw)} "
+                             f"characters) as a rational", path=where)
         raise ParseError(
             f"lambda has {digits} mantissa digits plus |exponent|, over "
             f"the limit of {LAMBDA_DIGITS}", path=where)

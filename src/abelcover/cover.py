@@ -49,6 +49,10 @@ __all__ = [
     "differential_basis_descriptor",
 ]
 
+# the cover fingerprint prints each branch value, and str() refuses an int
+# of more than 4300 digits on every Python that has the limit
+_VALUE_LIMIT = 10 ** 4300
+
 
 @dataclass(frozen=True)
 class BranchPoint:
@@ -59,7 +63,11 @@ class BranchPoint:
     value: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", Fraction(self.value))
+        value = Fraction(self.value)
+        if max(abs(value.numerator), value.denominator) >= _VALUE_LIMIT:
+            raise MalformedDataError("a branch value's numerator and "
+                                     "denominator need at most 4300 digits")
+        object.__setattr__(self, "value", value)
 
 
 @dataclass(frozen=True)

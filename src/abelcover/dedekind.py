@@ -14,17 +14,18 @@ which clears denominators to the integer expression
     sum_{u=0}^{d-1} (2u - d + 1) (2 ((hu+s) mod d) - d + 1)   over   4d,
 
 so the whole computation is integer arithmetic with a single Fraction at
-the end.  The defining complex sum is not part of the library; it lives
-in tests/oracles.py as a floating point test oracle.  Keys are
-normalized to 0 <= h, s < d with gcd(h, d) = 1 and the values are
-memoized; d = 1 is allowed and gives phi identically zero.
+the end.  Keys are normalized to 0 <= h, s < d with gcd(h, d) = 1 and
+the values are memoized; d = 1 is allowed and gives phi identically
+zero.
 
 Known laws, all exercised by the test suite: the shift law
 phi(s+h) = phi(s) + s - (d-1)/2, the reciprocity recursion lowering d to
 d mod h, the closed form (d^2 - 1 - 6s(d-s))/12 at h = 1, the zero sum
 over s, the bridge phi(0) = d s(h,d) + (d-1)/4 to the classical Dedekind
 sum, invariance under h -> h^{-1}, s -> -h^{-1} s, and the four-case
-integrality pattern of phi modulo 1.
+integrality pattern of phi modulo 1.  The defining complex sum (in
+floating point), the classical sum and the integrality classes are not
+part of the library; they are test oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ from .errors import DomainError
 __all__ = [
     "PhiKey",
     "phi_exact",
-    "classical_dedekind_sum",
-    "integrality_class",
 ]
 
 
@@ -85,37 +84,3 @@ def _phi_sum(d: int, h: int, s: int) -> int:
 def phi_exact(key: PhiKey) -> Fraction:
     """The exact rational value of phi_{h+dZ}(s)."""
     return Fraction(_phi_sum(key.d, key.h, key.s), 4 * key.d)
-
-
-def classical_dedekind_sum(h: int, d: int) -> Fraction:
-    """The classical Dedekind sum s(h, d) = sum_{k=1}^{d-1} ((k/d))((hk/d)).
-
-    (( )) is the sawtooth, x - floor(x) - 1/2 away from integers and 0 on
-    them.  With gcd(h, d) = 1 no interior term hits an integer, so the sum
-    clears to sum_k (2k - d)(2 (hk mod d) - d) over 4 d^2.
-    """
-    if d < 1:
-        raise DomainError(f"modulus d must be positive, got {d}")
-    if gcd(h, d) != 1:
-        raise DomainError(f"h={h} must be coprime to d={d}")
-    total = 0
-    for k in range(1, d):
-        total += (2 * k - d) * (2 * ((h * k) % d) - d)
-    return Fraction(total, 4 * d * d)
-
-
-def integrality_class(key: PhiKey) -> Fraction:
-    """The predicted value of phi modulo 1, as a representative in [0, 1).
-
-    Four cases:  phi is an integer when d is coprime to 6; it lies in
-    -h/3 + Z when d is odd and divisible by 3; in (1+2s)/4 + Z when d is
-    even and coprime to 3; and in (1+2s)/4 - h/3 + Z when 6 divides d.
-    """
-    if key.d < 2:
-        raise DomainError("integrality classes are stated for d >= 2")
-    rep = Fraction(0)
-    if key.d % 2 == 0:
-        rep += Fraction(1 + 2 * key.s, 4)
-    if key.d % 3 == 0:
-        rep -= Fraction(key.h, 3)
-    return rep % 1

@@ -20,39 +20,30 @@ exponent attached to the factor (lambda_a - lambda_b) is then
 
 always an even integer; the full table over unordered pairs, together
 with the det C exponent 4m and the theta exponent 8m, is what this
-module assembles.  Both q_e and gamma are provided in their definitional
-brute-force form and in closed form so they can be played against each
-other in tests, and thomae_exponent combines the closed forms.
-exponent_table instead builds one integer row per pair of element ranks
-r_a <= r_b, E[s] = m n (2 T(d,h,s) + T(d,h,0) + d (o_a-1)(o_b-1)) /
-(d o_a o_b) with T = 4d phi, checks it to be an even integer for every
-s < d as it builds it, and reads a pair as E[(beta_b - h beta_a) mod d].
+module assembles.  It is built from one integer row per pair of element
+ranks r_a <= r_b, E[s] = m n (2 T(d,h,s) + T(d,h,0) + d (o_a-1)(o_b-1)) /
+(d o_a o_b) with T = 4d phi, checked to be an even integer for every
+s < d as it is built; a pair reads E[(beta_b - h beta_a) mod d].
+exponent_table and thomae_exponent both read these rows.  The
+definitional orbit sum q_e, the character average gamma and their
+rational closed forms are test oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from operator import mul
 
 from .cover import CoverInvariants, CoverSpec
-from .dedekind import PhiKey, _phi_sum, phi_exact
+from .dedekind import _phi_sum
 from .divisors import (InvariantDivisor, _expand, _require_same_cover,
-                       is_nonspecial, orbit)
+                       is_nonspecial)
 from .errors import ConsistencyError, DomainError
-from .group_core import (AbelianGroup, GroupElement, _require_membership,
-                         element_order, intersection_data)
+from .group_core import intersection_data
 
 __all__ = [
     "PairKey",
     "ExponentTable",
-    "q_delta",
-    "q_e",
-    "q_e_closed_form",
-    "gamma",
-    "gamma_closed_form",
     "thomae_exponent",
     "exponent_table",
     "relabel_equivalent",
@@ -91,91 +82,16 @@ class ExponentTable:
     divisor_fingerprint: str
 
 
-def _centered(o: int, b: int) -> Fraction:
-    return Fraction(2 * b - o + 1, 2 * o)
-
-
-def q_delta(spec: CoverSpec, D: InvariantDivisor, a: int, b: int) -> Fraction:
-    """The product of the centered weights of D at sites a and b."""
-    _require_same_cover(spec, D, a, b)
-    oa, ob = spec.site_orders[a], spec.site_orders[b]
-    return _centered(oa, D.beta[a]) * _centered(ob, D.beta[b])
-
-
-def q_e(spec: CoverSpec, inv: CoverInvariants, D: InvariantDivisor,
-        a: int, b: int) -> Fraction:
-    """Orbit sum of q_delta: the definitional, brute-force route."""
-    return sum(
-        (q_delta(spec, member, a, b) for member in orbit(spec, inv, D)),
-        Fraction(0))
-
-
-def q_e_closed_form(spec: CoverSpec, inv: CoverInvariants,
-                    D: InvariantDivisor, a: int, b: int) -> Fraction:
-    """The Dedekind-sum closed form of the orbit sum.
-
-    Any member of the orbit of D gives the same value, because the
-    argument beta_b - h beta_a is constant modulo d along the orbit.
-    """
-    _require_same_cover(spec, D, a, b)
-    group = spec.group
-    oa, ob = spec.site_orders[a], spec.site_orders[b]
-    data = intersection_data(group, spec.sites[a].element,
-                             spec.sites[b].element)
-    s = (D.beta[b] - data.h * D.beta[a]) % data.d
-    return Fraction(group.order, oa * ob) * \
-        phi_exact(PhiKey.of(data.d, data.h, s))
-
-
-def gamma(group: AbelianGroup, s: GroupElement,
-          r: GroupElement) -> Fraction:
-    """The definitional character average (1/n) sum over chi of
-    u_{chi,s} u_{chi,r} / (o(s) o(r)), summed in ints: u_{chi,s} / o(s) =
-    sum_l e_l d_l / m_l mod 1 = (sum_l e_l d_l (m/m_l) mod m) / m."""
-    if s.is_identity() or r.is_identity():
-        raise DomainError("gamma requires nontrivial elements")
-    _require_membership(group, s)
-    _require_membership(group, r)
-    m = group.exponent
-    ws, wr = ([x * (m // f) for x, f in zip(e.residues, group.factor_orders)]
-              for e in (s, r))
-    total = sum(sum(map(mul, e, ws)) % m * (sum(map(mul, e, wr)) % m)
-                for e in product(*map(range, group.factor_orders)))
-    return Fraction(total, group.order * m * m)
-
-
-def gamma_closed_form(group: AbelianGroup, s: GroupElement,
-                      r: GroupElement) -> Fraction:
-    """gamma via intersection data:
-    phi_{h+dZ}(0)/(o o') + (o-1)(o'-1)/(4 o o')."""
-    if s.is_identity() or r.is_identity():
-        raise DomainError("gamma requires nontrivial elements")
-    o_s = element_order(group, s)
-    o_r = element_order(group, r)
-    data = intersection_data(group, s, r)
-    phi0 = phi_exact(PhiKey.of(data.d, data.h, 0))
-    return (phi0 + Fraction((o_s - 1) * (o_r - 1), 4)) / (o_s * o_r)
-
-
 def thomae_exponent(spec: CoverSpec, inv: CoverInvariants,
                     D: InvariantDivisor, pair: PairKey) -> int:
-    """The exponent of (lambda_a - lambda_b):  4m (2 q_e + n gamma).
-
-    Assembled in exact rational arithmetic and only then converted; a
-    non-integral or odd result is an internal error, never silently
-    truncated.
-    """
+    """The exponent of (lambda_a - lambda_b), 4m (2 q_e + n gamma), read
+    from the integer row of the pair as exponent_table reads it."""
     if not is_nonspecial(spec, inv, D):
         raise DomainError("exponents are defined for non-special divisors")
     a, b = pair.first, pair.second
-    value = 4 * inv.m * (
-        2 * q_e_closed_form(spec, inv, D, a, b)
-        + inv.n * gamma_closed_form(spec.group, spec.sites[a].element,
-                                    spec.sites[b].element))
-    if value.denominator != 1 or value.numerator % 2:
-        raise ConsistencyError(
-            f"exponent for pair ({a}, {b}) is not an even integer: {value}")
-    return int(value)
+    _require_same_cover(spec, D, a, b)
+    row, d, h = _exponent_row(spec, inv, a, b)
+    return row[(D.beta[b] - h * D.beta[a]) % d]
 
 
 def exponent_table(spec: CoverSpec, inv: CoverInvariants,

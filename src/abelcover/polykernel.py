@@ -85,6 +85,8 @@ class UniPoly:
 
     @classmethod
     def monomial(cls, c, k: int) -> "UniPoly":
+        if type(k) is not int or k < 0:
+            raise DomainError(f"monomial degree must be an int >= 0, got {k!r}")
         return cls((Fraction(0),) * k + (c,))
 
     @classmethod

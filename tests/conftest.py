@@ -81,6 +81,15 @@ def mixed4() -> Cover:
 
 
 @pytest.fixture(scope="session")
+def z5h2() -> Cover:
+    """Z5 cover with sites 1, 2, 2: the pair (1, 2) has h = 2, so its
+    exponent row is read at (beta_b - 2 beta_a) mod 5 and not at the
+    negative, which the battery (h = 1 or d <= 2 throughout) cannot tell
+    apart."""
+    return _make("z5h2", [5], [([1], 0), ([2], 1), ([2], 2)], 2)
+
+
+@pytest.fixture(scope="session")
 def sparse6() -> Cover:
     """Z6 cover whose non-special divisor set is empty; a valid cover for
     which enumeration legitimately returns nothing."""

@@ -1,11 +1,15 @@
 """Test oracles that the library itself never calls.
 
-The library is exact: every result is a Fraction or an int, and it has
-no third-party dependency.  Two independent routes are kept here, beside
-the tests that use them, to cross-check its closed forms:
+The library takes one exact route to each quantity and has no
+third-party dependency.  Second, independent routes are kept here,
+beside the tests that use them, to cross-check it:
 
   * phi_numeric_oracle, the defining root-of-unity sum of
-    phi_{h+dZ}(s) evaluated in high precision floating point (mpmath);
+    phi_{h+dZ}(s) in high precision floating point (mpmath), and the
+    classical Dedekind sum and integrality classes of the phi laws;
+  * q_delta, the orbit sum q_e and the character average gamma in
+    definitional and closed form, and thomae_exponent_closed_form,
+    which checks the integer exponent rows in rational arithmetic;
   * exact Gauss-Jordan elimination over Fractions and the Pascal-shaped
     level matrices of the kernel solver, which check solve_level and the
     level-0 identity M^-1[0][0] = d.
@@ -17,11 +21,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from itertools import product
+from math import comb, gcd
+from operator import mul
 
 import mpmath
 
-from abelcover import ConsistencyError, DomainError, PhiKey
+from abelcover import (AbelianGroup, ConsistencyError, CoverInvariants,
+                       CoverSpec, DomainError, GroupElement, InvariantDivisor,
+                       PairKey, PhiKey, element_order, intersection_data,
+                       is_nonspecial, orbit, phi_exact)
+from abelcover.divisors import _require_same_cover
+from abelcover.group_core import _require_membership
 
 
 @lru_cache(maxsize=None)
@@ -58,6 +69,127 @@ def phi_numeric_oracle(key: PhiKey, precision_bits: int = 64) -> mpmath.mpc:
         for k, weight in enumerate(weights, start=1):
             total += roots[(k * s) % d] * weight
         return total
+
+
+def classical_dedekind_sum(h: int, d: int) -> Fraction:
+    """The classical Dedekind sum s(h, d) = sum_{k=1}^{d-1} ((k/d))((hk/d)).
+
+    (( )) is the sawtooth, x - floor(x) - 1/2 away from integers and 0 on
+    them.  With gcd(h, d) = 1 no interior term hits an integer, so the sum
+    clears to sum_k (2k - d)(2 (hk mod d) - d) over 4 d^2.
+    """
+    if d < 1:
+        raise DomainError(f"modulus d must be positive, got {d}")
+    if gcd(h, d) != 1:
+        raise DomainError(f"h={h} must be coprime to d={d}")
+    total = 0
+    for k in range(1, d):
+        total += (2 * k - d) * (2 * ((h * k) % d) - d)
+    return Fraction(total, 4 * d * d)
+
+
+def integrality_class(key: PhiKey) -> Fraction:
+    """The predicted value of phi modulo 1, as a representative in [0, 1).
+
+    Four cases:  phi is an integer when d is coprime to 6; it lies in
+    -h/3 + Z when d is odd and divisible by 3; in (1+2s)/4 + Z when d is
+    even and coprime to 3; and in (1+2s)/4 - h/3 + Z when 6 divides d.
+    """
+    if key.d < 2:
+        raise DomainError("integrality classes are stated for d >= 2")
+    rep = Fraction(0)
+    if key.d % 2 == 0:
+        rep += Fraction(1 + 2 * key.s, 4)
+    if key.d % 3 == 0:
+        rep -= Fraction(key.h, 3)
+    return rep % 1
+
+
+def _centered(o: int, b: int) -> Fraction:
+    return Fraction(2 * b - o + 1, 2 * o)
+
+
+def q_delta(spec: CoverSpec, D: InvariantDivisor, a: int, b: int) -> Fraction:
+    """The product of the centered weights of D at sites a and b."""
+    _require_same_cover(spec, D, a, b)
+    oa, ob = spec.site_orders[a], spec.site_orders[b]
+    return _centered(oa, D.beta[a]) * _centered(ob, D.beta[b])
+
+
+def q_e(spec: CoverSpec, inv: CoverInvariants, D: InvariantDivisor,
+        a: int, b: int) -> Fraction:
+    """Orbit sum of q_delta: the definitional, brute-force route."""
+    return sum(
+        (q_delta(spec, member, a, b) for member in orbit(spec, inv, D)),
+        Fraction(0))
+
+
+def q_e_closed_form(spec: CoverSpec, inv: CoverInvariants,
+                    D: InvariantDivisor, a: int, b: int) -> Fraction:
+    """The Dedekind-sum closed form of the orbit sum.
+
+    Any member of the orbit of D gives the same value, because the
+    argument beta_b - h beta_a is constant modulo d along the orbit.
+    """
+    _require_same_cover(spec, D, a, b)
+    group = spec.group
+    oa, ob = spec.site_orders[a], spec.site_orders[b]
+    data = intersection_data(group, spec.sites[a].element,
+                             spec.sites[b].element)
+    s = (D.beta[b] - data.h * D.beta[a]) % data.d
+    return Fraction(group.order, oa * ob) * \
+        phi_exact(PhiKey.of(data.d, data.h, s))
+
+
+def gamma(group: AbelianGroup, s: GroupElement,
+          r: GroupElement) -> Fraction:
+    """The definitional character average (1/n) sum over chi of
+    u_{chi,s} u_{chi,r} / (o(s) o(r)), summed in ints: u_{chi,s} / o(s) =
+    sum_l e_l d_l / m_l mod 1 = (sum_l e_l d_l (m/m_l) mod m) / m."""
+    if s.is_identity() or r.is_identity():
+        raise DomainError("gamma requires nontrivial elements")
+    _require_membership(group, s)
+    _require_membership(group, r)
+    m = group.exponent
+    ws, wr = ([x * (m // f) for x, f in zip(e.residues, group.factor_orders)]
+              for e in (s, r))
+    total = sum(sum(map(mul, e, ws)) % m * (sum(map(mul, e, wr)) % m)
+                for e in product(*map(range, group.factor_orders)))
+    return Fraction(total, group.order * m * m)
+
+
+def gamma_closed_form(group: AbelianGroup, s: GroupElement,
+                      r: GroupElement) -> Fraction:
+    """gamma via intersection data:
+    phi_{h+dZ}(0)/(o o') + (o-1)(o'-1)/(4 o o')."""
+    if s.is_identity() or r.is_identity():
+        raise DomainError("gamma requires nontrivial elements")
+    o_s = element_order(group, s)
+    o_r = element_order(group, r)
+    data = intersection_data(group, s, r)
+    phi0 = phi_exact(PhiKey.of(data.d, data.h, 0))
+    return (phi0 + Fraction((o_s - 1) * (o_r - 1), 4)) / (o_s * o_r)
+
+
+def thomae_exponent_closed_form(spec: CoverSpec, inv: CoverInvariants,
+                                D: InvariantDivisor, pair: PairKey) -> int:
+    """The exponent of (lambda_a - lambda_b):  4m (2 q_e + n gamma).
+
+    Assembled in exact rational arithmetic and only then converted; a
+    non-integral or odd result is an internal error, never silently
+    truncated.
+    """
+    if not is_nonspecial(spec, inv, D):
+        raise DomainError("exponents are defined for non-special divisors")
+    a, b = pair.first, pair.second
+    value = 4 * inv.m * (
+        2 * q_e_closed_form(spec, inv, D, a, b)
+        + inv.n * gamma_closed_form(spec.group, spec.sites[a].element,
+                                    spec.sites[b].element))
+    if value.denominator != 1 or value.numerator % 2:
+        raise ConsistencyError(
+            f"exponent for pair ({a}, {b}) is not an even integer: {value}")
+    return int(value)
 
 
 def binomial_level_matrix(d: int) -> list[list[Fraction]]:

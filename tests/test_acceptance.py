@@ -18,15 +18,15 @@ import mpmath
 import pytest
 
 from abelcover import (NoSolutionError, PairKey, PhiKey, UniPoly,
-                       build_pchichi, chi_action, classical_dedekind_sum,
-                       degree, dual_group, enumerate_nonspecial,
-                       exponent_table, gamma, gamma_closed_form,
-                       integrality_class, negation_N, orbit, pairing_u,
-                       phi_exact, q_delta, q_e, q_e_closed_form,
-                       relabel_equivalent, solve_polexist)
+                       build_pchichi, chi_action, degree, dual_group,
+                       enumerate_nonspecial, exponent_table, negation_N,
+                       orbit, pairing_u, phi_exact, relabel_equivalent,
+                       solve_polexist)
 from abelcover.cli import main as cli_main
 from abelcover.polykernel import assembly_w_degree
-from oracles import binomial_level_matrix, matrix_inverse, phi_numeric_oracle
+from oracles import (binomial_level_matrix, classical_dedekind_sum, gamma,
+                     gamma_closed_form, integrality_class, matrix_inverse,
+                     phi_numeric_oracle, q_delta, q_e, q_e_closed_form)
 from test_polykernel import random_instance
 
 

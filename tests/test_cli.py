@@ -3,8 +3,10 @@ selftest, output schemas, exit codes, and cross-format determinism."""
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import csv
+import importlib
 import io
 import json
 import os
@@ -142,12 +144,26 @@ class TestParsing:
         assert captured.err == ""
 
     def test_lambda_at_the_digit_limit_is_listed(self, write_doc, capsys):
+        for value in (".1e-4298", "1e-4298", "9e4298", "-" + "9" * 4299):
+            doc = {"group": [2], "branch_points": [
+                {"element": [1], "lambda": "0"},
+                {"element": [1], "lambda": value}]}
+            code, out = run(capsys, "enumerate", write_doc(doc))
+            assert code == 0
+            assert json.loads(out)["count"] == 2
+
+    def test_long_bad_lambda_is_not_echoed_whole(self, write_doc, capsys):
         doc = {"group": [2], "branch_points": [
-            {"element": [1], "lambda": "0"},
-            {"element": [1], "lambda": ".1e-4298"}]}
-        code, out = run(capsys, "enumerate", write_doc(doc))
-        assert code == 0
-        assert json.loads(out)["count"] == 2
+            {"element": [1], "lambda": "1/" + "x" * 200_000},
+            {"element": [1], "lambda": "1"}]}
+        code = main(["validate", write_doc(doc)])
+        captured = capsys.readouterr()
+        assert code == 1
+        error = json.loads(captured.out)["error"]
+        assert (error["kind"], error["path"]) == \
+            ("parse", "branch_points[0].lambda")
+        assert "200002 characters" in error["detail"]
+        assert len(captured.out.encode()) < 1024
 
 
 class TestCommandLine:
@@ -740,14 +756,36 @@ class TestSelftest:
     def test_runs_without_mpmath(self):
         """The library needs nothing outside the standard library: with
         mpmath made unimportable, abelcover and its CLI still import and
-        the selftest passes."""
-        script = ("import sys\n"
-                  "sys.modules['mpmath'] = None\n"
-                  "import abelcover, abelcover.cli\n"
-                  "sys.exit(abelcover.cli.main(['selftest']))\n")
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.rstrip().endswith("selftest ok")
+        the selftest passes.  With mpmath and the test oracles importable,
+        the selftest loads neither."""
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(root / "src"), str(root / "tests")])}
+        for block in ("sys.modules['mpmath'] = None\n", ""):
+            script = ("import sys\n" + block +
+                      "import abelcover, abelcover.cli\n"
+                      "code = abelcover.cli.main(['selftest'])\n"
+                      "assert not {'mpmath', 'oracles'} & {\n"
+                      "    k for k, v in sys.modules.items() if v}, 'loaded'\n"
+                      "sys.exit(code)\n")
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.rstrip().endswith("selftest ok")
+
+
+class TestBenchmarkTracer:
+    def test_traced_names_resolve(self):
+        # perfbench/tracer.py wraps each TRACED "module.attr" of abelcover
+        # and perfbench/worker.py reads pairing_u.cache_info()
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        [traced] = [ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets] == ["TRACED"]]
+        for label in traced:
+            module_name, attr = label.split(".")
+            module = importlib.import_module(f"abelcover.{module_name}")
+            assert callable(getattr(module, attr, None)), label
+        assert importlib.import_module(
+            "abelcover.group_core").pairing_u.cache_info().maxsize is None

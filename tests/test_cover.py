@@ -35,6 +35,21 @@ class TestSpecConstruction:
         # occurrence follows document order within each element
         assert [s.value for s in spec.sites] == [1, 3, 0, 2]
 
+    @pytest.mark.parametrize("value", [
+        Fraction(10 ** 5000 + 1, 3), Fraction(-(10 ** 4300)),
+        Fraction(1, 10 ** 4300)])
+    def test_value_over_4300_digits_rejected(self, value):
+        g = AbelianGroup((2,))
+        with pytest.raises(MalformedDataError, match="4300 digits"):
+            BranchPoint(g.element([1]), value)
+
+    def test_value_of_4300_digits_validates(self):
+        # str() of each part, as the cover fingerprint needs, still works
+        big = 10 ** 4300 - 1
+        spec = build_cover([2], [([1], Fraction(-big, big - 1)),
+                                 ([1], Fraction(1, big))])
+        assert validate(spec).g == 0
+
     def test_fingerprint_distinguishes_values(self):
         a = build_cover([2], [([1], v) for v in range(6)])
         b = build_cover([2], [([1], v) for v in range(5)] + [([1], 7)])

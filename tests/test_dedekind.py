@@ -12,9 +12,9 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abelcover import (DomainError, PhiKey, classical_dedekind_sum,
-                       integrality_class, phi_exact)
-from oracles import phi_numeric_oracle
+from abelcover import DomainError, PhiKey, phi_exact
+from oracles import (classical_dedekind_sum, integrality_class,
+                     phi_numeric_oracle)
 
 
 @st.composite

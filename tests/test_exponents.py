@@ -12,11 +12,12 @@ import pytest
 import abelcover.exponents as exponents_module
 from abelcover import (AbelianGroup, ConsistencyError, DomainError,
                        MalformedDataError, PairKey, dual_group,
-                       enumerate_nonspecial, exponent_table, gamma,
-                       gamma_closed_form, make_divisor, orbit, pairing_u,
-                       q_delta, q_e, q_e_closed_form, relabel_equivalent,
-                       thomae_exponent, validate)
+                       enumerate_nonspecial, exponent_table, make_divisor,
+                       orbit, pairing_u, relabel_equivalent, thomae_exponent,
+                       validate)
 from conftest import build_cover
+from oracles import (gamma, gamma_closed_form, q_delta, q_e, q_e_closed_form,
+                     thomae_exponent_closed_form)
 
 
 def all_small_factorizations(max_order=24):
@@ -28,21 +29,11 @@ def all_small_factorizations(max_order=24):
     def extend(prefix, remaining):
         if prefix:
             out.append(tuple(prefix))
-        start = 2
-        for f in range(start, remaining + 1):
+        for f in range(2, remaining + 1):
             extend(prefix + [f], remaining // f)
 
     extend([], max_order)
-    return [fs for fs in out
-            if all(f >= 2 for f in fs)
-            and _product(fs) <= max_order]
-
-
-def _product(fs):
-    r = 1
-    for f in fs:
-        r *= f
-    return r
+    return out
 
 
 class TestPairKey:
@@ -205,7 +196,6 @@ class TestThomaeExponent:
 
     def test_genus_zero_cover(self):
         spec = build_cover([2], [([1], 0), ([1], 1)])
-        from abelcover import validate
         inv = validate(spec)
         D = make_divisor(spec, [1, 0])
         assert thomae_exponent(spec, inv, D, PairKey(0, 1)) == 0
@@ -217,6 +207,24 @@ class TestThomaeExponent:
                             PairKey(0, 1))
         with pytest.raises(DomainError):
             exponent_table(spec, inv, make_divisor(spec, [1] * 6))
+
+    def test_foreign_divisor_and_position_refused(self, hyperelliptic,
+                                                  cyclic3):
+        spec, inv = hyperelliptic.spec, hyperelliptic.inv
+        D = make_divisor(spec, [0, 0, 0, 1, 1, 1])
+        with pytest.raises(MalformedDataError):
+            thomae_exponent(spec, inv, D, PairKey(0, 6))
+        foreign = make_divisor(cyclic3.spec, [2, 1, 0])
+        with pytest.raises(MalformedDataError):
+            thomae_exponent(spec, inv, foreign, PairKey(0, 1))
+
+    def test_equals_table_entry_on_battery(self, battery, z5h2):
+        for cover in (*battery, z5h2):
+            spec, inv = cover.spec, cover.inv
+            for D in enumerate_nonspecial(spec, inv):
+                table = exponent_table(spec, inv, D)
+                for pair, value in table.entries.items():
+                    assert thomae_exponent(spec, inv, D, pair) == value
 
 
 class TestExponentTable:
@@ -283,14 +291,14 @@ class TestExponentTable:
                     Fraction(0))
                 assert lhs == rhs
 
-    def test_rows_match_thomae_exponent_on_battery(self, battery):
+    def test_rows_match_thomae_exponent_on_battery(self, battery, z5h2):
         # the integer rows against the rational closed-form route, on
-        # every divisor of every battery cover
-        for cover in battery:
+        # every divisor of every battery cover and of z5h2
+        for cover in (*battery, z5h2):
             spec, inv = cover.spec, cover.inv
             B = len(spec.sites)
             for D in enumerate_nonspecial(spec, inv):
-                expected = {PairKey(a, b): thomae_exponent(
+                expected = {PairKey(a, b): thomae_exponent_closed_form(
                     spec, inv, D, PairKey(a, b))
                     for a in range(B) for b in range(a + 1, B)}
                 assert exponent_table(spec, inv, D).entries == expected

@@ -42,6 +42,11 @@ class TestUniPoly:
         assert p.coefficient(1) == 0
         assert p.coefficient(7) == 0
 
+    @pytest.mark.parametrize("k", [-1, -2, 1.0, True, "2", None])
+    def test_monomial_bad_degree_rejected(self, k):
+        with pytest.raises(DomainError):
+            UniPoly.monomial(5, k)
+
     def test_from_roots(self):
         p = UniPoly.from_roots([1, 2])
         assert p == UniPoly.of([2, -3, 1])
