@@ -34,10 +34,9 @@ from functools import cache
 from .cover import CoverInvariants, CoverSpec, BranchPoint, validate
 from .dedekind import PhiKey, phi_exact
 from .divisors import (DEFAULT_NODE_CAP, InvariantDivisor, enumerate_nonspecial,
-                       enumerate_orbits, is_nonspecial, make_divisor,
-                       negation_N, orbit)
-from .errors import (AbelcoverError, ConsistencyError, ParseError,
-                     ResourceCapError)
+                       enumerate_orbits, make_divisor, negation_N, orbit)
+from .errors import (AbelcoverError, ConsistencyError, DomainError,
+                     MalformedDataError, ParseError, ResourceCapError)
 from .exponents import exponent_table
 from .group_core import AbelianGroup
 
@@ -47,9 +46,10 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
-# most mantissa digits plus |exponent| in a lambda string: the value then
-# prints within CPython's 4300-digit limit (".1e-4298" is 1/10**4299)
-LAMBDA_DIGITS = 4299
+# most mantissa digits plus |exponent| in a lambda string, a work bound so
+# that Fraction never builds a power of ten past 10**8600; BranchPoint's
+# 4300-digit bound then decides which values are accepted
+LAMBDA_DIGITS = 8600
 
 
 def load_cover_document(path: str) -> CoverSpec:
@@ -101,9 +101,12 @@ def parse_cover_object(raw) -> CoverSpec:
         if not _is_int_list(res):
             raise ParseError("element must be a list of integers",
                              path=f"{where}.element")
-        branch_points.append(BranchPoint(
-            element=group.element(res),
-            value=_parse_value(entry["lambda"], f"{where}.lambda")))
+        element = group.element(res)
+        value = _parse_value(entry["lambda"], f"{where}.lambda")
+        try:
+            branch_points.append(BranchPoint(element=element, value=value))
+        except MalformedDataError as exc:  # the value is too large
+            raise ParseError(str(exc), path=f"{where}.lambda")
     return CoverSpec(group=group, branch_points=tuple(branch_points))
 
 
@@ -219,12 +222,13 @@ def cmd_exponents(args) -> int:
     spec = load_cover_document(args.path)
     inv = validate(spec)
     D = _select_divisor(spec, inv, args.divisor, args)
-    if not is_nonspecial(spec, inv, D):
+    try:
+        table = exponent_table(spec, inv, D)
+    except DomainError:  # D fails the counting condition
         _emit({"error": {"kind": "not-nonspecial",
                          "detail": "selected divisor fails the counting "
                                    "condition"}})
         return EXIT_INVALID
-    table = exponent_table(spec, inv, D)
     rows = []
     for key, value in table.entries.items():
         sa, sb = spec.sites[key.first], spec.sites[key.second]

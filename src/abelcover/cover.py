@@ -10,20 +10,22 @@ Validation checks three things and then derives the numeric invariants:
   * distinctness of the branch values,
   * monodromy closure, i.e. the branch elements sum to the identity,
     which is equivalent to every character integer t_chi being integral,
-  * connectedness, i.e. the branch elements generate A.
+  * connectedness, i.e. the branch elements generate A, read off t:
+    t_chi = 0 exactly for the characters trivial on the generated
+    subgroup H, and there are n / |H| of them.
 
 The genus comes from Riemann-Hurwitz,
 
     g = 1 - n + (1/2) sum over branch points of (n / o(sigma)) (o(sigma) - 1),
 
 and the integers t_chi = sum over branch points of u_{chi,sigma} / o(sigma)
-are computed exactly for every character.  Both are cross-checked against
+are computed exactly for every character.  The genus is checked against
 the dimension identity sum over nontrivial chi of (t_{conj(chi)} - 1) = g
 before anything is returned.
 
 validate is the only place where u_{chi,sigma} is computed for a cover;
 it keeps the table as CoverInvariants.u, and compiles the counting
-condition into packed ints.  The helpers of later layers take a
+condition into packed ints from it.  The helpers of later layers take a
 validated CoverInvariants as given and check each divisor once.
 """
 
@@ -33,6 +35,7 @@ import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from operator import mul
 
 from .errors import (ConsistencyError, DisconnectedCoverError,
@@ -141,11 +144,12 @@ class CoverSpec:
 @dataclass
 class CoverInvariants:
     """Validated numeric invariants of a cover: group order n, exponent m,
-    genus g, the character integers t_chi, and the pairing table u with
-    u[chi][k] = u_{chi,sigma} for the site at canonical position k.  Both
-    dicts hold every character, in dual-group order.  packed[k][v] has a
-    bit field per character, 1 where weight v at site k counts;
-    packed_target has t_chi there; degree_weights[k] = n / o(sigma).
+    genus g, the character integers t_chi (> 0 unless chi is trivial) and
+    the pairing table u with u[chi][k] = u_{chi,sigma} for the site at
+    canonical position k, both in dual-group order.  packed[k][v] has a
+    bit field per character, 1 where weight v >= o(sigma) - u[chi][k]
+    counts at site k; packed_target has t_chi there; degree_weights[k] =
+    n / o(sigma).
     Fields are B.bit_length() + 1 bits wide: a count never exceeds B, so
     sums never carry between fields and the top bit of each is a free
     guard bit, set in packed_guard.  (x | packed_guard) - y keeps a
@@ -166,17 +170,17 @@ class CoverInvariants:
 
 
 def validate(spec: CoverSpec) -> CoverInvariants:
-    """Check every cover invariant and compute (n, m, g, t, u).
+    """Check every cover invariant; compute (n, m, g, t, u) and the
+    packed tables from one pass over the dual group.
 
     Raises MalformedDataError on duplicate branch values,
     InvalidCoverError (reason "monodromy") when the branch elements do not
-    sum to the identity, and DisconnectedCoverError when they fail to
-    generate the group.  Non-integral genus or t_chi raise
-    ConsistencyError; they are unreachable once monodromy closure holds.
-    """
+    sum to the identity, and DisconnectedCoverError when more than one
+    t_chi is 0, i.e. they fail to generate the group.  A failed identity
+    (t, genus, dimension) raises ConsistencyError; it is unreachable once
+    monodromy closure holds."""
     group = spec.group
     n = group.order
-    m = group.exponent
 
     seen: set[Fraction] = set()
     for bp in spec.branch_points:
@@ -184,20 +188,13 @@ def validate(spec: CoverSpec) -> CoverInvariants:
             raise MalformedDataError(f"duplicate branch value {bp.value}")
         seen.add(bp.value)
 
-    orders = group.factor_orders
     residues = [bp.element.residues for bp in spec.branch_points]
     total = tuple(sum(r[i] for r in residues) % o
-                  for i, o in enumerate(orders))
+                  for i, o in enumerate(group.factor_orders))
     if any(total):
         raise InvalidCoverError(
             "monodromy",
             f"branch monodromies sum to {total} instead of the identity")
-
-    generated = _generated_subgroup(orders, list(dict.fromkeys(residues)))
-    if len(generated) != n:
-        raise DisconnectedCoverError(
-            f"branch elements generate a subgroup of order {len(generated)} "
-            f"inside a group of order {n}")
 
     weights = tuple(n // o for o in spec.site_orders)
     t: dict[Character, int] = {}
@@ -210,13 +207,14 @@ def validate(spec: CoverSpec) -> CoverInvariants:
             raise ConsistencyError(
                 f"t for character {chi.residues} is non-integral despite "
                 f"monodromy closure")
-        if chi.is_trivial():
-            if t[chi] != 0:
-                raise ConsistencyError("t at the trivial character is nonzero")
-        elif t[chi] <= 0:
-            raise ConsistencyError(
-                f"t for nontrivial character {chi.residues} is {t[chi]}, "
-                f"expected positive on a connected cover")
+        if chi.is_trivial() and t[chi] != 0:
+            raise ConsistencyError("t at the trivial character is nonzero")
+
+    blind = list(t.values()).count(0)  # n / |H|, H the generated subgroup
+    if blind > 1:
+        raise DisconnectedCoverError(
+            f"branch elements generate a subgroup of order {n // blind} "
+            f"inside a group of order {n}")
 
     genus = 1 - n + Fraction(sum(
         w * (o - 1) for w, o in zip(weights, spec.site_orders)), 2)
@@ -232,14 +230,16 @@ def validate(spec: CoverSpec) -> CoverInvariants:
             f"genus {g}")
 
     width = len(spec.sites).bit_length() + 1  # counts <= B: top bit free
-    packed = tuple(tuple(sum(1 << (c * width)
-                             for c, row in enumerate(u.values())
-                             if v >= o - row[k]) for v in range(o))
-                   for k, o in enumerate(spec.site_orders))
+    packed = []
+    for k, o in enumerate(spec.site_orders):
+        starts = [0] * (o + 1)  # character c counts from weight o - u on
+        for c, row in enumerate(u.values()):
+            starts[o - row[k]] += 1 << (c * width)
+        packed.append(tuple(accumulate(starts[:o])))
     return CoverInvariants(
-        group=group, n=n, m=m, g=g, t=t, u=u, packed=packed,
-        packed_target=sum(tc << (c * width)
-                          for c, tc in enumerate(t.values())),
+        group=group, n=n, m=group.exponent, g=g, t=t, u=u,
+        packed=tuple(packed), packed_target=sum(
+            tc << (c * width) for c, tc in enumerate(t.values())),
         packed_guard=sum(1 << (c * width + width - 1) for c in range(n)),
         degree_weights=weights, cover_fingerprint=spec.fingerprint)
 
@@ -268,20 +268,3 @@ def differential_basis_descriptor(
         raise ConsistencyError(
             f"differential basis has {len(out)} entries for genus {inv.g}")
     return out
-
-
-def _generated_subgroup(orders: tuple[int, ...],
-                        gens: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    identity = (0,) * len(orders)
-    closure = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gen in gens:
-                y = tuple([(a + b) % o for a, b, o in zip(x, gen, orders)])
-                if y not in closure:
-                    closure.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return closure

@@ -12,7 +12,11 @@ beside the tests that use them, to cross-check it:
     which checks the integer exponent rows in rational arithmetic;
   * exact Gauss-Jordan elimination over Fractions and the Pascal-shaped
     level matrices of the kernel solver, which check solve_level and the
-    level-0 identity M^-1[0][0] = d.
+    level-0 identity M^-1[0][0] = d;
+  * generated_subgroup, the breadth-first closure of the branch elements
+    that checks the connectedness validate reads off t, and
+    packed_tables, the per-weight definition of validate's packed
+    counting tables.
 
 Tests import this module the way they import conftest.
 """
@@ -190,6 +194,40 @@ def thomae_exponent_closed_form(spec: CoverSpec, inv: CoverInvariants,
         raise ConsistencyError(
             f"exponent for pair ({a}, {b}) is not an even integer: {value}")
     return int(value)
+
+
+def generated_subgroup(orders: tuple[int, ...],
+                       gens: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """The residue vectors of the subgroup that gens generate."""
+    identity = (0,) * len(orders)
+    closure = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for gen in gens:
+                y = tuple([(a + b) % o for a, b, o in zip(x, gen, orders)])
+                if y not in closure:
+                    closure.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return closure
+
+
+def packed_tables(spec: CoverSpec,
+                  inv: CoverInvariants) -> tuple[tuple[tuple[int, ...], ...],
+                                                 int, int]:
+    """(packed, packed_target, packed_guard) by definition: field c of
+    packed[k][v] is 1 when weight v counts for character c at site k,
+    i.e. v >= o - u[c][k]; fields are B.bit_length() + 1 bits wide."""
+    width = len(spec.sites).bit_length() + 1
+    packed = tuple(tuple(sum(1 << (c * width)
+                             for c, row in enumerate(inv.u.values())
+                             if v >= o - row[k]) for v in range(o))
+                   for k, o in enumerate(spec.site_orders))
+    target = sum(tc << (c * width) for c, tc in enumerate(inv.t.values()))
+    guard = sum(1 << (c * width + width - 1) for c in range(inv.n))
+    return packed, target, guard
 
 
 def binomial_level_matrix(d: int) -> list[list[Fraction]]:

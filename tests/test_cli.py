@@ -124,14 +124,16 @@ class TestParsing:
         assert captured.err == ""
 
     @pytest.mark.parametrize("value", [
-        "1e5000", "1e-5000", "0.5e4400", "1e999999999", ".1e-4299"])
+        "1e5000", "1e-5000", "0.5e4400", "1e4300", "1e-4300", ".1e-4299",
+        "1e999999999"])
     @pytest.mark.parametrize("verb", [
         ["validate"], ["enumerate"], ["exponents", "--divisor", "0"]],
         ids=["validate", "enumerate", "exponents"])
     def test_lambda_with_too_many_digits_exit_1(self, write_doc, capsys,
                                                 value, verb):
-        # each value prints to over 4300 digits; the last would also
-        # build a 10**999999999 if it reached Fraction
+        # each value has a numerator or denominator of over 4300 digits,
+        # which BranchPoint refuses; the last is refused before Fraction
+        # would build 10**999999999
         doc = {"group": [2], "branch_points": [
             {"element": [1], "lambda": "0"},
             {"element": [1], "lambda": value}]}
@@ -144,7 +146,8 @@ class TestParsing:
         assert captured.err == ""
 
     def test_lambda_at_the_digit_limit_is_listed(self, write_doc, capsys):
-        for value in (".1e-4298", "1e-4298", "9e4298", "-" + "9" * 4299):
+        for value in (".1e-4298", "1e-4298", "9e4298", "-" + "9" * 4299,
+                      "1e-4299", "1e4299", "0.1e4300"):
             doc = {"group": [2], "branch_points": [
                 {"element": [1], "lambda": "0"},
                 {"element": [1], "lambda": value}]}

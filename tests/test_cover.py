@@ -1,5 +1,6 @@
 """Cover validation: site canonicalization, monodromy closure,
-connectedness, the ramification counts t, and the genus."""
+connectedness, the ramification counts t, the genus, and the packed
+counting tables."""
 
 from __future__ import annotations
 
@@ -13,6 +14,20 @@ from abelcover import (AbelianGroup, BranchPoint, CoverSpec,
                        MalformedDataError, differential_basis_descriptor,
                        dual_group, validate)
 from conftest import build_cover
+from oracles import generated_subgroup, packed_tables
+from test_divisors import draw_noncyclic_cover
+
+
+def disconnected_message(spec: CoverSpec) -> str | None:
+    """The DisconnectedCoverError text for spec by the subgroup closure,
+    or None when the branch elements generate the group."""
+    gens = list(dict.fromkeys(bp.element.residues
+                              for bp in spec.branch_points))
+    order = len(generated_subgroup(spec.group.factor_orders, gens))
+    if order == spec.group.order:
+        return None
+    return (f"branch elements generate a subgroup of order {order} "
+            f"inside a group of order {spec.group.order}")
 
 
 class TestSpecConstruction:
@@ -82,6 +97,22 @@ class TestValidate:
             validate(spec)
         assert str(info.value) == ("branch elements generate a subgroup of "
                                    "order 2 inside a group of order 4")
+
+    @pytest.mark.parametrize("factors,points", [
+        ([6], [([2], v) for v in range(3)]),
+        ([2, 4], [([0, 2], 0), ([0, 2], 1)]),
+        ([3, 6], [([0, 2], 0), ([0, 2], 1), ([0, 2], 2)]),
+        ([8], [([2], 0), ([6], 1)]),
+        ([4, 4], [([2, 0], 0), ([2, 0], 1)])])
+    def test_disconnected_names_the_subgroup_order(self, factors, points):
+        # subgroups H with |H| != n / |H|, so the order is told apart from
+        # the number of characters trivial on H
+        spec = build_cover(factors, points)
+        expected = disconnected_message(spec)
+        assert expected is not None
+        with pytest.raises(DisconnectedCoverError) as info:
+            validate(spec)
+        assert str(info.value) == expected
 
     def test_hyperelliptic_invariants(self, hyperelliptic):
         inv = hyperelliptic.inv
@@ -176,15 +207,47 @@ class TestValidate:
             return
         spec = CoverSpec(group, tuple(
             BranchPoint(e, Fraction(i)) for i, e in enumerate(usable)))
-        try:
-            inv = validate(spec)
-        except (InvalidCoverError, DisconnectedCoverError):
+        # monodromy closes by construction: validate fails exactly when
+        # the closure of the branch elements is a proper subgroup
+        expected = disconnected_message(spec)
+        if expected is not None:
+            with pytest.raises(DisconnectedCoverError) as info:
+                validate(spec)
+            assert str(info.value) == expected
             return
+        inv = validate(spec)
         assert inv.g >= 0
         assert all(t >= 0 for t in inv.t.values())
         assert sum(max(inv.t[chi.conjugate()] - 1, 0)
                    for chi in dual_group(group)
                    if not chi.is_trivial()) == inv.g
+
+
+class TestPackedTables:
+    """validate's packed tables, built by threshold, against the
+    per-weight definition."""
+
+    @staticmethod
+    def check(spec, inv):
+        assert (inv.packed, inv.packed_target, inv.packed_guard) == \
+            packed_tables(spec, inv)
+
+    def test_battery(self, battery, mixed4, sparse6, z7x7):
+        for cover in (*battery, mixed4, sparse6, z7x7):
+            self.check(cover.spec, cover.inv)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_noncyclic_covers(self, data):
+        cover = draw_noncyclic_cover(data)
+        self.check(cover.spec, cover.inv)
+
+    @pytest.mark.parametrize("p", [211, 1009])
+    def test_large_cyclic_group(self, p):
+        spec = build_cover([p], [([1], 0), ([1], 1), ([p - 2], 2)])
+        inv = validate(spec)
+        assert inv.g == (p - 1) // 2
+        self.check(spec, inv)
 
 
 class TestDifferentialBasis:
