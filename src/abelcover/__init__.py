@@ -3,9 +3,9 @@
 The package enumerates the non-special invariant divisors of a branched
 abelian cover, evaluates the generalized Dedekind sums that govern their
 quadrilateral exponents, and assembles integral Thomae exponent tables.
-Everything runs over exact rationals: every result is a Fraction or an
-int, the library has no floating point, and it needs nothing outside
-the standard library.
+Everything is exact: every result is a Fraction or an int, the library
+has no floating point, and it needs nothing outside the standard
+library.
 """
 
 from .cover import (BranchPoint, BranchSite, CoverInvariants, CoverSpec,

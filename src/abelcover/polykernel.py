@@ -27,14 +27,19 @@ x_1 = -d x_0, that is lead(f_1) = d lead(f_0).
 The finished solution is verified by fully expanding S(z, w) and reading
 off its w-degree.
 
-All arithmetic is over exact rationals.
+The solver clears denominators once: f_0 and f_1 are scaled to integer
+rows over one common denominator L, the levels, the degree checks and
+the expansion run on ints, and each coefficient of the result becomes
+a Fraction only at the end.  build_pchichi builds f_0 and f_1 over the
+integers in the same way.  Every coefficient a caller sees is a
+Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
 from .cover import CoverInvariants, CoverSpec, _require_validated
@@ -89,15 +94,6 @@ class UniPoly:
             raise DomainError(f"monomial degree must be an int >= 0, got {k!r}")
         return cls((Fraction(0),) * k + (c,))
 
-    @classmethod
-    def from_roots(cls, roots: Sequence) -> "UniPoly":
-        out = [Fraction(1)]
-        for r in map(_exact, roots):
-            out = [Fraction(0)] + out  # times z, then minus r times the old
-            for k in range(len(out) - 1):
-                out[k] -= r * out[k + 1]
-        return cls(tuple(out))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -131,14 +127,15 @@ class KernelSolution:
     e: int
 
 
-def solve_level(a: int, r: int, b0: Fraction, b1: Fraction) -> list[Fraction]:
+def solve_level(a: int, r: int, b0: int, b1: int) -> list[int]:
     """Solve sum_{l=a+1}^{a+r} C(l, i) x_l = b_i for i = 0..r-1, where
     b_0 = b0, b_1 = b1 (absent when r = 1) and every other b_i is zero.
 
     As sum_i C(l, i) y^i = (1+y)^l, x_{a+j} is the coefficient of s^(j-1)
     in Q(s-1), Q(y) = (b0 - b1)(1+y)^-(a+1) + b1 (1+y)^-a mod y^r.  In
     ((1+y)^-p mod y^r)(s-1), s^m has the coefficient
-    (-1)^m C(p-1+m, m) C(p-1+r, r-1-m) by the hockey-stick identity.
+    (-1)^m C(p-1+m, m) C(p-1+r, r-1-m) by the hockey-stick identity, an
+    integer, so integer right-hand sides give integer x_l.
     """
     def at_s_minus_one(p: int, m: int) -> int:
         if p == 0:
@@ -149,6 +146,36 @@ def solve_level(a: int, r: int, b0: Fraction, b1: Fraction) -> list[Fraction]:
             for m in range(r)]
 
 
+def _scaled_rows(polys: Sequence[UniPoly]) -> tuple[int, list[list[int]]]:
+    """L, the lcm of every coefficient denominator, and the coefficients
+    of each L f_l as ints, low degree first."""
+    scale = lcm(*(c.denominator for f in polys for c in f.coeffs))
+    return scale, [[c.numerator * (scale // c.denominator) for c in f.coeffs]
+                   for f in polys]
+
+
+def _row_degree(row: Sequence[int]) -> int:
+    """The degree of the polynomial with these coefficients; -1 if zero."""
+    k = len(row) - 1
+    while k >= 0 and not row[k]:
+        k -= 1
+    return k
+
+
+def _expand(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """S(z, w) = sum_l f_l(w) (z - w)^l expanded fully from the integer
+    rows of f_0, ..., f_d: entry i lists the coefficients of z^i by
+    power of w."""
+    width = max(len(row) + l for l, row in enumerate(rows))
+    out = [[0] * width for _ in rows]
+    for l, row in enumerate(rows):
+        for i in range(l + 1):
+            c, dst, lo = comb(l, i) * (-1) ** (l - i), out[i], l - i
+            hi = lo + len(row)
+            dst[lo:hi] = [x + c * a for x, a in zip(dst[lo:hi], row)]
+    return out
+
+
 def solve_polexist(f0: UniPoly, f1: UniPoly, d: int, e: int) -> KernelSolution:
     """Construct the canonical f_2, ..., f_d for the given f_0, f_1.
 
@@ -156,6 +183,9 @@ def solve_polexist(f0: UniPoly, f1: UniPoly, d: int, e: int) -> KernelSolution:
     Raises NoSolutionError when lead(f_1) differs from d * lead(f_0); the
     level-0 system leaves no other choice.  The returned solution sets
     every free coefficient to zero and is verified by full expansion.
+    The levels, the checks and the expansion run on L f_l as ints, L the
+    lcm of the denominators in f_0 and f_1; each new coefficient becomes
+    a Fraction once, at the end.
     """
     if d < 1 or e < 1:
         raise DomainError(f"need d >= 1 and e >= 1, got d={d}, e={e}")
@@ -164,10 +194,11 @@ def solve_polexist(f0: UniPoly, f1: UniPoly, d: int, e: int) -> KernelSolution:
         if f.degree != want:
             raise DomainError(
                 f"{name} must have degree {want}, got {f.degree}")
-    # a_{l,k} is the coefficient of (-w)^k in f_l, coeffs[l][k] that of w^k
-    a0, a1 = ([c if k % 2 == 0 else -c for k, c in enumerate(f.coeffs)]
-              for f in (f0, f1))
-    coeffs = [[Fraction(0)] * (n - l + 1) for l in range(d + 1)]
+    scale, rows = _scaled_rows((f0, f1))
+    # a_{l,k} is the coefficient of (-w)^k in L f_l, rows[l][k] that of w^k
+    a0, a1 = ([c if k % 2 == 0 else -c for k, c in enumerate(row)]
+              for row in rows)
+    rows += ([0] * (n - l + 1) for l in range(2, d + 1))
     for h in range(d):
         x1 = a1[n - h - 1] if h else 0  # unknown at level 0, checked below
         top = min(h, e)
@@ -176,38 +207,35 @@ def solve_polexist(f0: UniPoly, f1: UniPoly, d: int, e: int) -> KernelSolution:
             raise NoSolutionError(
                 f"the leading coefficient of f1 must be d = {d} times "
                 f"that of f0; got {f1.lead} against {f0.lead}")
+        # at h = 0 the first entry rewrites lead(L f_1) with itself
         for l, x in enumerate(sol, top + 1):
             k = n - h - l
-            coeffs[l][k] = x if k % 2 == 0 else -x
-    solution = KernelSolution(
-        (f0, f1, *(UniPoly(tuple(c)) for c in coeffs[2:])), d, e)
-    for l, fl in enumerate(solution.polys):
-        if fl.degree > n - l:
+            rows[l][k] = x if k % 2 == 0 else -x
+    for l, row in enumerate(rows):
+        degree = _row_degree(row)
+        if degree > n - l:
             raise ConsistencyError(
-                f"f_{l} has degree {fl.degree}, above the bound {n - l}")
-    wdeg = assembly_w_degree(solution)
+                f"f_{l} has degree {degree}, above the bound {n - l}")
+    wdeg = max(map(_row_degree, _expand(rows)))
     if wdeg > e:
         raise ConsistencyError(
             f"assembly has w-degree {wdeg}, above the bound e = {e}")
-    return solution
+    return KernelSolution((f0, f1, *(
+        UniPoly(tuple(Fraction(c, scale) for c in row)) for row in rows[2:])),
+        d, e)
 
 
 def assembly_by_z_power(solution: KernelSolution) -> list[UniPoly]:
     """The assembly S(z, w), expanded fully: entry i is the coefficient
     of z^i as a polynomial in w."""
-    width = max(len(fl.coeffs) + l for l, fl in enumerate(solution.polys))
-    rows = [[Fraction(0)] * width for _ in solution.polys]
-    for l, fl in enumerate(solution.polys):
-        for i in range(l + 1):
-            c = comb(l, i) * (-1) ** (l - i)
-            for k, a in enumerate(fl.coeffs, l - i):
-                rows[i][k] += c * a
-    return [UniPoly(tuple(row)) for row in rows]
+    scale, rows = _scaled_rows(solution.polys)
+    return [UniPoly(tuple(Fraction(c, scale) for c in row))
+            for row in _expand(rows)]
 
 
 def assembly_w_degree(solution: KernelSolution) -> int:
     """The exact w-degree of the assembly, from the full expansion."""
-    return max(p.degree for p in assembly_by_z_power(solution))
+    return max(map(_row_degree, _expand(_scaled_rows(solution.polys)[1])))
 
 
 def build_pchichi(spec: CoverSpec, inv: CoverInvariants,
@@ -217,9 +245,14 @@ def build_pchichi(spec: CoverSpec, inv: CoverInvariants,
     f_0 is the monic product of (z - lambda) over the branch sites whose
     monodromy lies outside ker chi; its degree is t_chi + t_conj.  f_1
     multiplies f_0 by the weighted sum of 1/(z - lambda) with weights
-    u_{chi,sigma}/o(sigma), each quotient f_0/(z - lambda) taken by
-    synthetic division with a zero remainder, so lead(f_1) = t_chi.  The
-    pair is then handed to solve_polexist with d = t_chi and e = t_conj.
+    u_{chi,sigma}/o(sigma), so lead(f_1) = t_chi.  The pair is then handed
+    to solve_polexist with d = t_chi and e = t_conj.
+
+    Both are built over the integers.  With lambda = p/q in lowest terms,
+    F_0 = prod (q z - p) has the lead Q = prod q and f_0 = F_0 / Q.  With
+    m the lcm of the active site orders,
+    m Q f_1 = sum u (m/o) q F_0/(q z - p), each quotient an exact integer
+    synthetic division whose remainder is checked to be zero.
     """
     _require_validated(spec, inv)
     if chi.is_trivial():
@@ -230,25 +263,35 @@ def build_pchichi(spec: CoverSpec, inv: CoverInvariants,
         raise DomainError(
             f"need t_chi >= 1 on both chi and its conjugate, got "
             f"{tchi} and {tbar}")
-    active = [(site.value, u, o) for site, u, o in
-              zip(spec.sites, inv.u[chi], spec.site_orders) if u > 0]
-    f0 = UniPoly.from_roots([value for value, _, _ in active])
-    if f0.degree != tchi + tbar:
+    active = [(site.value.numerator, site.value.denominator, u, o)
+              for site, u, o in zip(spec.sites, inv.u[chi], spec.site_orders)
+              if u > 0]
+    row0 = [1]
+    for p, q, _, _ in active:  # times (q z - p)
+        row0 = [q * hi - p * lo for lo, hi in zip(row0 + [0], [0] + row0)]
+    degree = len(row0) - 1
+    if degree != tchi + tbar:
         raise ConsistencyError(
-            f"support polynomial has degree {f0.degree}, expected "
+            f"support polynomial has degree {degree}, expected "
             f"t_chi + t_conj = {tchi + tbar}")
-    f1_coeffs = [Fraction(0)] * f0.degree
-    for value, u, o in active:
-        # synthetic division of f0 by (z - value), top coefficient first
-        weight, carry = Fraction(u, o), Fraction(0)
-        for k in range(f0.degree, 0, -1):
-            carry = carry * value + f0.coeffs[k]
-            f1_coeffs[k - 1] += weight * carry
-        if carry * value + f0.coeffs[0]:
+    m = lcm(*(o for _, _, _, o in active))
+    row1 = [0] * degree
+    for p, q, u, o in active:
+        # synthetic division of F_0 by (q z - p), top coefficient first
+        weight, carry, rest = u * (m // o) * q, 0, 0
+        for k in range(degree, 0, -1):
+            carry, rest = divmod(carry * p + row0[k], q)
+            if rest:
+                break
+            row1[k - 1] += weight * carry
+        if rest or carry * p + row0[0]:
             raise ConsistencyError(
                 "dividing out a branch factor left a remainder")
-    f1 = UniPoly(tuple(f1_coeffs))
-    if f1.lead != tchi * f0.lead:
+    scale = m * row0[-1]  # m Q
+    if row1[-1] != tchi * scale:
         raise ConsistencyError(
-            f"lead(f1) = {f1.lead} is not t_chi = {tchi} times lead(f0)")
-    return solve_polexist(f0, f1, tchi, tbar)
+            f"lead(f1) = {Fraction(row1[-1], scale)} is not t_chi = "
+            f"{tchi} times lead(f0)")
+    return solve_polexist(
+        UniPoly(tuple(Fraction(c, row0[-1]) for c in row0)),
+        UniPoly(tuple(Fraction(c, scale) for c in row1)), tchi, tbar)

@@ -13,6 +13,9 @@ beside the tests that use them, to cross-check it:
   * exact Gauss-Jordan elimination over Fractions and the Pascal-shaped
     level matrices of the kernel solver, which check solve_level and the
     level-0 identity M^-1[0][0] = d;
+  * poly_from_roots and kernel_pair, the Fraction construction of the
+    kernel's f_0 = prod (z - lambda) and f_1, which check the integer
+    rows that build_pchichi builds over one common denominator;
   * generated_subgroup, the breadth-first closure of the branch elements
     that checks the connectedness validate reads off t, and
     packed_tables, the per-weight definition of validate's packed
@@ -31,12 +34,14 @@ from operator import mul
 
 import mpmath
 
-from abelcover import (AbelianGroup, ConsistencyError, CoverInvariants,
-                       CoverSpec, DomainError, GroupElement, InvariantDivisor,
-                       PairKey, PhiKey, element_order, intersection_data,
-                       is_nonspecial, orbit, phi_exact)
+from abelcover import (AbelianGroup, Character, ConsistencyError,
+                       CoverInvariants, CoverSpec, DomainError, GroupElement,
+                       InvariantDivisor, PairKey, PhiKey, UniPoly,
+                       element_order, intersection_data, is_nonspecial, orbit,
+                       phi_exact)
 from abelcover.divisors import _require_same_cover
 from abelcover.group_core import _require_membership
+from abelcover.polykernel import _exact
 
 
 @lru_cache(maxsize=None)
@@ -286,3 +291,35 @@ def solve_linear_system(A: list[list[Fraction]],
     """Solve the square system A x = b exactly by Gauss-Jordan elimination."""
     work = [list(row) + [rhs] for row, rhs in zip(A, b)]
     return [x for (x,) in _gauss_jordan(work)]
+
+
+def poly_from_roots(roots) -> UniPoly:
+    """The monic polynomial prod (z - r), in Fraction arithmetic; an
+    inexact root is refused as UniPoly refuses an inexact coefficient."""
+    out = [Fraction(1)]
+    for r in map(_exact, roots):
+        out = [Fraction(0)] + out  # times z, then minus r times the old
+        for k in range(len(out) - 1):
+            out[k] -= r * out[k + 1]
+    return UniPoly(tuple(out))
+
+
+def kernel_pair(spec: CoverSpec, inv: CoverInvariants,
+                chi: Character) -> tuple[UniPoly, UniPoly]:
+    """(f_0, f_1) of build_pchichi by definition: f_0 = prod (z - lambda)
+    over the sites with u > 0, and f_1 = sum (u/o) f_0/(z - lambda), each
+    quotient a Fraction synthetic division with a zero remainder."""
+    active = [(site.value, u, o) for site, u, o in
+              zip(spec.sites, inv.u[chi], spec.site_orders) if u > 0]
+    f0 = poly_from_roots([value for value, _, _ in active])
+    f1_coeffs = [Fraction(0)] * f0.degree
+    for value, u, o in active:
+        # synthetic division of f0 by (z - value), top coefficient first
+        weight, carry = Fraction(u, o), Fraction(0)
+        for k in range(f0.degree, 0, -1):
+            carry = carry * value + f0.coeffs[k]
+            f1_coeffs[k - 1] += weight * carry
+        if carry * value + f0.coeffs[0]:
+            raise ConsistencyError(
+                "dividing out a branch factor left a remainder")
+    return f0, UniPoly(tuple(f1_coeffs))

@@ -1,7 +1,7 @@
 """Kernel polynomial solver: the exact coefficient container, the
 Pascal-shaped level matrices and their closed-form solution, the existence
-construction with its degree bound, the perturbation refusal, and the
-cover-derived instances."""
+construction with its degree bound, the perturbation refusals, and the
+cover-derived instances, with integer and rational branch values."""
 
 from __future__ import annotations
 
@@ -13,12 +13,15 @@ from math import comb
 
 import pytest
 
-from abelcover import (DomainError, MalformedDataError, NoSolutionError,
-                       UniPoly, build_pchichi, dual_group, solve_polexist)
+from abelcover import (ConsistencyError, DomainError, MalformedDataError,
+                       NoSolutionError, UniPoly, build_pchichi, dual_group,
+                       solve_polexist, validate)
 from abelcover.polykernel import (assembly_by_z_power, assembly_w_degree,
                                   solve_level)
-from oracles import (binomial_level_matrix, jordan_factor, matrix_inverse,
-                     matrix_multiply, pascal_factor, solve_linear_system)
+from conftest import build_cover
+from oracles import (binomial_level_matrix, jordan_factor, kernel_pair,
+                     matrix_inverse, matrix_multiply, pascal_factor,
+                     poly_from_roots, solve_linear_system)
 
 
 def eval_assembly(polys, z: Fraction, w: Fraction) -> Fraction:
@@ -48,7 +51,7 @@ class TestUniPoly:
             UniPoly.monomial(5, k)
 
     def test_from_roots(self):
-        p = UniPoly.from_roots([1, 2])
+        p = poly_from_roots([1, 2])
         assert p == UniPoly.of([2, -3, 1])
         assert p(1) == 0 and p(2) == 0 and p(0) == 2
 
@@ -62,7 +65,7 @@ class TestUniPoly:
         assert p.coeffs == (Fraction(3), Fraction(1, 2))
         assert all(type(c) is Fraction for c in p.coeffs)
         assert all(type(c) is Fraction
-                   for c in UniPoly.from_roots([1, 2]).coeffs)
+                   for c in poly_from_roots([1, 2]).coeffs)
 
     @pytest.mark.parametrize("bad", [0.1, 1.0, True, False, "1/3", None])
     def test_inexact_coefficients_rejected(self, bad):
@@ -73,7 +76,7 @@ class TestUniPoly:
         with pytest.raises(MalformedDataError):
             UniPoly.monomial(bad, 2)
         with pytest.raises(MalformedDataError):
-            UniPoly.from_roots([1, bad])
+            poly_from_roots([1, bad])
 
 
 class TestLevelMatrices:
@@ -117,6 +120,13 @@ class TestLevelMatrices:
         b0 = Fraction(-2, 3)
         for d in range(1, 13):
             assert solve_level(0, d, b0, 0)[0] == d * b0
+
+    def test_integer_right_hand_side_gives_integers(self):
+        for a in range(6):
+            for r in range(1, 8):
+                sol = solve_level(a, r, -7, 3)
+                assert all(type(x) is int for x in sol)
+                assert sol == solve_level(a, r, Fraction(-7), Fraction(3))
 
 
 def solutions_digest(solutions) -> str:
@@ -216,6 +226,37 @@ class TestSolvePolexist:
             with pytest.raises(NoSolutionError):
                 solve_polexist(f0, bad, d, e)
 
+    def test_no_solution_message_prints_fraction_leads(self):
+        f0 = UniPoly.of([1, 0, 0, Fraction(3, 2)])
+        f1 = UniPoly.of([0, 1, Fraction(10, 3)])
+        with pytest.raises(NoSolutionError) as info:
+            solve_polexist(f0, f1, 2, 1)
+        assert str(info.value) == (
+            "the leading coefficient of f1 must be d = 2 times that of f0; "
+            "got 10/3 against 3/2")
+
+    def test_perturbed_level_entry_caught(self, monkeypatch):
+        """One entry off by one at a level h >= 1 leaves some coefficient
+        of z^i w^j with j > e nonzero; the integer expansion must see it."""
+        rng = random.Random(17)
+        for _ in range(30):
+            d = rng.randint(2, 7)
+            e = rng.randint(1, 7)
+            f0, f1 = random_instance(rng, d, e)
+            level = rng.randint(1, d - 1)
+
+            def perturbed(a, r, b0, b1, level=level, d=d):
+                sol = solve_level(a, r, b0, b1)
+                if d - r == level:
+                    sol[level % r] += 1
+                return sol
+
+            monkeypatch.setattr("abelcover.polykernel.solve_level", perturbed)
+            with pytest.raises(ConsistencyError, match="w-degree"):
+                solve_polexist(f0, f1, d, e)
+            monkeypatch.undo()
+            solve_polexist(f0, f1, d, e)
+
     def test_precondition_errors(self):
         f0 = UniPoly.monomial(1, 3)
         f1 = UniPoly.monomial(2, 2)
@@ -245,7 +286,49 @@ class TestSolvePolexist:
         assert assembly_w_degree(solution) <= 1
 
 
+# Covers with rational branch values, so that F_0 = prod (q z - p) has a
+# lead Q = prod q > 1: Z3 with 18 negative non-integer values, Z2 x Z2,
+# and Z4 with site orders 4, 4 and 2, where m = 4 differs from o = 2.
+def _z3_values():
+    rng = random.Random(9)
+    values = []
+    while len(values) < 18:
+        v = Fraction(-rng.randint(1, 60), rng.randint(2, 9))
+        if v.denominator > 1 and v not in values:
+            values.append(v)
+    return values
+
+
+RATIONAL_COVERS = {
+    "z3x18": ([3], [([1 + k % 2], v) for k, v in enumerate(_z3_values())]),
+    "klein8": ([2, 2], [
+        ([1, 0], Fraction(1, 2)), ([1, 0], Fraction(-3, 4)),
+        ([0, 1], Fraction(5, 7)), ([0, 1], Fraction(2, 9)),
+        ([1, 1], Fraction(-7, 3)), ([1, 1], Fraction(8, 5)),
+        ([1, 1], Fraction(11, 6)), ([1, 1], Fraction(-1, 8))]),
+    "z4_442": ([4], [([1], Fraction(-5, 3)), ([1], Fraction(1, 2)),
+                     ([2], Fraction(7, 9))]),
+}
+
+
 class TestBuildPchichi:
+    @pytest.mark.parametrize("name", sorted(RATIONAL_COVERS))
+    def test_rational_values_match_fraction_oracle(self, name):
+        spec = build_cover(*RATIONAL_COVERS[name])
+        inv = validate(spec)
+        built = 0
+        for chi in dual_group(spec.group):
+            t, tc = inv.t[chi], inv.t[chi.conjugate()]
+            if chi.is_trivial() or t < 1 or tc < 1:
+                continue
+            solution = build_pchichi(spec, inv, chi)
+            assert solution.polys[:2] == kernel_pair(spec, inv, chi)
+            assert (solution.d, solution.e) == (t, tc)
+            assert all(type(c) is Fraction
+                       for f in solution.polys for c in f.coeffs)
+            built += 1
+        assert built >= 2
+
     def test_battery_lead_relation(self, battery):
         for cover in battery:
             spec, inv = cover.spec, cover.inv
