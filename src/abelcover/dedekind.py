@@ -14,9 +14,9 @@ which clears denominators to the integer expression
     sum_{u=0}^{d-1} (2u - d + 1) (2 ((hu+s) mod d) - d + 1)   over   4d,
 
 so the whole computation is integer arithmetic with a single Fraction at
-the end.  Keys are normalized to 0 <= h, s < d with gcd(h, d) = 1 and
-the values are memoized; d = 1 is allowed and gives phi identically
-zero.
+the end.  Only T(0) = 4d phi(0) is summed so; the shift law below walks
+s = 0, h, 2h, ... mod d from there in O(d), with no cache.  Keys are
+normalized to 0 <= h, s < d with gcd(h, d) = 1; d = 1 gives phi = 0.
 
 Known laws, all exercised by the test suite: the shift law
 phi(s+h) = phi(s) + s - (d-1)/2, the reciprocity recursion lowering d to
@@ -30,9 +30,9 @@ part of the library; they are test oracles in tests/oracles.py.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .errors import DomainError
@@ -71,16 +71,18 @@ class PhiKey:
         return cls(d, h % d, s % d)
 
 
-@lru_cache(maxsize=None)
-def _phi_sum(d: int, h: int, s: int) -> int:
-    """The integer numerator 4d phi_{h+dZ}(s)."""
-    shift = d - 1
-    total = 0
-    for u in range(d):
-        total += (2 * u - shift) * (2 * ((h * u + s) % d) - shift)
-    return total
+def _phi_walk(d: int, h: int) -> Iterator[tuple[int, int]]:
+    """(s, T(s)) with T = 4d phi_{h+dZ}, for s = 0, h, 2h, ... mod d: T(0)
+    from the real form, then T(s+h) = T(s) + 4ds - 2d(d-1), s in [0, d)."""
+    shift, s = d - 1, 0
+    t = sum((2 * u - shift) * (2 * (h * u % d) - shift) for u in range(d))
+    for _ in range(d):
+        yield s, t
+        t += 4 * d * s - 2 * d * shift
+        s = (s + h) % d
 
 
 def phi_exact(key: PhiKey) -> Fraction:
-    """The exact rational value of phi_{h+dZ}(s)."""
-    return Fraction(_phi_sum(key.d, key.h, key.s), 4 * key.d)
+    """The exact rational value of phi_{h+dZ}(s), read off the walk."""
+    return next(Fraction(t, 4 * key.d) for s, t in _phi_walk(key.d, key.h)
+                if s == key.s)

@@ -22,11 +22,11 @@ always an even integer; the full table over unordered pairs, together
 with the det C exponent 4m and the theta exponent 8m, is what this
 module assembles.  It is built from one integer row per pair of element
 ranks r_a <= r_b, E[s] = m n (2 T(d,h,s) + T(d,h,0) + d (o_a-1)(o_b-1)) /
-(d o_a o_b) with T = 4d phi, checked to be an even integer for every
-s < d as it is built; a pair reads E[(beta_b - h beta_a) mod d].
-exponent_table and thomae_exponent both read these rows.  The
-definitional orbit sum q_e, the character average gamma and their
-rational closed forms are test oracles in tests/oracles.py.
+(d o_a o_b) with T = 4d phi, filled in O(d) by one Dedekind walk and
+checked to be an even integer for every s < d as it is built.  A pair
+reads E[(beta_b - h beta_a) mod d]; exponent_table and thomae_exponent
+both read these rows.  The orbit sum q_e and the character average
+gamma, by definition and in closed form, are oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cover import CoverInvariants, CoverSpec
-from .dedekind import _phi_sum
+from .dedekind import _phi_walk
 from .divisors import (InvariantDivisor, _expand, _require_same_cover,
                        is_nonspecial)
 from .errors import ConsistencyError, DomainError
@@ -129,13 +129,17 @@ def _exponent_row(spec: CoverSpec, inv: CoverInvariants, a: int,
     data = intersection_data(spec.group, spec.sites[a].element,
                              spec.sites[b].element)
     d, h, oa, ob = data.d, data.h, spec.site_orders[a], spec.site_orders[b]
-    base = _phi_sum(d, h, 0) + d * (oa - 1) * (ob - 1)
-    row = [divmod(inv.m * inv.n * (2 * _phi_sum(d, h, s) + base),
-                  d * oa * ob) for s in range(d)]
-    if any(rest or value % 2 for value, rest in row):
-        raise ConsistencyError(f"exponent row of sites ({a}, {b}) has an "
-                               f"odd or non-integral entry: {row}")
-    return tuple(value for value, _ in row), d, h
+    scale, divisor, row = inv.m * inv.n, d * oa * ob, [0] * d
+    for s, t in _phi_walk(d, h):
+        if s == 0:  # the walk starts at s = 0
+            base = t + d * (oa - 1) * (ob - 1)
+        value, rest = divmod(scale * (2 * t + base), divisor)
+        if rest or value % 2:
+            raise ConsistencyError(
+                f"exponent row of sites ({a}, {b}) has an odd or "
+                f"non-integral entry E[{s}] = {value} + {rest}/{divisor}")
+        row[s] = value
+    return tuple(row), d, h
 
 
 def relabel_equivalent(spec: CoverSpec, inv: CoverInvariants,
@@ -157,21 +161,15 @@ def relabel_equivalent(spec: CoverSpec, inv: CoverInvariants,
     blocks: dict[int, list[int]] = {}
     for k, site in enumerate(spec.sites):
         blocks.setdefault(site.element_rank, []).append(k)
-    perm: list[int | None] = [None] * B
+    perm = [0] * B  # every site lies in exactly one block
     for positions in blocks.values():
-        by_value_1: dict[int, list[int]] = {}
-        by_value_2: dict[int, list[int]] = {}
-        for k in positions:
-            by_value_1.setdefault(D1.beta[k], []).append(k)
-            by_value_2.setdefault(D2.beta[k], []).append(k)
-        if {v: len(ks) for v, ks in by_value_1.items()} != \
-                {v: len(ks) for v, ks in by_value_2.items()}:
+        src = sorted(positions, key=lambda k: (D1.beta[k], k))
+        dst = sorted(positions, key=lambda k: (D2.beta[k], k))
+        if [D1.beta[k] for k in src] != [D2.beta[k] for k in dst]:
             return None
-        for v, ks in by_value_1.items():
-            for src, dst in zip(ks, by_value_2[v]):
-                perm[src] = dst
-    out = tuple(perm)  # type: ignore[arg-type]
+        for a, b in zip(src, dst):
+            perm[a] = b
     for a in range(B):
-        if D2.beta[out[a]] != D1.beta[a]:
+        if D2.beta[perm[a]] != D1.beta[a]:
             raise ConsistencyError("relabeling permutation failed to verify")
-    return out
+    return tuple(perm)

@@ -7,6 +7,9 @@ beside the tests that use them, to cross-check it:
   * phi_numeric_oracle, the defining root-of-unity sum of
     phi_{h+dZ}(s) in high precision floating point (mpmath), and the
     classical Dedekind sum and integrality classes of the phi laws;
+  * phi_sum_definition, the per-point integer real-form sum 4d phi(s),
+    moved here from dedekind.py when the library began to walk each
+    row from T(0) by the shift law; it checks that walk point by point;
   * q_delta, the orbit sum q_e and the character average gamma in
     definitional and closed form, and thomae_exponent_closed_form,
     which checks the integer exponent rows in rational arithmetic;
@@ -78,6 +81,15 @@ def phi_numeric_oracle(key: PhiKey, precision_bits: int = 64) -> mpmath.mpc:
         for k, weight in enumerate(weights, start=1):
             total += roots[(k * s) % d] * weight
         return total
+
+
+def phi_sum_definition(d: int, h: int, s: int) -> int:
+    """The integer numerator 4d phi_{h+dZ}(s), summed on its own."""
+    shift = d - 1
+    total = 0
+    for u in range(d):
+        total += (2 * u - shift) * (2 * ((h * u + s) % d) - shift)
+    return total
 
 
 def classical_dedekind_sum(h: int, d: int) -> Fraction:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -526,6 +527,24 @@ class TestExponents:
             _, by_beta = run(capsys, "exponents", "--divisor",
                              json.dumps(row["beta"]), path)
             assert by_index == by_beta
+
+    @pytest.mark.parametrize("p, selector, digest", [
+        (4001, "[0,2000,4000]",
+         "3b970e3925bc4c39457003db509d51092787bae285e84959808bd63bd6e90134"),
+        (2003, "[0,1001,2002]",
+         "d48104a47c33c661cf2942fec103d1438180808db851d274f3395ebf14a88496"),
+    ], ids=["z4001", "z2003"])
+    def test_large_cyclic_group_digest(self, write_doc, capsys, p, selector,
+                                       digest):
+        # sites (1, 1, p - 2); the digests were recorded when every row
+        # entry was summed on its own, before rows walked the shift law
+        document = {"group": [p], "branch_points": [
+            {"element": [e], "lambda": str(k)}
+            for k, e in enumerate((1, 1, p - 2))]}
+        code, out = run(capsys, "exponents", "--divisor", selector,
+                        write_doc(document))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def cover_document(spec) -> dict:

@@ -6,6 +6,7 @@ inverse symmetry, integrality classes)."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from abelcover import DomainError, PhiKey, phi_exact
 from oracles import (classical_dedekind_sum, integrality_class,
-                     phi_numeric_oracle)
+                     phi_numeric_oracle, phi_sum_definition)
 
 
 @st.composite
@@ -98,6 +99,38 @@ class TestPhiExact:
                 lhs = phi_exact(PhiKey(d, h % d, 0))
                 rhs = d * classical_dedekind_sum(h, d) + Fraction(d - 1, 4)
                 assert lhs == rhs
+
+
+class TestWalkAgainstDefinition:
+    """phi_exact walks from T(0) by the shift law, so the shift-law test
+    above restates the library; the per-point sum is the independent
+    check, beside the root-of-unity oracle."""
+
+    @staticmethod
+    def check_every_s(d, h):
+        for s in range(d):
+            assert 4 * d * phi_exact(PhiKey(d, h, s)) == \
+                phi_sum_definition(d, h, s)
+
+    def test_every_key_up_to_60(self):
+        for d in range(1, 61):
+            for h in range(d):
+                if math.gcd(h, d) == 1:  # h = 0 only for d = 1
+                    self.check_every_s(d, h)
+
+    @pytest.mark.parametrize("h", [1, 2, 500])
+    def test_prime_modulus_1009(self, h):
+        self.check_every_s(1009, h)
+
+    def test_no_row_is_kept(self):
+        # a list of d entries would alone take d * 8 bytes, 160 kB here
+        tracemalloc.start()
+        try:
+            phi_exact(PhiKey.of(20011, 2, 5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestClassicalSum:

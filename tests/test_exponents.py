@@ -5,7 +5,7 @@ integer exponent tables, and relabeling equivalence."""
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -34,6 +34,18 @@ def all_small_factorizations(max_order=24):
 
     extend([], max_order)
     return out
+
+
+def spoil_last_residue(monkeypatch):
+    """Wrap the Dedekind walk as exponents imports it, adding 1 to T only
+    at s = d - 1."""
+    walk = exponents_module._phi_walk
+
+    def spoiled(d, h):
+        for s, t in walk(d, h):
+            yield s, t + (s == d - 1)
+
+    monkeypatch.setattr(exponents_module, "_phi_walk", spoiled)
 
 
 class TestPairKey:
@@ -325,13 +337,25 @@ class TestExponentTable:
         # spoil T(d, h, s) only at s = d - 1 = 1; a divisor whose pairs
         # all read s = 0 is still refused, because the row is checked
         # for every s when it is built
-        phi_sum = exponents_module._phi_sum
-        monkeypatch.setattr(exponents_module, "_phi_sum",
-                            lambda d, h, s: phi_sum(d, h, s) + (s == d - 1))
+        spoil_last_residue(monkeypatch)
         spec, inv = hyperelliptic.spec, hyperelliptic.inv
         D = make_divisor(spec, [0, 0, 0, 1, 1, 1])
         with pytest.raises(ConsistencyError, match="odd or non-integral"):
             exponent_table(spec, inv, D)
+
+    def test_row_error_names_one_residue(self, monkeypatch):
+        # the message names the bad residue alone, not the whole row, so
+        # the CLI error payload stays small at d = 4001
+        p = 4001
+        spec = build_cover((p,), [((1,), 0), ((1,), 1), ((p - 2,), 2)])
+        inv = validate(spec)
+        D = make_divisor(spec, [0, 2000, 4000])
+        spoil_last_residue(monkeypatch)
+        with pytest.raises(ConsistencyError,
+                           match="odd or non-integral") as caught:
+            exponent_table(spec, inv, D)
+        message = str(caught.value)
+        assert f"E[{p - 1}]" in message and len(message) < 200
 
     def test_evenness_on_mixed_cover(self, mixed4):
         spec, inv = mixed4.spec, mixed4.inv
@@ -386,6 +410,21 @@ class TestRelabelEquivalent:
         bad = make_divisor(spec, [2, 2, 0])
         with pytest.raises(DomainError):
             relabel_equivalent(spec, inv, good, bad)
+
+    def test_equal_weights_keep_their_order(self, hyperelliptic, cyclic3,
+                                            mixed4):
+        # within a block, sites of equal weight map in increasing order
+        for cover in (hyperelliptic, cyclic3, mixed4):
+            spec, inv = cover.spec, cover.inv
+            ranks = [site.element_rank for site in spec.sites]
+            divisors = enumerate_nonspecial(spec, inv)
+            for D1, D2 in product(divisors, repeat=2):
+                perm = relabel_equivalent(spec, inv, D1, D2)
+                if perm is None:
+                    continue
+                for a, b in combinations(range(len(ranks)), 2):
+                    if ranks[a] == ranks[b] and D1.beta[a] == D1.beta[b]:
+                        assert perm[a] < perm[b]
 
     def test_tables_match_under_relabeling(self, hyperelliptic, cyclic3,
                                            mixed4):
