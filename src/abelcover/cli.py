@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -50,6 +49,7 @@ EXIT_RESOURCE = 3
 # that Fraction never builds a power of ten past 10**8600; BranchPoint's
 # 4300-digit bound then decides which values are accepted
 LAMBDA_DIGITS = 8600
+DETAIL_CHARS = 200  # a longer error detail is cut, its length given
 
 
 def load_cover_document(path: str) -> CoverSpec:
@@ -143,6 +143,13 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
+def _write_csv(header: list[str], rows) -> None:
+    """Write the header and rows to stdout as CSV, one line each."""
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
 def _array(items: list[str], indent: int) -> str:
     """json.dumps(indent=2) of a list whose items are already rendered
     one per line at indent + 2 spaces; the closing bracket is at indent."""
@@ -168,14 +175,10 @@ def cmd_enumerate(args) -> int:
     inv = validate(spec)
     divisors, orbit_label = enumerate_orbits(spec, inv, cap=args.cap)
     if args.csv:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        width = len(spec.sites)
-        writer.writerow(["index", "orbit", "p"]
-                        + [f"beta_{k}" for k in range(width)])
-        for i, D in enumerate(divisors):
-            writer.writerow([i, orbit_label[i], D.p] + list(D.beta))
-        sys.stdout.write(out.getvalue())
+        _write_csv(["index", "orbit", "p"]
+                   + [f"beta_{k}" for k in range(len(spec.sites))],
+                   ([i, orbit_label[i], D.p, *D.beta]
+                    for i, D in enumerate(divisors)))
     else:
         beta = _array(["        %d"] * len(spec.sites), 6)
         record = ('    {\n      "index": %d,\n      "orbit": %d,\n'
@@ -235,12 +238,8 @@ def cmd_exponents(args) -> int:
         rows.append((sa.element_rank, sa.occurrence, sb.element_rank,
                      sb.occurrence, str(sa.value), str(sb.value), value))
     if args.csv:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["sigma_rank", "j", "rho_rank", "i",
-                         "lambda_a", "lambda_b", "exponent"])
-        writer.writerows(rows)
-        sys.stdout.write(out.getvalue())
+        _write_csv(["sigma_rank", "j", "rho_rank", "i",
+                    "lambda_a", "lambda_b", "exponent"], rows)
     else:
         pair = ('    {\n      "sigma_rank": %d,\n      "j": %d,\n'
                 '      "rho_rank": %d,\n      "i": %d,\n'
@@ -414,22 +413,24 @@ def main(argv=None) -> int:
             raise ParseError("an option is missing its value")
         return args.func(args)
     except ParseError as exc:
-        payload = {"kind": "parse", "detail": str(exc)}
+        code, payload = EXIT_PARSE, {"kind": "parse", "detail": str(exc)}
         if exc.line is not None:
             payload["line"] = exc.line
             payload["column"] = exc.column
         if exc.path is not None:
             payload["path"] = exc.path
-        _emit({"error": payload})
-        return EXIT_PARSE
     except ResourceCapError as exc:
-        _emit({"error": {"kind": "resource-cap", "detail": str(exc),
-                         "cap": exc.cap}})
-        return EXIT_RESOURCE
+        code, payload = EXIT_RESOURCE, {"kind": "resource-cap",
+                                        "detail": str(exc), "cap": exc.cap}
     except AbelcoverError as exc:
         kind = getattr(exc, "reason", exc.__class__.__name__)
-        _emit({"error": {"kind": kind, "detail": str(exc)}})
-        return EXIT_INVALID
+        code, payload = EXIT_INVALID, {"kind": kind, "detail": str(exc)}
+    detail = payload["detail"]
+    if len(detail) > DETAIL_CHARS:
+        payload["detail"] = (f"{detail[:DETAIL_CHARS]}... "
+                             f"({len(detail)} characters)")
+    _emit({"error": payload})
+    return code
 
 
 def console_main() -> None:

@@ -24,9 +24,9 @@ exponent vectors beta/o - (o-1)/(2o).
 The condition holds exactly when the packed ints inv.packed[k][beta_k]
 compiled by validate sum to inv.packed_target.  Enumeration searches the
 slice beta_0 = 0, which meets every orbit, by backtracking on that sum
-alone under a node cap, then expands it by the action on int tuples,
-checking each member by the packed sum and labelling the orbits; its
-order is lexicographic by canonical site.
+alone under a node cap charged once per call, then expands each new hit
+by the action on int tuples, checking each member by the packed sum and
+n members per orbit in all; its order is lexicographic by canonical site.
 
 The action reads u_{chi,sigma} from the table inv.u built by validate.
 The helpers take a validated CoverInvariants as given and check each
@@ -133,27 +133,27 @@ def enumerate_orbits(spec: CoverSpec, inv: CoverInvariants, *,
                      ) -> tuple[list[InvariantDivisor], list[int]]:
     """All non-special divisors in lex order (maybe none) and the orbit
     label of each, by first appearance.  Every orbit meets the slice
-    beta_0 = 0 first at its lex-min member: each unlabelled slice hit, in
-    lex order, is expanded by the rows of inv.u into its checked orbit."""
+    beta_0 = 0 first at its lex-min member: each unlabelled hit is
+    expanded into its orbit, checked free and disjoint by one identity,
+    n members per orbit in all (each orbit adds at most n)."""
     _require_validated(spec, inv)
     hits = _search_slice(spec, inv, cap)
     label: dict[tuple[int, ...], int] = {}
+    orbits = 0
     for hit in hits:
-        if hit in label:
-            continue
-        members = set(_expand(spec, inv, hit, inv.u.values()))
-        if len(members) != inv.n:
-            raise ConsistencyError("orbit has repeats, yet the action is free")
-        if any(m in label for m in members):
-            raise ConsistencyError("a divisor lies in two dual-group orbits")
-        # the new label is the number of orbits expanded so far
-        label.update(dict.fromkeys(members, len(label) // inv.n))
+        if hit not in label:
+            label.update(dict.fromkeys(
+                _expand(spec, inv, hit, inv.u.values()), orbits))
+            orbits += 1
+    if len(label) != orbits * inv.n:
+        raise ConsistencyError("an orbit repeats a member or two orbits "
+                               "share one, yet the action is free")
     # every expanded member with beta_0 = 0 must be a slice hit
     if sum(1 for b in label if not b or b[0] == 0) != len(hits):
         raise ConsistencyError("the slice search missed an orbit member")
-    ordered = sorted(label)
-    return ([InvariantDivisor(b, 1, spec.fingerprint) for b in ordered],
-            [label[b] for b in ordered])
+    ordered = sorted(label.items())
+    return ([InvariantDivisor(b, 1, spec.fingerprint) for b, _ in ordered],
+            [k for _, k in ordered])
 
 
 def _search_slice(spec: CoverSpec, inv: CoverInvariants,
@@ -162,8 +162,8 @@ def _search_slice(spec: CoverSpec, inv: CoverInvariants,
     Backtracking carries one packed sum down and reads only inv.packed,
     inv.packed_target and inv.packed_guard; a branch dies once some field
     overshoots its target or can no longer reach it with the sites that
-    remain, two guard-bit compares.  Every attempted assignment costs one
-    node; exceeding the cap raises ResourceCapError.
+    remain, two guard-bit compares.  Every weight a call tries costs one
+    node, charged before its loop; over the cap raises ResourceCapError.
     """
     packed, target, guard = inv.packed, inv.packed_target, inv.packed_guard
     B = len(packed)
@@ -182,11 +182,12 @@ def _search_slice(spec: CoverSpec, inv: CoverInvariants,
         if k == B:
             found.append(tuple(beta))
             return
+        row = packed[k] if k else packed[0][:1]
+        nodes += len(row)
+        if nodes > cap:
+            raise ResourceCapError(cap)
         rest = reach[k + 1]
-        for v, step in enumerate(packed[k] if k else packed[k][:1]):
-            nodes += 1
-            if nodes > cap:
-                raise ResourceCapError(cap)
+        for v, step in enumerate(row):
             now = acc + step
             if (ceiling - now) & guard == guard and \
                     (((now + rest) | guard) - target) & guard == guard:

@@ -10,7 +10,7 @@ through the rational number
 which is always a multiple of 1/o(s), where o(s) is the order of s.  The
 integer u with 0 <= u < o(s) and pairing value u/o(s) drives every later
 construction, so it is computed here once and exactly.  Floating point is
-banned from this module; everything is integer and Fraction arithmetic.
+banned from this module; everything is integer arithmetic.
 
 The factor list is kept exactly as given.  No normalization to invariant
 factors is performed, so Z_2 x Z_4 and Z_4 x Z_2 are distinct (isomorphic)
@@ -20,7 +20,6 @@ presentations and inputs match their fibered-product descriptions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm, prod
@@ -204,23 +203,22 @@ def element_order(group: AbelianGroup, s: GroupElement) -> int:
 def pairing_u(group: AbelianGroup, chi: Character, s: GroupElement) -> int:
     """The integer u with 0 <= u < o(s) and chi(s) = e(u / o(s)).
 
-    The pairing value sum_l e_l d_l / m_l is reduced modulo 1 in exact
-    fraction arithmetic and then scaled by o(s); the result is an integer
-    because chi(s) is an o(s)-th root of unity.
+    With m the group exponent, u is sum_l e_l d_l (m / m_l) mod m divided
+    by m / o(s), which is exact because chi(s) is an o(s)-th root of unity.
     """
     _require_membership(group, s)
     if chi.group != group:
         raise MalformedDataError("character does not belong to this group")
-    total = sum(
-        (Fraction(e * r, m) for e, r, m in
-         zip(chi.residues, s.residues, group.factor_orders)),
-        Fraction(0)) % 1
-    scaled = total * element_order(group, s)
-    if scaled.denominator != 1:
+    m = group.exponent
+    u, rest = divmod(
+        sum(e * r * (m // m_l) for e, r, m_l in
+            zip(chi.residues, s.residues, group.factor_orders)) % m,
+        m // element_order(group, s))
+    if rest:
         raise ConsistencyError(
             f"pairing of {chi.residues} with {s.residues} is not a root of "
             f"unity of order dividing o(s)")
-    return int(scaled)
+    return u
 
 
 def dual_group(group: AbelianGroup) -> list[Character]:

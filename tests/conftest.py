@@ -120,6 +120,23 @@ def klein10() -> Cover:
                  + [([1, 1], 8), ([1, 1], 9)], 7)
 
 
+@pytest.fixture(scope="session")
+def z31() -> Cover:
+    """Z31 with sites (1, 1, 1, 1, 27): 744 divisors in 24 orbits.  A
+    search of the full weight space spends many times the nodes of the
+    slice beta_0 = 0 here, so its node pin guards the slice."""
+    return _make("z31", [31], [([r], v) for v, r in
+                               enumerate((1, 1, 1, 1, 27))], 45)
+
+
+@pytest.fixture(scope="session")
+def z101() -> Cover:
+    """Z101 with sites (1, 2, 3, 95): no non-special divisor, and like
+    z31 many times the slice's nodes for a full weight-space search."""
+    return _make("z101", [101], [([r], v) for v, r in
+                                 enumerate((1, 2, 3, 95))], 100)
+
+
 _ACCEPTANCE_LINES: list[tuple[int, str]] = []
 
 

@@ -19,6 +19,8 @@ beside the tests that use them, to cross-check it:
   * poly_from_roots and kernel_pair, the Fraction construction of the
     kernel's f_0 = prod (z - lambda) and f_1, which check the integer
     rows that build_pchichi builds over one common denominator;
+  * pairing_u_definition, the character pairing reduced modulo 1 in
+    Fraction arithmetic, which checks the integer pairing_u;
   * generated_subgroup, the breadth-first closure of the branch elements
     that checks the connectedness validate reads off t, and
     packed_tables, the per-weight definition of validate's packed
@@ -39,9 +41,9 @@ import mpmath
 
 from abelcover import (AbelianGroup, Character, ConsistencyError,
                        CoverInvariants, CoverSpec, DomainError, GroupElement,
-                       InvariantDivisor, PairKey, PhiKey, UniPoly,
-                       element_order, intersection_data, is_nonspecial, orbit,
-                       phi_exact)
+                       InvariantDivisor, MalformedDataError, PairKey, PhiKey,
+                       UniPoly, element_order, intersection_data,
+                       is_nonspecial, orbit, phi_exact)
 from abelcover.divisors import _require_same_cover
 from abelcover.group_core import _require_membership
 from abelcover.polykernel import _exact
@@ -211,6 +213,29 @@ def thomae_exponent_closed_form(spec: CoverSpec, inv: CoverInvariants,
         raise ConsistencyError(
             f"exponent for pair ({a}, {b}) is not an even integer: {value}")
     return int(value)
+
+
+def pairing_u_definition(group: AbelianGroup, chi: Character,
+                         s: GroupElement) -> int:
+    """The integer u with 0 <= u < o(s) and chi(s) = e(u / o(s)).
+
+    The pairing value sum_l e_l d_l / m_l is reduced modulo 1 in exact
+    fraction arithmetic and then scaled by o(s); the result is an integer
+    because chi(s) is an o(s)-th root of unity.
+    """
+    _require_membership(group, s)
+    if chi.group != group:
+        raise MalformedDataError("character does not belong to this group")
+    total = sum(
+        (Fraction(e * r, m) for e, r, m in
+         zip(chi.residues, s.residues, group.factor_orders)),
+        Fraction(0)) % 1
+    scaled = total * element_order(group, s)
+    if scaled.denominator != 1:
+        raise ConsistencyError(
+            f"pairing of {chi.residues} with {s.residues} is not a root of "
+            f"unity of order dividing o(s)")
+    return int(scaled)
 
 
 def generated_subgroup(orders: tuple[int, ...],

@@ -709,6 +709,28 @@ class TestErrorPayloads:
             'inside a group of order 4"\n  }\n}\n'))
 
 
+class TestLongArguments:
+    """An argument thousands of characters long is quoted in the error
+    detail, not echoed whole."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["dedekind", "7" * 5000, "1", "0"], 1),
+        (["enumerate", "--cap", "7" * 5000], 1),
+        (["exponents", "--divisor", "7" * 5000], 1),
+        (["exponents", "--divisor", "7" * 4000], 1),
+        (["exponents", "--divisor", "1," * 3000 + "1"], 1),
+        (["dedekind", "1" + "0" * 4200, "2", "0"], 2)],
+        ids=["dedekind-d", "cap", "divisor", "index", "comma-selector",
+             "dedekind-domain"])
+    def test_error_output_is_bounded(self, write_doc, capsys, argv, code):
+        if argv[0] != "dedekind":
+            argv = argv + [write_doc(HYPERELLIPTIC)]
+        got, out = run(capsys, *argv)
+        assert got == code
+        assert json.loads(out)["error"]["detail"].endswith(" characters)")
+        assert len(out.encode()) < 1024
+
+
 class TestDedekind:
     def test_values(self, capsys):
         assert run(capsys, "dedekind", "2", "1", "0") == (0, "1/4\n")

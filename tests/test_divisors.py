@@ -275,8 +275,10 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("name,minimal_cap", [
         ("cyclic6", 2_197), ("klein", 27), ("mixed4", 193),
-        ("z7x7", 21_596), ("z4z4x6", 201), ("klein10", 313)],
-        ids=["cyclic6", "klein", "mixed4", "z7x7", "z4z4x6", "klein10"])
+        ("z7x7", 21_596), ("z4z4x6", 201), ("klein10", 313),
+        ("z31", 134_076), ("z101", 42_522)],
+        ids=["cyclic6", "klein", "mixed4", "z7x7", "z4z4x6", "klein10",
+             "z31", "z101"])
     def test_minimal_cap_pins_node_accounting(self, request, name,
                                               minimal_cap):
         # one node per attempted assignment of a weight to a site; only

@@ -14,6 +14,8 @@ from hypothesis import given, strategies as st
 from abelcover import (AbelianGroup, DomainError, MalformedDataError,
                        cyclic_subgroup, dual_group, element_order,
                        intersection_data, pairing_u)
+from oracles import pairing_u_definition
+from test_exponents import all_small_factorizations
 
 groups = st.lists(st.integers(min_value=2, max_value=8),
                   min_size=1, max_size=3).map(
@@ -192,6 +194,14 @@ class TestPairing:
                     u = pairing_u(group, chi, s)
                     counts[u] = counts.get(u, 0) + 1
                 assert counts == {u: n // o for u in range(o)}
+
+    def test_matches_fraction_definition_on_all_small_groups(self):
+        for factors in all_small_factorizations(24):
+            group = AbelianGroup(factors)
+            for s in group.elements():
+                for chi in dual_group(group):
+                    assert pairing_u(group, chi, s) == \
+                        pairing_u_definition(group, chi, s)
 
 
 class TestDualGroup:
