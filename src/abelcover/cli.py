@@ -18,7 +18,9 @@ JSON output has a fixed layout: the bytes of json.dumps(obj, indent=2)
 plus a newline, keys in the order documented per verb, one array item
 per line.  The enumerate listing and the exponents table are written
 with format strings in that layout (they can be large); smaller payloads
-go through json.dumps itself.
+go through json.dumps itself.  The enumerate listing is written record
+by record from the weight tuples, after every check has passed, so an
+error still prints as one JSON object and no record is held.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from functools import cache
 
 from .cover import CoverInvariants, CoverSpec, BranchPoint, validate
 from .dedekind import PhiKey, phi_exact
-from .divisors import (DEFAULT_NODE_CAP, InvariantDivisor, enumerate_nonspecial,
-                       enumerate_orbits, make_divisor, negation_N, orbit)
+from .divisors import (DEFAULT_NODE_CAP, InvariantDivisor, enumerate_orbits,
+                       make_divisor, negation_N, orbit, _orbit_listing)
 from .errors import (AbelcoverError, ConsistencyError, DomainError,
                      MalformedDataError, ParseError, ResourceCapError)
 from .exponents import exponent_table
@@ -173,23 +175,26 @@ def cmd_validate(args) -> int:
 def cmd_enumerate(args) -> int:
     spec = load_cover_document(args.path)
     inv = validate(spec)
-    divisors, orbit_label = enumerate_orbits(spec, inv, cap=args.cap)
+    # every check has passed once the listing is back: no error can
+    # follow the first byte written
+    betas, labels = _orbit_listing(spec, inv, args.cap)
+    rows = enumerate(zip(labels, betas))
     if args.csv:
         _write_csv(["index", "orbit", "p"]
                    + [f"beta_{k}" for k in range(len(spec.sites))],
-                   ([i, orbit_label[i], D.p, *D.beta]
-                    for i, D in enumerate(divisors)))
-    else:
-        beta = _array(["        %d"] * len(spec.sites), 6)
-        record = ('    {\n      "index": %d,\n      "orbit": %d,\n'
-                  '      "p": %d,\n      "beta": ' + beta + '\n    }')
-        sys.stdout.write(
-            f'{{\n  "count": {len(divisors)},\n'
-            f'  "orbit_count": {len(divisors) // inv.n},\n'
-            f'  "empty": {"false" if divisors else "true"},\n  "divisors": '
-            + _array([record % (i, orbit_label[i], D.p, *D.beta)
-                      for i, D in enumerate(divisors)], 2)
-            + "\n}\n")
+                   ([i, k, 1, *beta] for i, (k, beta) in rows))
+        return EXIT_OK
+    # each record starts with its separator from the one before
+    beta = _array(["        %d"] * len(spec.sites), 6)
+    record = ('%s    {\n      "index": %d,\n      "orbit": %d,\n'
+              '      "p": 1,\n      "beta": ' + beta + '\n    }')
+    out = sys.stdout
+    out.write(f'{{\n  "count": {len(betas)},\n'
+              f'  "orbit_count": {len(betas) // inv.n},\n'
+              f'  "empty": {"false" if betas else "true"},\n  "divisors": [')
+    out.writelines(record % (",\n" if i else "\n", i, k, *beta)
+                   for i, (k, beta) in rows)
+    out.write("\n  ]\n}\n" if betas else "]\n}\n")
     return EXIT_OK
 
 
@@ -206,12 +211,12 @@ def _select_divisor(spec: CoverSpec, inv: CoverInvariants,
                              path="--divisor")
         return make_divisor(spec, parsed)
     if isinstance(parsed, int) and not isinstance(parsed, bool):
-        divisors = enumerate_nonspecial(spec, inv, cap=args.cap)
-        if not 0 <= parsed < len(divisors):
+        betas, _ = _orbit_listing(spec, inv, args.cap)
+        if not 0 <= parsed < len(betas):
             raise ParseError(
                 f"divisor index {parsed} out of range; enumeration has "
-                f"{len(divisors)} entries", path="--divisor")
-        return divisors[parsed]
+                f"{len(betas)} entries", path="--divisor")
+        return InvariantDivisor(betas[parsed], 1, spec.fingerprint)
     if "," in text:
         try:
             return make_divisor(spec, [int(p) for p in text.split(",")])

@@ -27,6 +27,9 @@ slice beta_0 = 0, which meets every orbit, by backtracking on that sum
 alone under a node cap charged once per call, then expands each new hit
 by the action on int tuples, checking each member by the packed sum and
 n members per orbit in all; its order is lexicographic by canonical site.
+The listing is plain weight tuples and labels, finished and checked in
+full before it is returned, so that the CLI can write it record by
+record; enumerate_orbits wraps each row in an InvariantDivisor.
 
 The action reads u_{chi,sigma} from the table inv.u built by validate.
 The helpers take a validated CoverInvariants as given and check each
@@ -132,11 +135,20 @@ def enumerate_orbits(spec: CoverSpec, inv: CoverInvariants, *,
                      cap: int = DEFAULT_NODE_CAP
                      ) -> tuple[list[InvariantDivisor], list[int]]:
     """All non-special divisors in lex order (maybe none) and the orbit
-    label of each, by first appearance.  Every orbit meets the slice
-    beta_0 = 0 first at its lex-min member: each unlabelled hit is
-    expanded into its orbit, checked free and disjoint by one identity,
-    n members per orbit in all (each orbit adds at most n)."""
+    label of each, by first appearance: _orbit_listing with each weight
+    vector wrapped in an InvariantDivisor."""
     _require_validated(spec, inv)
+    betas, labels = _orbit_listing(spec, inv, cap)
+    return [InvariantDivisor(b, 1, spec.fingerprint) for b in betas], labels
+
+
+def _orbit_listing(spec: CoverSpec, inv: CoverInvariants,
+                   cap: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The non-special weight vectors in lex order and the orbit label of
+    each, by first appearance.  Every orbit meets the slice beta_0 = 0
+    first at its lex-min member: each unlabelled hit is expanded into its
+    orbit, checked free and disjoint by one identity, n members per orbit
+    in all (each orbit adds at most n)."""
     hits = _search_slice(spec, inv, cap)
     label: dict[tuple[int, ...], int] = {}
     orbits = 0
@@ -151,9 +163,8 @@ def enumerate_orbits(spec: CoverSpec, inv: CoverInvariants, *,
     # every expanded member with beta_0 = 0 must be a slice hit
     if sum(1 for b in label if not b or b[0] == 0) != len(hits):
         raise ConsistencyError("the slice search missed an orbit member")
-    ordered = sorted(label.items())
-    return ([InvariantDivisor(b, 1, spec.fingerprint) for b, _ in ordered],
-            [k for _, k in ordered])
+    betas = sorted(label)
+    return betas, list(map(label.__getitem__, betas))
 
 
 def _search_slice(spec: CoverSpec, inv: CoverInvariants,
@@ -162,30 +173,37 @@ def _search_slice(spec: CoverSpec, inv: CoverInvariants,
     Backtracking carries one packed sum down and reads only inv.packed,
     inv.packed_target and inv.packed_guard; a branch dies once some field
     overshoots its target or can no longer reach it with the sites that
-    remain, two guard-bit compares.  Every weight a call tries costs one
+    remain, two guard-bit compares, which at the last site reduce to
+    meeting the target exactly.  Every weight a call tries costs one
     node, charged before its loop; over the cap raises ResourceCapError.
     """
     packed, target, guard = inv.packed, inv.packed_target, inv.packed_guard
     B = len(packed)
+    if not B:
+        return [()]
     # reach[k]: the most each field can gain from the sites >= k; the top
     # weight of a site counts for every character any weight there does
     reach = [0] * (B + 1)
     for k in range(B - 1, -1, -1):
         reach[k] = reach[k + 1] + packed[k][-1]
     ceiling = target | guard
+    last = B - 1
     beta = [0] * B
     found: list[tuple[int, ...]] = []
     nodes = 0
 
     def dfs(k: int, acc: int) -> None:
         nonlocal nodes
-        if k == B:
-            found.append(tuple(beta))
-            return
         row = packed[k] if k else packed[0][:1]
         nodes += len(row)
         if nodes > cap:
             raise ResourceCapError(cap)
+        if k == last:  # the hits themselves, no frame below
+            for v, step in enumerate(row):
+                if acc + step == target:
+                    beta[k] = v
+                    found.append(tuple(beta))
+            return
         rest = reach[k + 1]
         for v, step in enumerate(row):
             now = acc + step

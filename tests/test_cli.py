@@ -13,12 +13,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import abelcover.divisors as divisors_module
 from abelcover import enumerate_orbits, exponent_table, make_divisor, validate
 from abelcover.cli import (build_parser, console_main, main,
                            parse_cover_object)
@@ -444,6 +446,42 @@ class TestEnumerate:
         error = json.loads(out)["error"]
         assert error["kind"] == "resource-cap"
         assert error["cap"] == 3
+
+    @pytest.mark.parametrize("fmt", ["--json", "--csv"])
+    def test_listing_is_written_record_by_record(self, write_doc, tmp_path,
+                                                 fmt):
+        # Z2 with 16 sites lists C(16, 8) = 12 870 divisors (3 MB of
+        # JSON); holding an InvariantDivisor per row and every formatted
+        # record peaked at 14.6 MB here
+        path = write_doc({"group": [2], "branch_points": [
+            {"element": [1], "lambda": str(v)} for v in range(16)]})
+        listing = tmp_path / "listing.out"
+        with open(listing, "w") as out, contextlib.redirect_stdout(out):
+            tracemalloc.start()
+            try:
+                code = main(["enumerate", fmt, path])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 8 * 2**20
+        if fmt == "--json":
+            assert json.loads(listing.read_text())["count"] == 12870
+        else:
+            assert len(listing.read_text().splitlines()) == 12871
+
+    def test_broken_orbit_prints_only_the_error(self, write_doc, capsys,
+                                                monkeypatch):
+        # every check runs before the first byte of the listing
+        monkeypatch.setattr(divisors_module, "_expand",
+                            lambda spec, inv, beta, rows:
+                            [beta for _ in rows])
+        code, out = run(capsys, "enumerate", write_doc(HYPERELLIPTIC))
+        assert code == 2
+        assert json.loads(out) == {"error": {
+            "kind": "ConsistencyError",
+            "detail": "an orbit repeats a member or two orbits share one, "
+                      "yet the action is free"}}
 
 
 class TestExponents:
