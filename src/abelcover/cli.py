@@ -219,9 +219,11 @@ def _select_divisor(spec: CoverSpec, inv: CoverInvariants,
         return InvariantDivisor(betas[parsed], 1, spec.fingerprint)
     if "," in text:
         try:
-            return make_divisor(spec, [int(p) for p in text.split(",")])
+            weights = [int(p) for p in text.split(",")]
         except ValueError:
             pass
+        else:
+            return make_divisor(spec, weights)
     raise ParseError(f"cannot parse divisor selector {text!r}",
                      path="--divisor")
 

@@ -31,7 +31,9 @@ The solver clears denominators once: f_0 and f_1 are scaled to integer
 rows over one common denominator L, the levels, the degree checks and
 the expansion run on ints, and each coefficient of the result becomes
 a Fraction only at the end.  build_pchichi builds f_0 and f_1 over the
-integers in the same way.  Every coefficient a caller sees is a
+integers too, multiplying in one branch factor at a time: f_1 is a
+weighted logarithmic derivative of f_0, so the product rule builds it
+alongside f_0 with no division.  Every coefficient a caller sees is a
 Fraction.
 """
 
@@ -248,11 +250,13 @@ def build_pchichi(spec: CoverSpec, inv: CoverInvariants,
     u_{chi,sigma}/o(sigma), so lead(f_1) = t_chi.  The pair is then handed
     to solve_polexist with d = t_chi and e = t_conj.
 
-    Both are built over the integers.  With lambda = p/q in lowest terms,
-    F_0 = prod (q z - p) has the lead Q = prod q and f_0 = F_0 / Q.  With
-    m the lcm of the active site orders,
-    m Q f_1 = sum u (m/o) q F_0/(q z - p), each quotient an exact integer
-    synthetic division whose remainder is checked to be zero.
+    Both are built over the integers, in one pass over the active sites.
+    With lambda = p/q in lowest terms, F_0 = prod (q z - p) has the lead
+    Q = prod q and f_0 = F_0 / Q.  With m the lcm of the active site
+    orders, m Q f_1 = sum_k w_k prod_{j != k} (q_j z - p_j) with
+    w = u (m/o) q; by the product rule, each factor (q z - p) multiplies
+    both rows and adds w times the old F_0 to the second, so nothing is
+    divided.
     """
     _require_validated(spec, inv)
     if chi.is_trivial():
@@ -266,27 +270,20 @@ def build_pchichi(spec: CoverSpec, inv: CoverInvariants,
     active = [(site.value.numerator, site.value.denominator, u, o)
               for site, u, o in zip(spec.sites, inv.u[chi], spec.site_orders)
               if u > 0]
-    row0 = [1]
-    for p, q, _, _ in active:  # times (q z - p)
-        row0 = [q * hi - p * lo for lo, hi in zip(row0 + [0], [0] + row0)]
+    m = lcm(*(o for _, _, _, o in active))
+    row0, row1 = [1], [0]
+    for p, q, u, o in active:  # both times (q z - p), row1 plus w F_0
+        w = u * (m // o) * q
+        row0, row1 = (
+            [q * hi - p * lo for lo, hi in zip(row0 + [0], [0] + row0)],
+            [q * hi - p * lo + w * f
+             for lo, hi, f in zip(row1 + [0], [0] + row1, row0 + [0])])
+    row1.pop()  # the top entry of m Q f_1 is always zero
     degree = len(row0) - 1
     if degree != tchi + tbar:
         raise ConsistencyError(
             f"support polynomial has degree {degree}, expected "
             f"t_chi + t_conj = {tchi + tbar}")
-    m = lcm(*(o for _, _, _, o in active))
-    row1 = [0] * degree
-    for p, q, u, o in active:
-        # synthetic division of F_0 by (q z - p), top coefficient first
-        weight, carry, rest = u * (m // o) * q, 0, 0
-        for k in range(degree, 0, -1):
-            carry, rest = divmod(carry * p + row0[k], q)
-            if rest:
-                break
-            row1[k - 1] += weight * carry
-        if rest or carry * p + row0[0]:
-            raise ConsistencyError(
-                "dividing out a branch factor left a remainder")
     scale = m * row0[-1]  # m Q
     if row1[-1] != tchi * scale:
         raise ConsistencyError(

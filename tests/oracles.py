@@ -18,7 +18,10 @@ beside the tests that use them, to cross-check it:
     level-0 identity M^-1[0][0] = d;
   * poly_from_roots and kernel_pair, the Fraction construction of the
     kernel's f_0 = prod (z - lambda) and f_1, which check the integer
-    rows that build_pchichi builds over one common denominator;
+    rows that build_pchichi builds over one common denominator; the
+    oracle divides f_0 by each branch factor, while build_pchichi
+    multiplies the factors in by the product rule, so the two reach f_1
+    by independent routes;
   * pairing_u_definition, the character pairing reduced modulo 1 in
     Fraction arithmetic, which checks the integer pairing_u;
   * generated_subgroup, the breadth-first closure of the branch elements

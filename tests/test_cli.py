@@ -94,6 +94,27 @@ class TestParsing:
         assert code == 1
         assert json.loads(out)["error"]["path"] == \
             "branch_points[0].lambda"
+        point = {"element": [1], "lambda": "0"}
+        for doc, path in (
+                ({"branch_points": [point]}, "group"),
+                ({"group": [2]}, "branch_points"),
+                ({"group": [2], "branch_points": [{"lambda": "0"}]},
+                 "branch_points[0].element")):
+            code, out = run(capsys, "validate", write_doc(doc))
+            assert code == 1
+            assert json.loads(out)["error"] == {
+                "kind": "parse", "detail": "missing field", "path": path}
+
+    def test_bool_lambda_rejected(self, write_doc, capsys):
+        # true is a JSON bool, not the integer 1
+        doc = {"group": [2], "branch_points": [
+            {"element": [1], "lambda": True},
+            {"element": [1], "lambda": "1"}]}
+        code, out = run(capsys, "validate", write_doc(doc))
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "kind": "parse", "detail": "lambda must be a string or integer",
+            "path": "branch_points[0].lambda"}
 
     def test_fraction_and_decimal_lambdas(self, write_doc, capsys):
         doc = {"group": [2], "branch_points": [
@@ -553,6 +574,22 @@ class TestExponents:
         assert error["kind"] == "parse"
         assert error["path"] == "--divisor"
 
+    @pytest.mark.parametrize("weights", [
+        [1, 1, 0], [2, 0, 0, 0], [-1, 0, 0, 0], [0, 1, 1, 1, 0]],
+        ids=["short", "too-large", "negative", "long"])
+    def test_comma_and_json_selectors_agree(self, write_doc, capsys,
+                                            weights):
+        # a comma list that parses is checked exactly as the JSON list is
+        path = write_doc({"group": [2], "branch_points": [
+            {"element": [1], "lambda": str(v)} for v in range(4)]})
+        comma = ",".join(map(str, weights))
+        spelled = [run(capsys, "exponents", f"--divisor={selector}", path)
+                   for selector in (comma, json.dumps(weights))]
+        assert spelled[0] == spelled[1]
+        assert spelled[0][0] == 2
+        assert json.loads(spelled[0][1])["error"]["kind"] == \
+            "MalformedDataError"
+
     def test_round_trip_with_enumeration(self, write_doc, capsys):
         """Feeding enumerated beta vectors back as selectors reproduces
         the by-index tables byte for byte."""
@@ -756,7 +793,7 @@ class TestLongArguments:
         (["enumerate", "--cap", "7" * 5000], 1),
         (["exponents", "--divisor", "7" * 5000], 1),
         (["exponents", "--divisor", "7" * 4000], 1),
-        (["exponents", "--divisor", "1," * 3000 + "1"], 1),
+        (["exponents", "--divisor", "1," * 3000 + "x"], 1),
         (["dedekind", "1" + "0" * 4200, "2", "0"], 2)],
         ids=["dedekind-d", "cap", "divisor", "index", "comma-selector",
              "dedekind-domain"])

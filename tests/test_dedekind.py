@@ -47,6 +47,14 @@ class TestPhiKey:
     def test_nonpositive_modulus_rejected(self):
         with pytest.raises(DomainError):
             PhiKey(0, 0, 0)
+        # refused before h % d can divide by zero
+        with pytest.raises(DomainError, match="must be positive"):
+            PhiKey.of(0, 1, 1)
+
+    @pytest.mark.parametrize("args", [(5, 7, 0), (5, 2, 9)])
+    def test_unnormalized_rejected(self, args):
+        with pytest.raises(DomainError, match="not normalized"):
+            PhiKey(*args)
 
 
 class TestPhiExact:

@@ -396,6 +396,13 @@ class TestActions:
         with pytest.raises(DomainError):
             negation_N(spec, inv, bad)
 
+    def test_foreign_character_rejected(self, hyperelliptic):
+        spec, inv = hyperelliptic.spec, hyperelliptic.inv
+        D = make_divisor(spec, [0, 0, 0, 1, 1, 1])
+        chi = AbelianGroup((3,)).character([1])
+        with pytest.raises(MalformedDataError, match="does not belong"):
+            chi_action(spec, inv, D, chi)
+
     def test_negation_is_an_involution(self, battery):
         for cover in battery:
             spec, inv = cover.spec, cover.inv

@@ -117,6 +117,13 @@ class TestPairing:
         g = AbelianGroup((2,))
         assert pairing_u(g, g.character([1]), g.element([1])) == 1
 
+    def test_foreign_group_objects_rejected(self):
+        z2, z3 = AbelianGroup((2,)), AbelianGroup((3,))
+        with pytest.raises(MalformedDataError, match="does not belong"):
+            pairing_u(z2, z3.character([1]), z2.element([1]))
+        with pytest.raises(MalformedDataError, match="does not belong"):
+            element_order(z2, z3.element([1]))
+
     def test_orthogonal_pair_gives_zero(self):
         # chi = (1,1) annihilates s = (1,2) in Z2 x Z4: the angle sum is
         # 1/2 + 2/4, an integer, so u = 0.
