@@ -29,6 +29,7 @@ import argparse
 import csv
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 
@@ -201,8 +202,9 @@ def cmd_enumerate(args) -> int:
 def _select_divisor(spec: CoverSpec, inv: CoverInvariants,
                     selector: str, args) -> InvariantDivisor:
     text = selector.strip()
-    try:
-        parsed = json.loads(text)
+    try:  # the comma form b,b,b is read as the JSON list [b,b,b]
+        parsed = json.loads(f"[{text}]" if "," in text
+                            and not text.startswith("[") else text)
     except (ValueError, RecursionError):  # also too many digits, deep nesting
         parsed = None
     if isinstance(parsed, list):
@@ -217,13 +219,6 @@ def _select_divisor(spec: CoverSpec, inv: CoverInvariants,
                 f"divisor index {parsed} out of range; enumeration has "
                 f"{len(betas)} entries", path="--divisor")
         return InvariantDivisor(betas[parsed], 1, spec.fingerprint)
-    if "," in text:
-        try:
-            weights = [int(p) for p in text.split(",")]
-        except ValueError:
-            pass
-        else:
-            return make_divisor(spec, weights)
     raise ParseError(f"cannot parse divisor selector {text!r}",
                      path="--divisor")
 
@@ -266,8 +261,11 @@ def cmd_exponents(args) -> int:
 
 
 def cmd_dedekind(args) -> int:
-    key = PhiKey.of(args.d, args.h, args.s)
-    sys.stdout.write(str(phi_exact(key)) + "\n")
+    value = phi_exact(PhiKey.of(args.d, args.h, args.s))
+    # phi has up to twice the digits of d, past the 4300 that str(int)
+    # allows; Decimal prints an int of any size
+    num, den = (str(Decimal(x)) for x in value.as_integer_ratio())
+    sys.stdout.write(num + ("" if den == "1" else "/" + den) + "\n")
     return EXIT_OK
 
 

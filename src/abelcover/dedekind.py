@@ -4,38 +4,35 @@ The sum phi_{h+dZ}(s) is defined over the nonzero residues k modulo d by
 
     sum_k e(ks/d) / ((1 - e(kh/d)) (1 - e(-k/d))),
 
-a rational number even though no single term is.  The exact evaluator
-uses the equivalent real form
+a rational number even though no single term is.  Keys are normalized to
+0 <= h, s < d with gcd(h, d) = 1; d = 1 gives phi = 0.  The library
+evaluates T = 4d phi, an integer, by the reciprocity law
 
-    d * sum_{u=0}^{d-1} (u/d - (d-1)/(2d)) ({(hu+s)/d} - (d-1)/(2d)),
+    phi_{h+dZ}(s) = (d^2 + h^2 + 3hd - 3d - 3h + 1 - 6s(d+h-1-s)) / (12h)
+                    - (d/h) phi_{(d mod h)+hZ}(s mod h),
 
-which clears denominators to the integer expression
+which runs (d, h, s) down the Euclid chain to d = 1 and climbs back in
+O(log d) integer steps, each division checked exact; phi_exact returns
+T / 4d as the one Fraction.
 
-    sum_{u=0}^{d-1} (2u - d + 1) (2 ((hu+s) mod d) - d + 1)   over   4d,
-
-so the whole computation is integer arithmetic with a single Fraction at
-the end.  Only T(0) = 4d phi(0) is summed so; the shift law below walks
-s = 0, h, 2h, ... mod d from there in O(d), with no cache.  Keys are
-normalized to 0 <= h, s < d with gcd(h, d) = 1; d = 1 gives phi = 0.
-
-Known laws, all exercised by the test suite: the shift law
-phi(s+h) = phi(s) + s - (d-1)/2, the reciprocity recursion lowering d to
-d mod h, the closed form (d^2 - 1 - 6s(d-s))/12 at h = 1, the zero sum
-over s, the bridge phi(0) = d s(h,d) + (d-1)/4 to the classical Dedekind
-sum, invariance under h -> h^{-1}, s -> -h^{-1} s, and the four-case
-integrality pattern of phi modulo 1.  The defining complex sum (in
-floating point), the classical sum and the integrality classes are not
-part of the library; they are test oracles in tests/oracles.py.
+Other known laws, all exercised by the test suite: the shift law
+phi(s+h) = phi(s) + s - (d-1)/2, the closed form (d^2 - 1 - 6s(d-s))/12
+at h = 1, the zero sum over s, the bridge phi(0) = d s(h,d) + (d-1)/4 to
+the classical Dedekind sum, invariance under h -> h^{-1},
+s -> -h^{-1} s, and the four-case integrality pattern of phi modulo 1.
+The defining complex sum (in floating point), its real form
+4d phi(s) = sum_{u<d} (2u - d + 1) (2 ((hu+s) mod d) - d + 1), the
+classical sum and the integrality classes are not part of the library;
+they are test oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import DomainError
+from .errors import ConsistencyError, DomainError
 
 __all__ = [
     "PhiKey",
@@ -71,18 +68,25 @@ class PhiKey:
         return cls(d, h % d, s % d)
 
 
-def _phi_walk(d: int, h: int) -> Iterator[tuple[int, int]]:
-    """(s, T(s)) with T = 4d phi_{h+dZ}, for s = 0, h, 2h, ... mod d: T(0)
-    from the real form, then T(s+h) = T(s) + 4ds - 2d(d-1), s in [0, d)."""
-    shift, s = d - 1, 0
-    t = sum((2 * u - shift) * (2 * (h * u % d) - shift) for u in range(d))
-    for _ in range(d):
-        yield s, t
-        t += 4 * d * s - 2 * d * shift
-        s = (s + h) % d
+def _phi_t(d: int, h: int, s: int) -> int:
+    """T = 4d phi_{h+dZ}(s) for a normalized key, by the reciprocity law:
+    T = d (h N - 3d T') / (3h^2), with N its numerator and T' the value
+    at (h, d mod h, s mod h)."""
+    chain = []
+    while d > 1:
+        chain.append((d, h, s))
+        d, h, s = h, d % h, s % h
+    t = 0
+    for d, h, s in reversed(chain):
+        n = d * d + h * h + 3 * h * d - 3 * d - 3 * h + 1 \
+            - 6 * s * (d + h - 1 - s)
+        t, rest = divmod(d * (h * n - 3 * d * t), 3 * h * h)
+        if rest:
+            raise ConsistencyError(
+                f"reciprocity step at d={d}, h={h}, s={s} is not integral")
+    return t
 
 
 def phi_exact(key: PhiKey) -> Fraction:
-    """The exact rational value of phi_{h+dZ}(s), read off the walk."""
-    return next(Fraction(t, 4 * key.d) for s, t in _phi_walk(key.d, key.h)
-                if s == key.s)
+    """The exact rational value of phi_{h+dZ}(s)."""
+    return Fraction(_phi_t(key.d, key.h, key.s), 4 * key.d)

@@ -46,7 +46,7 @@ from operator import getitem, mul
 from .cover import CoverInvariants, CoverSpec, _require_validated
 from .errors import (ConsistencyError, DomainError, MalformedDataError,
                      ResourceCapError)
-from .group_core import Character, pairing_u
+from .group_core import Character
 
 __all__ = [
     "InvariantDivisor",
@@ -266,17 +266,18 @@ def orbit(spec: CoverSpec, inv: CoverInvariants,
     return [InvariantDivisor(b, D.p, D.cover_fingerprint) for b in members]
 
 
-def support_p(spec: CoverSpec, D: InvariantDivisor,
+def support_p(spec: CoverSpec, inv: CoverInvariants, D: InvariantDivisor,
               chi: Character) -> frozenset[int]:
     """Positions of the sites with beta >= o - u_{chi,sigma}, the root set
     of the support polynomial for chi.  Its size equals t_chi whenever D
     is non-special."""
+    _require_validated(spec, inv)
     _require_same_cover(spec, D)
-    group = spec.group
+    if chi not in inv.u:
+        raise MalformedDataError("character does not belong to this group")
     return frozenset(
-        k for k, (site, o, b) in
-        enumerate(zip(spec.sites, spec.site_orders, D.beta))
-        if b >= o - pairing_u(group, chi, site.element))
+        k for k, (o, u, b) in
+        enumerate(zip(spec.site_orders, inv.u[chi], D.beta)) if b >= o - u)
 
 
 def half_form_exponents(spec: CoverSpec,

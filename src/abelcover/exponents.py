@@ -22,11 +22,12 @@ always an even integer; the full table over unordered pairs, together
 with the det C exponent 4m and the theta exponent 8m, is what this
 module assembles.  It is built from one integer row per pair of element
 ranks r_a <= r_b, E[s] = m n (2 T(d,h,s) + T(d,h,0) + d (o_a-1)(o_b-1)) /
-(d o_a o_b) with T = 4d phi, filled in O(d) by one Dedekind walk and
-checked to be an even integer for every s < d as it is built.  A pair
-reads E[(beta_b - h beta_a) mod d]; exponent_table and thomae_exponent
-both read these rows.  The orbit sum q_e and the character average
-gamma, by definition and in closed form, are oracles in tests/oracles.py.
+(d o_a o_b) with T = 4d phi from the O(log d) reciprocity evaluator of
+dedekind.py, so a row costs O(d log d), and checked to be an even
+integer for every s < d as it is built.  A pair reads
+E[(beta_b - h beta_a) mod d]; exponent_table and thomae_exponent both
+read these rows.  The orbit sum q_e and the character average gamma, by
+definition and in closed form, are oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cover import CoverInvariants, CoverSpec
-from .dedekind import _phi_walk
+from .dedekind import _phi_t
 from .divisors import (InvariantDivisor, _expand, _require_same_cover,
                        is_nonspecial)
 from .errors import ConsistencyError, DomainError
@@ -130,10 +131,9 @@ def _exponent_row(spec: CoverSpec, inv: CoverInvariants, a: int,
                              spec.sites[b].element)
     d, h, oa, ob = data.d, data.h, spec.site_orders[a], spec.site_orders[b]
     scale, divisor, row = inv.m * inv.n, d * oa * ob, [0] * d
-    for s, t in _phi_walk(d, h):
-        if s == 0:  # the walk starts at s = 0
-            base = t + d * (oa - 1) * (ob - 1)
-        value, rest = divmod(scale * (2 * t + base), divisor)
+    base = _phi_t(d, h, 0) + d * (oa - 1) * (ob - 1)
+    for s in range(d):
+        value, rest = divmod(scale * (2 * _phi_t(d, h, s) + base), divisor)
         if rest or value % 2:
             raise ConsistencyError(
                 f"exponent row of sites ({a}, {b}) has an odd or "

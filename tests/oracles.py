@@ -8,8 +8,8 @@ beside the tests that use them, to cross-check it:
     phi_{h+dZ}(s) in high precision floating point (mpmath), and the
     classical Dedekind sum and integrality classes of the phi laws;
   * phi_sum_definition, the per-point integer real-form sum 4d phi(s),
-    moved here from dedekind.py when the library began to walk each
-    row from T(0) by the shift law; it checks that walk point by point;
+    which the library no longer evaluates: dedekind.py reaches every
+    value by the reciprocity law, and this sum checks it point by point;
   * q_delta, the orbit sum q_e and the character average gamma in
     definitional and closed form, and thomae_exponent_closed_form,
     which checks the integer exponent rows in rational arithmetic;

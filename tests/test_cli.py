@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -590,6 +591,21 @@ class TestExponents:
         assert json.loads(spelled[0][1])["error"]["kind"] == \
             "MalformedDataError"
 
+    @pytest.mark.parametrize("weights", [
+        "\u0661,1,0,0", "+1,1,0,0", "01,1,0,0", "1_0,1,0,0"],
+        ids=["arabic-indic-digit", "plus-sign", "leading-zero", "underscore"])
+    def test_comma_selector_has_the_json_grammar(self, write_doc, capsys,
+                                                 weights):
+        # JSON reads none of these weights, bracketed or not
+        path = write_doc({"group": [2], "branch_points": [
+            {"element": [1], "lambda": str(v)} for v in range(4)]})
+        for selector in (weights, f"[{weights}]"):
+            code, out = run(capsys, "exponents", f"--divisor={selector}",
+                            path)
+            assert code == 1
+            error = json.loads(out)["error"]
+            assert (error["kind"], error["path"]) == ("parse", "--divisor")
+
     def test_round_trip_with_enumeration(self, write_doc, capsys):
         """Feeding enumerated beta vectors back as selectors reproduces
         the by-index tables byte for byte."""
@@ -612,7 +628,8 @@ class TestExponents:
     def test_large_cyclic_group_digest(self, write_doc, capsys, p, selector,
                                        digest):
         # sites (1, 1, p - 2); the digests were recorded when every row
-        # entry was summed on its own, before rows walked the shift law
+        # entry was summed on its own, before rows were filled by the
+        # reciprocity evaluator
         document = {"group": [p], "branch_points": [
             {"element": [e], "lambda": str(k)}
             for k, e in enumerate((1, 1, p - 2))]}
@@ -817,6 +834,19 @@ class TestDedekind:
         assert code == 0
         code2, out2 = run(capsys, "dedekind", "5", "2", "2")
         assert out == out2
+
+    def test_large_modulus(self, capsys):
+        # walking the shift law to s = 5 took about 7 s on a 2-core x86
+        # box; the reciprocity law takes a few Euclid steps
+        assert run(capsys, "dedekind", "10000019", "2", "5") == \
+            (0, "4166672500001\n")
+
+    def test_value_past_the_str_digit_limit(self, capsys):
+        # at h = 1, phi(0) = (d^2 - 1)/12 has 4999 digits for this d
+        d = 10 ** 2500 + 1
+        code, out = run(capsys, "dedekind", str(d), "1", "0")
+        assert code == 0
+        assert len(out) == 5000 and 12 * int(Decimal(out)) == d * d - 1
 
     def test_invalid_key_exit_2(self, capsys):
         code, out = run(capsys, "dedekind", "6", "2", "0")

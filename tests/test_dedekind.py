@@ -1,4 +1,4 @@
-"""Generalized Dedekind sums: the exact real-sum evaluator against its
+"""Generalized Dedekind sums: the exact reciprocity evaluator against its
 defining root-of-unity oracle, the classical sum, and the full law
 battery (shift, reciprocity, closed form at h=1, zero-sum, bridge,
 inverse symmetry, integrality classes)."""
@@ -6,6 +6,7 @@ inverse symmetry, integrality classes)."""
 from __future__ import annotations
 
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -110,9 +111,10 @@ class TestPhiExact:
 
 
 class TestWalkAgainstDefinition:
-    """phi_exact walks from T(0) by the shift law, so the shift-law test
-    above restates the library; the per-point sum is the independent
-    check, beside the root-of-unity oracle."""
+    """phi_exact evaluates T = 4d phi by the reciprocity law, so the
+    reciprocity test above restates the library; the per-point sum, the
+    shift law and the inverse symmetry are independent checks, beside the
+    root-of-unity oracle, and they reach moduli far past d = 60."""
 
     @staticmethod
     def check_every_s(d, h):
@@ -129,6 +131,36 @@ class TestWalkAgainstDefinition:
     @pytest.mark.parametrize("h", [1, 2, 500])
     def test_prime_modulus_1009(self, h):
         self.check_every_s(1009, h)
+
+    @pytest.mark.parametrize("h", [1, 2, 5003])
+    def test_prime_modulus_10007(self, h):
+        d = 10007
+        for s in range(0, d, 1001):
+            assert 4 * d * phi_exact(PhiKey(d, h, s)) == \
+                phi_sum_definition(d, h, s)
+
+    @staticmethod
+    def hundred_digit_keys(seed, count=20):
+        rng = random.Random(seed)
+        keys = []
+        while len(keys) < count:
+            d = rng.randrange(10 ** 99, 10 ** 100)
+            h = rng.randrange(1, d)
+            if math.gcd(h, d) == 1:
+                keys.append(PhiKey(d, h, rng.randrange(d)))
+        return keys
+
+    def test_shift_law_at_100_digits(self):
+        for key in self.hundred_digit_keys(1):
+            shifted = PhiKey.of(key.d, key.h, key.s + key.h)
+            assert phi_exact(shifted) == \
+                phi_exact(key) + key.s - Fraction(key.d - 1, 2)
+
+    def test_inverse_symmetry_at_100_digits(self):
+        for key in self.hundred_digit_keys(2):
+            hinv = pow(key.h, -1, key.d)
+            mirrored = PhiKey.of(key.d, hinv, -hinv * key.s)
+            assert phi_exact(key) == phi_exact(mirrored)
 
     def test_no_row_is_kept(self):
         # a list of d entries would alone take d * 8 bytes, 160 kB here

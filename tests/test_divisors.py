@@ -456,13 +456,20 @@ class TestSupport:
             for D in enumerate_nonspecial(spec, inv)[:8]:
                 for chi in dual_group(spec.group):
                     expected = 0 if chi.is_trivial() else inv.t[chi]
-                    assert len(support_p(spec, D, chi)) == expected
+                    assert len(support_p(spec, inv, D, chi)) == expected
 
     def test_hyperelliptic_support_is_the_selected_set(self, hyperelliptic):
-        spec = hyperelliptic.spec
+        spec, inv = hyperelliptic.spec, hyperelliptic.inv
         D = make_divisor(spec, [0, 1, 0, 1, 0, 1])
         chi = spec.group.character([1])
-        assert support_p(spec, D, chi) == frozenset({1, 3, 5})
+        assert support_p(spec, inv, D, chi) == frozenset({1, 3, 5})
+
+    def test_foreign_character_rejected(self, hyperelliptic):
+        spec, inv = hyperelliptic.spec, hyperelliptic.inv
+        D = make_divisor(spec, [0, 1, 0, 1, 0, 1])
+        chi = AbelianGroup((3,)).character([1])
+        with pytest.raises(MalformedDataError, match="does not belong"):
+            support_p(spec, inv, D, chi)
 
     def test_complementary_under_negation(self, battery):
         # support of p for (D, chi) and for (ND, conj chi) tile the sites
@@ -476,8 +483,8 @@ class TestSupport:
                     outside_kernel = frozenset(
                         k for k, site in enumerate(spec.sites)
                         if pairing_u(group, chi, site.element) != 0)
-                    left = support_p(spec, D, chi)
-                    right = support_p(spec, ND, chi.conjugate())
+                    left = support_p(spec, inv, D, chi)
+                    right = support_p(spec, inv, ND, chi.conjugate())
                     assert left & right == frozenset()
                     assert left | right == outside_kernel
 

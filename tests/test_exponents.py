@@ -37,15 +37,14 @@ def all_small_factorizations(max_order=24):
 
 
 def spoil_last_residue(monkeypatch):
-    """Wrap the Dedekind walk as exponents imports it, adding 1 to T only
-    at s = d - 1."""
-    walk = exponents_module._phi_walk
+    """Wrap the Dedekind evaluator as exponents imports it, adding 1 to T
+    only at s = d - 1."""
+    evaluate = exponents_module._phi_t
 
-    def spoiled(d, h):
-        for s, t in walk(d, h):
-            yield s, t + (s == d - 1)
+    def spoiled(d, h, s):
+        return evaluate(d, h, s) + (s == d - 1)
 
-    monkeypatch.setattr(exponents_module, "_phi_walk", spoiled)
+    monkeypatch.setattr(exponents_module, "_phi_t", spoiled)
 
 
 class TestPairKey:
