@@ -23,10 +23,14 @@ are computed exactly for every character.  The genus is checked against
 the dimension identity sum over nontrivial chi of (t_{conj(chi)} - 1) = g
 before anything is returned.
 
-validate is the only place where u_{chi,sigma} is computed for a cover;
-it keeps the table as CoverInvariants.u, and compiles the counting
-condition into packed ints from it.  The helpers of later layers take a
-validated CoverInvariants as given and check each divisor once.
+validate is the only place where u_{chi,sigma} is computed for a cover,
+by the integer rule it shares with pairing_u; it keeps the table as
+CoverInvariants.u and packs the counting condition from it.  It proves
+the degree identity once per cover: u_{chi,sigma} takes each value in
+[0, o) n/o times as chi runs over the dual group, so the fields of
+packed[k][v] total v n/o, and sum_chi t_chi = g - 1 + n; any beta that
+meets packed_target has degree g - 1.  The helpers of later layers take
+a validated CoverInvariants as given and check each divisor once.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ from operator import mul
 
 from .errors import (ConsistencyError, DisconnectedCoverError,
                      InvalidCoverError, MalformedDataError)
-from .group_core import (AbelianGroup, Character, GroupElement, dual_group,
-                         element_order, pairing_u)
+from .group_core import (AbelianGroup, Character, GroupElement,
+                         _pairing_coefficients, dual_group, element_order)
 
 __all__ = [
     "BranchPoint",
@@ -148,8 +152,7 @@ class CoverInvariants:
     the pairing table u with u[chi][k] = u_{chi,sigma} for the site at
     canonical position k, both in dual-group order.  packed[k][v] has a
     bit field per character, 1 where weight v >= o(sigma) - u[chi][k]
-    counts at site k; packed_target has t_chi there; degree_weights[k] =
-    n / o(sigma).
+    counts at site k; packed_target has t_chi there.
     Fields are B.bit_length() + 1 bits wide: a count never exceeds B, so
     sums never carry between fields and the top bit of each is a free
     guard bit, set in packed_guard.  (x | packed_guard) - y keeps a
@@ -165,20 +168,20 @@ class CoverInvariants:
     packed: tuple[tuple[int, ...], ...] = field(repr=False)
     packed_target: int = field(repr=False)
     packed_guard: int = field(repr=False)
-    degree_weights: tuple[int, ...] = field(repr=False)
     cover_fingerprint: str = field(repr=False)
 
 
 def validate(spec: CoverSpec) -> CoverInvariants:
     """Check every cover invariant; compute (n, m, g, t, u) and the
-    packed tables from one pass over the dual group.
+    packed tables from one pass over the dual group; prove the degree
+    identity for every divisor the tables accept (module docstring).
 
     Raises MalformedDataError on duplicate branch values,
     InvalidCoverError (reason "monodromy") when the branch elements do not
     sum to the identity, and DisconnectedCoverError when more than one
     t_chi is 0, i.e. they fail to generate the group.  A failed identity
-    (t, genus, dimension) raises ConsistencyError; it is unreachable once
-    monodromy closure holds."""
+    (t, genus, dimension, degree) raises ConsistencyError; none can fail
+    once monodromy closure holds."""
     group = spec.group
     n = group.order
 
@@ -197,11 +200,12 @@ def validate(spec: CoverSpec) -> CoverInvariants:
             f"branch monodromies sum to {total} instead of the identity")
 
     weights = tuple(n // o for o in spec.site_orders)
+    rules = [_pairing_coefficients(group, s.element) for s in spec.sites]
     t: dict[Character, int] = {}
     u: dict[Character, tuple[int, ...]] = {}
     for chi in dual_group(group):
-        u[chi] = tuple(pairing_u(group, chi, site.element)
-                       for site in spec.sites)
+        u[chi] = tuple([sum(map(mul, chi.residues, c)) % o
+                        for o, c in rules])
         t[chi], rest = divmod(sum(map(mul, u[chi], weights)), n)
         if rest:
             raise ConsistencyError(
@@ -224,10 +228,10 @@ def validate(spec: CoverSpec) -> CoverInvariants:
 
     dimension = sum(max(t[chi.conjugate()] - 1, 0)
                     for chi in t if not chi.is_trivial())
-    if dimension != g:
+    if dimension != g or sum(t.values()) != g - 1 + n:
         raise ConsistencyError(
-            f"differential dimension count {dimension} disagrees with "
-            f"genus {g}")
+            f"differential dimension count {dimension} or t sum "
+            f"{sum(t.values())} - n + 1 disagrees with genus {g}")
 
     width = len(spec.sites).bit_length() + 1  # counts <= B: top bit free
     packed = []
@@ -236,12 +240,17 @@ def validate(spec: CoverSpec) -> CoverInvariants:
         for c, row in enumerate(u.values()):
             starts[o - row[k]] += 1 << (c * width)
         packed.append(tuple(accumulate(starts[:o])))
+        # each field is 0 or 1 (a character's bit enters the running sum
+        # once), so bit_count totals the fields: v n / o at weight v
+        if any(x.bit_count() != v * weights[k]
+               for v, x in enumerate(packed[k])):
+            raise ConsistencyError(f"packed[{k}] miscounts the u values")
     return CoverInvariants(
         group=group, n=n, m=group.exponent, g=g, t=t, u=u,
         packed=tuple(packed), packed_target=sum(
             tc << (c * width) for c, tc in enumerate(t.values())),
         packed_guard=sum(1 << (c * width + width - 1) for c in range(n)),
-        degree_weights=weights, cover_fingerprint=spec.fingerprint)
+        cover_fingerprint=spec.fingerprint)
 
 
 def _require_validated(spec: CoverSpec, inv: CoverInvariants) -> None:

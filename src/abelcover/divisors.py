@@ -11,7 +11,8 @@ for every character chi, the counting condition
 
     #{ sites with beta >= o(sigma) - u_{chi,sigma} } = t_chi;
 
-such a divisor automatically has degree g - 1.  This module decides the
+such a divisor automatically has degree g - 1, which validate proves
+once per cover and no divisor rechecks.  This module decides the
 condition, enumerates all solutions, and implements the dual-group action
 
     beta -> beta + u            when beta < o - u,
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import getitem, mul
+from operator import getitem
 
 from .cover import CoverInvariants, CoverSpec, _require_validated
 from .errors import (ConsistencyError, DomainError, MalformedDataError,
@@ -104,9 +105,8 @@ def is_nonspecial(spec: CoverSpec, inv: CoverInvariants,
                   D: InvariantDivisor) -> bool:
     """Decide the per-character counting condition (with p = 1).
 
-    When the answer is true the degree is additionally asserted to be
-    g - 1; that is a consequence of the condition, so a mismatch is an
-    internal error rather than a veto.
+    A divisor that meets it has degree g - 1, which validate proved for
+    the cover; it is not checked again here.
     """
     _require_validated(spec, inv)
     _require_same_cover(spec, D)
@@ -114,15 +114,8 @@ def is_nonspecial(spec: CoverSpec, inv: CoverInvariants,
 
 
 def _meets_counts(inv: CoverInvariants, beta: tuple[int, ...]) -> bool:
-    """The packed counting test on in-range weights; degree g - 1 asserted."""
-    if sum(map(getitem, inv.packed, beta)) != inv.packed_target:
-        return False
-    deg = sum(map(mul, inv.degree_weights, beta)) - inv.n
-    if deg != inv.g - 1:
-        raise ConsistencyError(
-            "divisor meets the counting condition but has degree "
-            f"{deg} instead of g - 1 = {inv.g - 1}")
-    return True
+    """The packed counting test on in-range weights."""
+    return sum(map(getitem, inv.packed, beta)) == inv.packed_target
 
 
 def enumerate_nonspecial(spec: CoverSpec, inv: CoverInvariants, *,
@@ -293,10 +286,9 @@ def half_form_exponents(spec: CoverSpec,
     return HalfFormExponents(exps=exps)
 
 
-def _require_same_cover(spec: CoverSpec, D: InvariantDivisor,
-                        *positions: int) -> None:
-    """D belongs to this cover, p and the weights are ints, each weight is
-    in [0, o(sigma)), and each given site position is in range."""
+def _require_same_cover(spec: CoverSpec, D: InvariantDivisor) -> None:
+    """D belongs to this cover, p and the weights are ints, and each
+    weight is in [0, o(sigma))."""
     if not all(isinstance(x, int) and not isinstance(x, bool)
                for x in (D.p, *D.beta)):
         raise MalformedDataError(
@@ -304,16 +296,11 @@ def _require_same_cover(spec: CoverSpec, D: InvariantDivisor,
     if D.cover_fingerprint != spec.fingerprint:
         raise MalformedDataError(
             "divisor belongs to a different cover than the one given")
-    B = len(spec.sites)
-    if len(D.beta) != B:
+    if len(D.beta) != len(spec.sites):
         raise MalformedDataError("divisor length does not match the cover")
     for b, o in zip(D.beta, spec.site_orders):
         if not 0 <= b < o:
             raise MalformedDataError(f"weight {b} out of range [0, {o})")
-    for k in positions:
-        if not 0 <= k < B:
-            raise MalformedDataError(
-                f"site position {k} out of range for {B} branch sites")
 
 
 def _require_nonspecial(spec: CoverSpec, inv: CoverInvariants,

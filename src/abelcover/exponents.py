@@ -37,9 +37,8 @@ from functools import lru_cache
 
 from .cover import CoverInvariants, CoverSpec
 from .dedekind import _phi_t
-from .divisors import (InvariantDivisor, _expand, _require_same_cover,
-                       is_nonspecial)
-from .errors import ConsistencyError, DomainError
+from .divisors import InvariantDivisor, _expand, is_nonspecial
+from .errors import ConsistencyError, DomainError, MalformedDataError
 from .group_core import intersection_data
 
 __all__ = [
@@ -90,7 +89,9 @@ def thomae_exponent(spec: CoverSpec, inv: CoverInvariants,
     if not is_nonspecial(spec, inv, D):
         raise DomainError("exponents are defined for non-special divisors")
     a, b = pair.first, pair.second
-    _require_same_cover(spec, D, a, b)
+    if b >= len(spec.sites):  # PairKey already holds 0 <= a < b
+        raise MalformedDataError(
+            f"site position {b} out of range for {len(spec.sites)} sites")
     row, d, h = _exponent_row(spec, inv, a, b)
     return row[(D.beta[b] - h * D.beta[a]) % d]
 

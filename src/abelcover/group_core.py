@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import ConsistencyError, DomainError, MalformedDataError
@@ -201,24 +202,25 @@ def element_order(group: AbelianGroup, s: GroupElement) -> int:
 
 @lru_cache(maxsize=None)
 def pairing_u(group: AbelianGroup, chi: Character, s: GroupElement) -> int:
-    """The integer u with 0 <= u < o(s) and chi(s) = e(u / o(s)).
-
-    With m the group exponent, u is sum_l e_l d_l (m / m_l) mod m divided
-    by m / o(s), which is exact because chi(s) is an o(s)-th root of unity.
-    """
-    _require_membership(group, s)
+    """The integer u with 0 <= u < o(s) and chi(s) = e(u / o(s)): the sum
+    of e_l c_l mod o(s), by the rule of _pairing_coefficients that
+    validate applies to every site."""
+    o, c = _pairing_coefficients(group, s)
     if chi.group != group:
         raise MalformedDataError("character does not belong to this group")
-    m = group.exponent
-    u, rest = divmod(
-        sum(e * r * (m // m_l) for e, r, m_l in
-            zip(chi.residues, s.residues, group.factor_orders)) % m,
-        m // element_order(group, s))
-    if rest:
-        raise ConsistencyError(
-            f"pairing of {chi.residues} with {s.residues} is not a root of "
-            f"unity of order dividing o(s)")
-    return u
+    return sum(map(mul, chi.residues, c)) % o
+
+
+def _pairing_coefficients(group: AbelianGroup,
+                          s: GroupElement) -> tuple[int, tuple[int, ...]]:
+    """(o(s), c) with c_l = d_l o(s) / m_l, so that a character e pairs
+    with s as sum_l e_l d_l / m_l = sum_l e_l c_l / o(s); each c_l is an
+    integer since o(s) s is the identity, and a remainder raises."""
+    o = element_order(group, s)
+    pairs = list(zip(s.residues, group.factor_orders))
+    if any(r * o % m_l for r, m_l in pairs):
+        raise ConsistencyError(f"o(s) = {o} does not kill {s.residues}")
+    return o, tuple(r * o // m_l for r, m_l in pairs)
 
 
 def dual_group(group: AbelianGroup) -> list[Character]:

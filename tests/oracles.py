@@ -135,9 +135,18 @@ def _centered(o: int, b: int) -> Fraction:
     return Fraction(2 * b - o + 1, 2 * o)
 
 
+def _require_sites(spec: CoverSpec, D: InvariantDivisor, a: int,
+                   b: int) -> None:
+    """D belongs to this cover and a, b are site positions of it."""
+    _require_same_cover(spec, D)
+    for k in (a, b):
+        if not 0 <= k < len(spec.sites):
+            raise MalformedDataError(f"site position {k} out of range")
+
+
 def q_delta(spec: CoverSpec, D: InvariantDivisor, a: int, b: int) -> Fraction:
     """The product of the centered weights of D at sites a and b."""
-    _require_same_cover(spec, D, a, b)
+    _require_sites(spec, D, a, b)
     oa, ob = spec.site_orders[a], spec.site_orders[b]
     return _centered(oa, D.beta[a]) * _centered(ob, D.beta[b])
 
@@ -157,7 +166,7 @@ def q_e_closed_form(spec: CoverSpec, inv: CoverInvariants,
     Any member of the orbit of D gives the same value, because the
     argument beta_b - h beta_a is constant modulo d along the orbit.
     """
-    _require_same_cover(spec, D, a, b)
+    _require_sites(spec, D, a, b)
     group = spec.group
     oa, ob = spec.site_orders[a], spec.site_orders[b]
     data = intersection_data(group, spec.sites[a].element,

@@ -5,17 +5,20 @@ counting tables."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abelcover import (AbelianGroup, BranchPoint, CoverSpec,
-                       DisconnectedCoverError, InvalidCoverError,
+import abelcover.cover as cover_module
+from abelcover import (AbelianGroup, BranchPoint, ConsistencyError,
+                       CoverSpec, DisconnectedCoverError, InvalidCoverError,
                        MalformedDataError, differential_basis_descriptor,
                        dual_group, validate)
 from conftest import build_cover
 from oracles import generated_subgroup, packed_tables
 from test_divisors import draw_noncyclic_cover
+from test_exponents import all_small_factorizations
 
 
 def disconnected_message(spec: CoverSpec) -> str | None:
@@ -149,14 +152,35 @@ class TestValidate:
         assert validate(spec).g == 0
 
     def test_pairing_table_matches_pairing_u(self, battery, mixed4):
+        # validate and pairing_u apply one integer rule; beside the
+        # battery, one cover per group up to order 24, non-cyclic ones
+        # too, carries every nontrivial element twice
         from abelcover import pairing_u
-        for cover in list(battery) + [mixed4]:
-            spec, inv = cover.spec, cover.inv
+        specs = [cover.spec for cover in (*battery, mixed4)]
+        for factors in all_small_factorizations(24):
+            elements = [s for s in AbelianGroup(factors).elements()
+                        if not s.is_identity()]
+            specs.append(build_cover(factors, [
+                (s.residues, k) for k, s in enumerate(elements + elements)]))
+        for spec in specs:
+            inv = validate(spec)
             group = spec.group
             assert list(inv.u) == dual_group(group) == list(inv.t)
             for chi, row in inv.u.items():
                 assert row == tuple(pairing_u(group, chi, site.element)
                                     for site in spec.sites)
+
+    def test_spoiled_packed_row_raises(self, cyclic6, monkeypatch):
+        # weight 0 counts for no character; a set bit there breaks the
+        # count v n / o that proves the degree identity once per cover
+        def spoiled(starts):
+            first, *rest = accumulate(starts)
+            return [first | 1, *rest]
+
+        monkeypatch.setattr(cover_module, "accumulate", spoiled)
+        with pytest.raises(ConsistencyError,
+                           match=r"packed\[0\] miscounts the u values"):
+            validate(cyclic6.spec)
 
     def test_conjugate_count_sum(self, battery, mixed4):
         # t of chi plus t of its conjugate counts the branch points whose
