@@ -211,8 +211,6 @@ def validate(spec: CoverSpec) -> CoverInvariants:
             raise ConsistencyError(
                 f"t for character {chi.residues} is non-integral despite "
                 f"monodromy closure")
-        if chi.is_trivial() and t[chi] != 0:
-            raise ConsistencyError("t at the trivial character is nonzero")
 
     blind = list(t.values()).count(0)  # n / |H|, H the generated subgroup
     if blind > 1:
@@ -273,7 +271,4 @@ def differential_basis_descriptor(
             continue
         for k in range(inv.t[chi.conjugate()] - 1):
             out.append((chi, k))
-    if len(out) != inv.g:
-        raise ConsistencyError(
-            f"differential basis has {len(out)} entries for genus {inv.g}")
     return out

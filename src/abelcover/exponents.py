@@ -120,6 +120,7 @@ def exponent_table(spec: CoverSpec, inv: CoverInvariants,
         divisor_fingerprint=f"{spec.fingerprint}:orbit{list(rep)}")
 
 
+# keyed by the site count B, shared by every cover of B sites: +4% without
 @lru_cache(maxsize=None)
 def _pair_keys(B: int) -> tuple[PairKey, ...]:
     return tuple(PairKey(a, b) for a in range(B) for b in range(a + 1, B))
@@ -158,11 +159,10 @@ def relabel_equivalent(spec: CoverSpec, inv: CoverInvariants,
         if not is_nonspecial(spec, inv, D):
             raise DomainError(
                 "relabel equivalence is defined for non-special divisors")
-    B = len(spec.sites)
     blocks: dict[int, list[int]] = {}
     for k, site in enumerate(spec.sites):
         blocks.setdefault(site.element_rank, []).append(k)
-    perm = [0] * B  # every site lies in exactly one block
+    perm = [0] * len(spec.sites)  # every site lies in exactly one block
     for positions in blocks.values():
         src = sorted(positions, key=lambda k: (D1.beta[k], k))
         dst = sorted(positions, key=lambda k: (D2.beta[k], k))
@@ -170,7 +170,4 @@ def relabel_equivalent(spec: CoverSpec, inv: CoverInvariants,
             return None
         for a, b in zip(src, dst):
             perm[a] = b
-    for a in range(B):
-        if D2.beta[perm[a]] != D1.beta[a]:
-            raise ConsistencyError("relabeling permutation failed to verify")
     return tuple(perm)

@@ -187,7 +187,6 @@ class IntersectionData:
     h: int
 
 
-@lru_cache(maxsize=None)
 def element_order(group: AbelianGroup, s: GroupElement) -> int:
     """The order o(s), the least k >= 1 with k * s equal to the identity.
 
@@ -200,6 +199,7 @@ def element_order(group: AbelianGroup, s: GroupElement) -> int:
     return lcm(*factors) if factors else 1
 
 
+# no library caller; perfbench reads its cache_info() until ROADMAP item 1
 @lru_cache(maxsize=None)
 def pairing_u(group: AbelianGroup, chi: Character, s: GroupElement) -> int:
     """The integer u with 0 <= u < o(s) and chi(s) = e(u / o(s)): the sum
@@ -232,10 +232,10 @@ def dual_group(group: AbelianGroup) -> list[Character]:
 
 def cyclic_subgroup(group: AbelianGroup, s: GroupElement) -> list[GroupElement]:
     """The powers 0*s, 1*s, ..., (o(s)-1)*s in that order."""
-    _require_membership(group, s)
     return [s * k for k in range(element_order(group, s))]
 
 
+# value-keyed, so it spans the covers of one process: tables ops +11% without
 @lru_cache(maxsize=None)
 def intersection_data(group: AbelianGroup, s: GroupElement,
                       r: GroupElement) -> IntersectionData:
@@ -248,12 +248,10 @@ def intersection_data(group: AbelianGroup, s: GroupElement,
     is automatic since r^(o(r)/d) generates the same subgroup.  For equal
     inputs the result is (o(s), 1); h = 0 occurs only when d = 1.
     """
-    _require_membership(group, s)
-    _require_membership(group, r)
-    if s.is_identity() or r.is_identity():
-        raise DomainError("intersection data requires nontrivial elements")
     o_s = element_order(group, s)
     o_r = element_order(group, r)
+    if o_s == 1 or o_r == 1:  # only the identity has order 1
+        raise DomainError("intersection data requires nontrivial elements")
     # the multiples k*s and k*r as residue tuples
     powers_s, powers_r = (
         [tuple([x * k % m for x, m in zip(e.residues, group.factor_orders)])

@@ -28,13 +28,13 @@ The finished solution is verified by fully expanding S(z, w) and reading
 off its w-degree.
 
 The solver clears denominators once: f_0 and f_1 are scaled to integer
-rows over one common denominator L, the levels, the degree checks and
-the expansion run on ints, and each coefficient of the result becomes
-a Fraction only at the end.  build_pchichi builds f_0 and f_1 over the
-integers too, multiplying in one branch factor at a time: f_1 is a
-weighted logarithmic derivative of f_0, so the product rule builds it
-alongside f_0 with no division.  Every coefficient a caller sees is a
-Fraction.
+rows over one common denominator L, and the levels and the expansion
+run on ints.  Row l has d+e-l+1 entries, so deg f_l <= d+e-l holds by
+construction; each coefficient becomes a Fraction only at the end.
+build_pchichi builds f_0 and f_1 over the integers too, multiplying in
+one branch factor at a time: f_1 is a weighted logarithmic derivative
+of f_0, so the product rule builds it alongside f_0 with no division.
+Every coefficient a caller sees is a Fraction.
 """
 
 from __future__ import annotations
@@ -213,11 +213,6 @@ def solve_polexist(f0: UniPoly, f1: UniPoly, d: int, e: int) -> KernelSolution:
         for l, x in enumerate(sol, top + 1):
             k = n - h - l
             rows[l][k] = x if k % 2 == 0 else -x
-    for l, row in enumerate(rows):
-        degree = _row_degree(row)
-        if degree > n - l:
-            raise ConsistencyError(
-                f"f_{l} has degree {degree}, above the bound {n - l}")
     wdeg = max(map(_row_degree, _expand(rows)))
     if wdeg > e:
         raise ConsistencyError(
@@ -248,7 +243,7 @@ def build_pchichi(spec: CoverSpec, inv: CoverInvariants,
     monodromy lies outside ker chi; its degree is t_chi + t_conj.  f_1
     multiplies f_0 by the weighted sum of 1/(z - lambda) with weights
     u_{chi,sigma}/o(sigma), so lead(f_1) = t_chi.  The pair is then handed
-    to solve_polexist with d = t_chi and e = t_conj.
+    to solve_polexist with d = t_chi and e = t_conj, both >= 1 (connected).
 
     Both are built over the integers, in one pass over the active sites.
     With lambda = p/q in lowest terms, F_0 = prod (q z - p) has the lead
@@ -261,12 +256,7 @@ def build_pchichi(spec: CoverSpec, inv: CoverInvariants,
     _require_validated(spec, inv)
     if chi.is_trivial():
         raise DomainError("the construction needs a nontrivial character")
-    tchi = inv.t[chi]
-    tbar = inv.t[chi.conjugate()]
-    if tchi < 1 or tbar < 1:
-        raise DomainError(
-            f"need t_chi >= 1 on both chi and its conjugate, got "
-            f"{tchi} and {tbar}")
+    tchi, tbar = inv.t[chi], inv.t[chi.conjugate()]
     active = [(site.value.numerator, site.value.denominator, u, o)
               for site, u, o in zip(spec.sites, inv.u[chi], spec.site_orders)
               if u > 0]

@@ -96,15 +96,28 @@ class TestParsing:
         assert json.loads(out)["error"]["path"] == \
             "branch_points[0].lambda"
         point = {"element": [1], "lambda": "0"}
-        for doc, path in (
-                ({"branch_points": [point]}, "group"),
-                ({"group": [2]}, "branch_points"),
+        lam = "lambda must be a string or integer"
+        for doc, detail, path in (
+                ({"branch_points": [point]}, "missing field", "group"),
+                ({"group": [2]}, "missing field", "branch_points"),
                 ({"group": [2], "branch_points": [{"lambda": "0"}]},
-                 "branch_points[0].element")):
+                 "missing field", "branch_points[0].element"),
+                ({"group": [2], "branch_points": {}},
+                 "branch_points must be a list", "branch_points"),
+                ({"group": [2], "branch_points": [
+                    {"element": "1", "lambda": "0"}]},
+                 "element must be a list of integers",
+                 "branch_points[0].element"),
+                ({"group": [2], "branch_points": [
+                    {"element": [1], "lambda": None}]},
+                 lam, "branch_points[0].lambda"),
+                ({"group": [2], "branch_points": [
+                    {"element": [1], "lambda": [0]}]},
+                 lam, "branch_points[0].lambda")):
             code, out = run(capsys, "validate", write_doc(doc))
             assert code == 1
             assert json.loads(out)["error"] == {
-                "kind": "parse", "detail": "missing field", "path": path}
+                "kind": "parse", "detail": detail, "path": path}
 
     def test_bool_lambda_rejected(self, write_doc, capsys):
         # true is a JSON bool, not the integer 1

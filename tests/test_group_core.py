@@ -123,6 +123,12 @@ class TestPairing:
             pairing_u(z2, z3.character([1]), z2.element([1]))
         with pytest.raises(MalformedDataError, match="does not belong"):
             element_order(z2, z3.element([1]))
+        with pytest.raises(MalformedDataError, match="does not belong"):
+            cyclic_subgroup(z2, z3.element([1]))
+        # a foreign element is refused before either element's identity
+        for foreign in (z3.element([1]), z3.identity()):
+            with pytest.raises(MalformedDataError, match="does not belong"):
+                intersection_data(z2, z2.element([1]), foreign)
 
     def test_orthogonal_pair_gives_zero(self):
         # chi = (1,1) annihilates s = (1,2) in Z2 x Z4: the angle sum is
