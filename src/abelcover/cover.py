@@ -14,14 +14,14 @@ Validation checks three things and then derives the numeric invariants:
     t_chi = 0 exactly for the characters trivial on the generated
     subgroup H, and there are n / |H| of them.
 
-The genus comes from Riemann-Hurwitz,
+Each t_chi = sum over branch points of u_{chi,sigma} / o(sigma) is exact,
+and g = sum_chi t_chi - n + 1 is checked by one Riemann-Hurwitz identity,
 
-    g = 1 - n + (1/2) sum over branch points of (n / o(sigma)) (o(sigma) - 1),
+    2 sum_chi t_chi = sum over branch points of (n / o(sigma)) (o(sigma) - 1).
 
-and the integers t_chi = sum over branch points of u_{chi,sigma} / o(sigma)
-are computed exactly for every character.  The genus is checked against
-the dimension identity sum over nontrivial chi of (t_{conj(chi)} - 1) = g
-before anything is returned.
+Connectedness leaves t_chi >= 1 at the n - 1 nontrivial characters, which
+conjugation permutes, so g >= 0 and the dimension count sum over
+nontrivial chi of (t_{conj(chi)} - 1) equals g with no pass of its own.
 
 validate is the only place where u_{chi,sigma} is computed for a cover,
 by the integer rule it shares with pairing_u; it keeps the table as
@@ -39,11 +39,11 @@ import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
-from operator import mul
+from itertools import accumulate, groupby
+from operator import attrgetter, mul
 
 from .errors import (ConsistencyError, DisconnectedCoverError,
-                     InvalidCoverError, MalformedDataError)
+                     InvalidCoverError, MalformedDataError, ResourceCapError)
 from .group_core import (AbelianGroup, Character, GroupElement,
                          _pairing_coefficients, dual_group, element_order)
 
@@ -59,6 +59,10 @@ __all__ = [
 # the cover fingerprint prints each branch value, and str() refuses an int
 # of more than 4300 digits on every Python that has the limit
 _VALUE_LIMIT = 10 ** 4300
+
+# validate's limits, checked before dual_group lists the n characters
+MAX_GROUP_ORDER = 2 ** 16
+MAX_PACKED_BITS = 2 ** 32
 
 
 @dataclass(frozen=True)
@@ -85,10 +89,10 @@ class BranchSite:
     the lexicographic rank of the monodromy element among the cover's
     distinct branch elements and occurrence is the 0-based index j among
     the points sharing that element, in document order.  All divisor
-    weight vectors are aligned with this order.
+    weight vectors are aligned with this order, and a site's position is
+    its index in CoverSpec.sites.
     """
 
-    position: int
     element: GroupElement
     element_rank: int
     occurrence: int
@@ -115,20 +119,14 @@ class CoverSpec:
 
     @cached_property
     def sites(self) -> tuple[BranchSite, ...]:
-        """The branch points in canonical order."""
-        distinct = sorted({bp.element.residues for bp in self.branch_points})
-        rank = {res: i for i, res in enumerate(distinct)}
-        occurrence: dict[tuple[int, ...], int] = {}
-        keyed = []
-        for bp in self.branch_points:
-            j = occurrence.get(bp.element.residues, 0)
-            occurrence[bp.element.residues] = j + 1
-            keyed.append((rank[bp.element.residues], j, bp))
-        keyed.sort(key=lambda t: (t[0], t[1]))
+        """The branch points in canonical order, by one stable sort."""
+        key = attrgetter("element.residues")
+        runs = groupby(sorted(self.branch_points, key=key), key=key)
         return tuple(
-            BranchSite(position=pos, element=bp.element, element_rank=er,
-                       occurrence=j, value=bp.value)
-            for pos, (er, j, bp) in enumerate(keyed))
+            BranchSite(element=bp.element, element_rank=rank, occurrence=j,
+                       value=bp.value)
+            for rank, (_, run) in enumerate(runs)
+            for j, bp in enumerate(run))
 
     @cached_property
     def site_orders(self) -> tuple[int, ...]:
@@ -178,10 +176,11 @@ def validate(spec: CoverSpec) -> CoverInvariants:
 
     Raises MalformedDataError on duplicate branch values,
     InvalidCoverError (reason "monodromy") when the branch elements do not
-    sum to the identity, and DisconnectedCoverError when more than one
-    t_chi is 0, i.e. they fail to generate the group.  A failed identity
-    (t, genus, dimension, degree) raises ConsistencyError; none can fail
-    once monodromy closure holds."""
+    sum to the identity, ResourceCapError past MAX_GROUP_ORDER or
+    MAX_PACKED_BITS, and DisconnectedCoverError when more than one t_chi
+    is 0, i.e. they fail to generate the group.  A failed identity (t,
+    Riemann-Hurwitz, degree) raises ConsistencyError; none can fail once
+    monodromy closure holds."""
     group = spec.group
     n = group.order
 
@@ -199,8 +198,17 @@ def validate(spec: CoverSpec) -> CoverInvariants:
             "monodromy",
             f"branch monodromies sum to {total} instead of the identity")
 
+    width = len(spec.sites).bit_length() + 1  # counts <= B: top bit free
+    bits = sum(spec.site_orders) * n * width
+    for what, size, limit in (("group order", n, MAX_GROUP_ORDER),
+                              ("packed table bits", bits, MAX_PACKED_BITS)):
+        if size > limit:
+            raise ResourceCapError(
+                limit, f"{what}: {size}, over the limit of {limit}")
+
     weights = tuple(n // o for o in spec.site_orders)
-    rules = [_pairing_coefficients(group, s.element) for s in spec.sites]
+    rules = [(o, _pairing_coefficients(group, s.element, o))
+             for s, o in zip(spec.sites, spec.site_orders)]
     t: dict[Character, int] = {}
     u: dict[Character, tuple[int, ...]] = {}
     for chi in dual_group(group):
@@ -218,20 +226,12 @@ def validate(spec: CoverSpec) -> CoverInvariants:
             f"branch elements generate a subgroup of order {n // blind} "
             f"inside a group of order {n}")
 
-    genus = 1 - n + Fraction(sum(
-        w * (o - 1) for w, o in zip(weights, spec.site_orders)), 2)
-    if genus.denominator != 1 or genus < 0:
-        raise ConsistencyError(f"genus came out as {genus}")
-    g = int(genus)
+    g = sum(t.values()) - n + 1  # >= 0: t >= 1 at the n - 1 nontrivial chi
+    ramification = sum(w * (o - 1) for w, o in zip(weights, spec.site_orders))
+    if 2 * (g + n - 1) != ramification:
+        raise ConsistencyError(f"Riemann-Hurwitz fails: 2 sum t = "
+                               f"{2 * (g + n - 1)} != {ramification}")
 
-    dimension = sum(max(t[chi.conjugate()] - 1, 0)
-                    for chi in t if not chi.is_trivial())
-    if dimension != g or sum(t.values()) != g - 1 + n:
-        raise ConsistencyError(
-            f"differential dimension count {dimension} or t sum "
-            f"{sum(t.values())} - n + 1 disagrees with genus {g}")
-
-    width = len(spec.sites).bit_length() + 1  # counts <= B: top bit free
     packed = []
     for k, o in enumerate(spec.site_orders):
         starts = [0] * (o + 1)  # character c counts from weight o - u on

@@ -47,11 +47,13 @@ class ConsistencyError(AbelcoverError):
 
 
 class ResourceCapError(AbelcoverError):
-    """The enumeration search exceeded its node cap."""
+    """A limit was reached: the search's node cap, or validate's bound on
+    the group order or packed table size; cap is the limit, detail names it."""
 
-    def __init__(self, cap: int):
+    def __init__(self, cap: int, detail: str | None = None):
         self.cap = cap
-        super().__init__(f"search exceeded the configured cap of {cap} nodes")
+        super().__init__(
+            detail or f"search exceeded the configured cap of {cap} nodes")
 
 
 class NoSolutionError(AbelcoverError):

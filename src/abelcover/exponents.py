@@ -37,7 +37,7 @@ from functools import lru_cache
 
 from .cover import CoverInvariants, CoverSpec
 from .dedekind import _phi_t
-from .divisors import InvariantDivisor, _expand, is_nonspecial
+from .divisors import InvariantDivisor, _expand, _require_nonspecial
 from .errors import ConsistencyError, DomainError, MalformedDataError
 from .group_core import intersection_data
 
@@ -86,8 +86,7 @@ def thomae_exponent(spec: CoverSpec, inv: CoverInvariants,
                     D: InvariantDivisor, pair: PairKey) -> int:
     """The exponent of (lambda_a - lambda_b), 4m (2 q_e + n gamma), read
     from the integer row of the pair as exponent_table reads it."""
-    if not is_nonspecial(spec, inv, D):
-        raise DomainError("exponents are defined for non-special divisors")
+    _require_nonspecial(spec, inv, D)
     a, b = pair.first, pair.second
     if b >= len(spec.sites):  # PairKey already holds 0 <= a < b
         raise MalformedDataError(
@@ -101,8 +100,7 @@ def exponent_table(spec: CoverSpec, inv: CoverInvariants,
     """The full table over unordered site pairs, in ascending pair order,
     read from the integer rows of the module docstring.  D must be
     non-special, otherwise DomainError is raised."""
-    if not is_nonspecial(spec, inv, D):
-        raise DomainError("exponents are defined for non-special divisors")
+    _require_nonspecial(spec, inv, D)
     rep = min(_expand(spec, inv, D.beta, inv.u.values()))
     rows, entries = {}, {}
     for key in _pair_keys(len(D.beta)):
@@ -156,9 +154,7 @@ def relabel_equivalent(spec: CoverSpec, inv: CoverInvariants,
     exists, the two exponent tables agree up to relabeling pairs by it.
     """
     for D in (D1, D2):
-        if not is_nonspecial(spec, inv, D):
-            raise DomainError(
-                "relabel equivalence is defined for non-special divisors")
+        _require_nonspecial(spec, inv, D)
     blocks: dict[int, list[int]] = {}
     for k, site in enumerate(spec.sites):
         blocks.setdefault(site.element_rank, []).append(k)

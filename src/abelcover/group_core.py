@@ -205,22 +205,21 @@ def pairing_u(group: AbelianGroup, chi: Character, s: GroupElement) -> int:
     """The integer u with 0 <= u < o(s) and chi(s) = e(u / o(s)): the sum
     of e_l c_l mod o(s), by the rule of _pairing_coefficients that
     validate applies to every site."""
-    o, c = _pairing_coefficients(group, s)
+    o = element_order(group, s)
     if chi.group != group:
         raise MalformedDataError("character does not belong to this group")
-    return sum(map(mul, chi.residues, c)) % o
+    return sum(map(mul, chi.residues, _pairing_coefficients(group, s, o))) % o
 
 
-def _pairing_coefficients(group: AbelianGroup,
-                          s: GroupElement) -> tuple[int, tuple[int, ...]]:
-    """(o(s), c) with c_l = d_l o(s) / m_l, so that a character e pairs
-    with s as sum_l e_l d_l / m_l = sum_l e_l c_l / o(s); each c_l is an
-    integer since o(s) s is the identity, and a remainder raises."""
-    o = element_order(group, s)
+def _pairing_coefficients(group: AbelianGroup, s: GroupElement,
+                          o: int) -> tuple[int, ...]:
+    """c with c_l = d_l o / m_l for o = o(s), so that a character e pairs
+    with s as sum_l e_l d_l / m_l = sum_l e_l c_l / o; each c_l is an
+    integer since o s is the identity, and a remainder raises."""
     pairs = list(zip(s.residues, group.factor_orders))
     if any(r * o % m_l for r, m_l in pairs):
         raise ConsistencyError(f"o(s) = {o} does not kill {s.residues}")
-    return o, tuple(r * o // m_l for r, m_l in pairs)
+    return tuple(r * o // m_l for r, m_l in pairs)
 
 
 def dual_group(group: AbelianGroup) -> list[Character]:

@@ -428,6 +428,22 @@ class TestValidate:
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "disconnected"
 
+    @pytest.mark.parametrize("n, elements, cap", [
+        (10 ** 30, (1, 10 ** 30 - 1), 2 ** 16),  # the group order
+        (1000003, (1, 1000002), 2 ** 16),
+        (65521, (1, 1, 65519), 2 ** 32),  # the packed bits, 3.9e10 here
+    ], ids=["z10^30", "z1000003", "z65521"])
+    def test_huge_cover_exit_3(self, write_doc, capsys, n, elements, cap):
+        # refused before dual_group lists the n characters, which would
+        # overflow at 10**30 and exhaust memory while packing Z_1000003
+        doc = {"group": [n], "branch_points": [
+            {"element": [e], "lambda": str(k)}
+            for k, e in enumerate(elements)]}
+        code, out = run(capsys, "validate", write_doc(doc))
+        error = json.loads(out)["error"]
+        assert (code, error["kind"], error["cap"]) == (3, "resource-cap", cap)
+        assert str(cap) in error["detail"]
+
 
 class TestEnumerate:
     def test_hyperelliptic_json(self, write_doc, capsys):

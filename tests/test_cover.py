@@ -5,7 +5,7 @@ counting tables."""
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +14,7 @@ import abelcover.cover as cover_module
 from abelcover import (AbelianGroup, BranchPoint, ConsistencyError,
                        CoverSpec, DisconnectedCoverError, InvalidCoverError,
                        MalformedDataError, differential_basis_descriptor,
-                       dual_group, validate)
+                       dual_group, element_order, validate)
 from conftest import build_cover
 from oracles import generated_subgroup, packed_tables
 from test_divisors import draw_noncyclic_cover
@@ -74,6 +74,18 @@ class TestSpecConstruction:
         assert a.fingerprint != b.fingerprint
         again = build_cover([2], [([1], v) for v in range(6)])
         assert a.fingerprint == again.fingerprint
+
+
+def small_group_covers(limit: int) -> list[CoverSpec]:
+    """One cover per group of order at most limit, carrying every
+    nontrivial element twice."""
+    specs = []
+    for factors in all_small_factorizations(limit):
+        elements = [s for s in AbelianGroup(factors).elements()
+                    if not s.is_identity()]
+        specs.append(build_cover(factors, [
+            (s.residues, k) for k, s in enumerate(elements + elements)]))
+    return specs
 
 
 class TestValidate:
@@ -140,12 +152,23 @@ class TestValidate:
             assert cover.inv.t[trivial] == 0
 
     def test_genus_matches_dimension_sum(self, battery, mixed4, sparse6):
-        for cover in list(battery) + [mixed4, sparse6]:
-            inv = cover.inv
+        # Riemann-Hurwitz from orders computed here, beside the dimension
+        # count; one cover per group up to order 24, non-cyclic ones too
+        specs = [cover.spec for cover in (*battery, mixed4, sparse6)]
+        specs += small_group_covers(24)
+        for spec in specs:
+            inv = validate(spec)
+            group = spec.group
+            orders = [element_order(group, bp.element)
+                      for bp in spec.branch_points]
+            ramification = sum(inv.n // o * (o - 1) for o in orders)
+            assert ramification % 2 == 0
+            assert inv.g == 1 - inv.n + ramification // 2
             total = sum(max(inv.t[chi.conjugate()] - 1, 0)
-                        for chi in dual_group(cover.spec.group)
+                        for chi in dual_group(group)
                         if not chi.is_trivial())
             assert total == inv.g
+            assert len(differential_basis_descriptor(inv)) == inv.g
 
     def test_genus_zero_cover(self):
         spec = build_cover([2], [([1], 0), ([1], 1)])
@@ -157,12 +180,7 @@ class TestValidate:
         # too, carries every nontrivial element twice
         from abelcover import pairing_u
         specs = [cover.spec for cover in (*battery, mixed4)]
-        for factors in all_small_factorizations(24):
-            elements = [s for s in AbelianGroup(factors).elements()
-                        if not s.is_identity()]
-            specs.append(build_cover(factors, [
-                (s.residues, k) for k, s in enumerate(elements + elements)]))
-        for spec in specs:
+        for spec in specs + small_group_covers(24):
             inv = validate(spec)
             group = spec.group
             assert list(inv.u) == dual_group(group) == list(inv.t)
@@ -181,6 +199,22 @@ class TestValidate:
         with pytest.raises(ConsistencyError,
                            match=r"packed\[0\] miscounts the u values"):
             validate(cyclic6.spec)
+
+    def test_riemann_hurwitz_identity_raises(self, hyperelliptic,
+                                             monkeypatch):
+        # zero coefficients at the first two sites keep t integral and
+        # the cover connected, but 2 sum t = 4 against sum (n/o)(o-1) = 6
+        pairing_coefficients = cover_module._pairing_coefficients
+        calls = count()
+
+        def spoiled(group, s, o):
+            c = pairing_coefficients(group, s, o)
+            return tuple(0 for _ in c) if next(calls) < 2 else c
+
+        monkeypatch.setattr(cover_module, "_pairing_coefficients", spoiled)
+        with pytest.raises(ConsistencyError,
+                           match=r"Riemann-Hurwitz fails: 2 sum t = 4 != 6"):
+            validate(hyperelliptic.spec)
 
     def test_conjugate_count_sum(self, battery, mixed4):
         # t of chi plus t of its conjugate counts the branch points whose
