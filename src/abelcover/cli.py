@@ -16,11 +16,13 @@ on stdout as well, so both outcomes are machine readable.
 
 JSON output has a fixed layout: the bytes of json.dumps(obj, indent=2)
 plus a newline, keys in the order documented per verb, one array item
-per line.  The enumerate listing and the exponents table are written
-with format strings in that layout (they can be large); smaller payloads
-go through json.dumps itself.  The enumerate listing is written record
-by record from the weight tuples, after every check has passed, so an
-error still prints as one JSON object and no record is held.
+per line.  The enumerate listing and the exponents table (they can be
+large) are written with format strings in that layout, smaller payloads
+by json.dumps itself.  The listing is written record by record from the
+weight tuples once every check has passed, so an error still prints as
+one JSON object and no record is held.  The table renders each site
+once and writes its lambda as "%s": str(Fraction) is an optional -,
+ASCII digits and at most one /, and JSON escapes none of these.
 """
 
 from __future__ import annotations
@@ -119,9 +121,7 @@ def _is_int_list(raw) -> bool:
 
 
 def _parse_value(raw, where: str) -> Fraction:
-    if isinstance(raw, bool):
-        raise ParseError("lambda must be a string or integer", path=where)
-    if isinstance(raw, int):
+    if isinstance(raw, int) and not isinstance(raw, bool):
         return Fraction(raw)
     if isinstance(raw, float):
         raise ParseError(
@@ -130,6 +130,8 @@ def _parse_value(raw, where: str) -> Fraction:
         # Fraction builds 10**|exponent| before any check: bound the size
         mantissa, _, exponent = raw.lower().partition("e")
         try:
+            if "_" in raw:  # Fraction reads "1_000" only from CPython 3.11
+                raise ValueError(raw)
             digits = sum(map(str.isdigit, mantissa)) + abs(int(exponent or 0))
             if digits <= LAMBDA_DIGITS:
                 return Fraction(raw)
@@ -234,18 +236,19 @@ def cmd_exponents(args) -> int:
                          "detail": "selected divisor fails the counting "
                                    "condition"}})
         return EXIT_INVALID
+    cells = [(s.element_rank, s.occurrence, str(s.value)) for s in spec.sites]
     rows = []
     for key, value in table.entries.items():
-        sa, sb = spec.sites[key.first], spec.sites[key.second]
-        rows.append((sa.element_rank, sa.occurrence, sb.element_rank,
-                     sb.occurrence, str(sa.value), str(sb.value), value))
+        (ra, j, la), (rb, i, lb) = cells[key.first], cells[key.second]
+        rows.append((ra, j, rb, i, la, lb, value))
     if args.csv:
         _write_csv(["sigma_rank", "j", "rho_rank", "i",
                     "lambda_a", "lambda_b", "exponent"], rows)
     else:
+        # "%s" is json.dumps here: JSON escapes no character of str(Fraction)
         pair = ('    {\n      "sigma_rank": %d,\n      "j": %d,\n'
                 '      "rho_rank": %d,\n      "i": %d,\n'
-                '      "lambda_a": %s,\n      "lambda_b": %s,\n'
+                '      "lambda_a": "%s",\n      "lambda_b": "%s",\n'
                 '      "exponent": %d\n    }')
         sys.stdout.write(
             f'{{\n  "theta_exponent": {table.theta_exponent},\n'
@@ -254,8 +257,7 @@ def cmd_exponents(args) -> int:
             + _array([f"      {b}" for b in D.beta], 4)
             + f',\n    "orbit_fingerprint": '
               f'{json.dumps(table.divisor_fingerprint)}\n  }},\n  "pairs": '
-            + _array([pair % (ra, j, rb, i, json.dumps(la), json.dumps(lb), e)
-                      for ra, j, rb, i, la, lb, e in rows], 2)
+            + _array([pair % row for row in rows], 2)
             + "\n}\n")
     return EXIT_OK
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, MalformedDataError
 
 __all__ = [
     "PhiKey",
@@ -43,13 +43,17 @@ __all__ = [
 @dataclass(frozen=True)
 class PhiKey:
     """A normalized argument triple (d, h, s) with d >= 1, 0 <= h < d,
-    0 <= s < d and gcd(h, d) = 1.  For d = 1 the key is (1, 0, 0)."""
+    0 <= s < d and gcd(h, d) = 1.  For d = 1 the key is (1, 0, 0).  Each
+    field must be an int (not a bool); nothing is converted."""
 
     d: int
     h: int
     s: int
 
     def __post_init__(self) -> None:
+        for name, x in vars(self).items():
+            if type(x) is not int:
+                raise MalformedDataError(f"{name}={x!r} is not an int")
         if self.d < 1:
             raise DomainError(f"modulus d must be positive, got {self.d}")
         if not 0 <= self.h < self.d:
@@ -63,8 +67,8 @@ class PhiKey:
     @classmethod
     def of(cls, d: int, h: int, s: int) -> "PhiKey":
         """Normalize arbitrary integers h, s modulo d."""
-        if d < 1:
-            raise DomainError(f"modulus d must be positive, got {d}")
+        if any(type(x) is not int for x in (d, h, s)) or d < 1:
+            cls(d, h, s)  # refused there, before True % 5 or h % 0 runs
         return cls(d, h % d, s % d)
 
 

@@ -130,6 +130,20 @@ class TestParsing:
             "kind": "parse", "detail": "lambda must be a string or integer",
             "path": "branch_points[0].lambda"}
 
+    @pytest.mark.parametrize("value", ["1_000", "1e1_0", "1/1_0"])
+    def test_underscore_lambda_rejected(self, write_doc, capsys, value):
+        # Fraction reads digit groups from CPython 3.11 on but not before;
+        # the document must not parse on one interpreter only
+        doc = {"group": [2], "branch_points": [
+            {"element": [1], "lambda": "0"},
+            {"element": [1], "lambda": value}]}
+        code, out = run(capsys, "validate", write_doc(doc))
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert (error["kind"], error["path"]) == \
+            ("parse", "branch_points[1].lambda")
+        assert "as a rational" in error["detail"]
+
     def test_fraction_and_decimal_lambdas(self, write_doc, capsys):
         doc = {"group": [2], "branch_points": [
             {"element": [1], "lambda": "1/3"},
@@ -731,6 +745,17 @@ SIGNED_LAMBDAS = {
 
 NO_SITES = {"group": [], "branch_points": []}
 
+# the longest lambda texts BranchPoint accepts: 4299 digits and a
+# denominator of 4300; "%s" must print them as json.dumps does
+LONG_LAMBDAS = {
+    "group": [2],
+    "branch_points": [
+        {"element": [1], "lambda": "-" + "9" * 4299},
+        {"element": [1], "lambda": "1e-4299"},
+        {"element": [1], "lambda": "-22/7"},
+        {"element": [1], "lambda": "0"}],
+}
+
 
 class TestWriterOracle:
     """The enumerate and exponents JSON writers reproduce
@@ -746,8 +771,10 @@ class TestWriterOracle:
         assert code == 0
         assert out == dumps_listing(document)
 
-    @pytest.mark.parametrize("document", [SIGNED_LAMBDAS, NO_SITES],
-                             ids=["signed-lambdas", "no-sites"])
+    @pytest.mark.parametrize("document", [SIGNED_LAMBDAS, NO_SITES,
+                                          LONG_LAMBDAS],
+                             ids=["signed-lambdas", "no-sites",
+                                  "long-lambdas"])
     def test_listing_of_document(self, write_doc, capsys, document):
         code, out = run(capsys, "enumerate", write_doc(document))
         assert code == 0
@@ -772,8 +799,10 @@ class TestWriterOracle:
         document = cover_document(request.getfixturevalue(name).spec)
         self.check_every_table(write_doc(document), document, capsys)
 
-    @pytest.mark.parametrize("document", [SIGNED_LAMBDAS, NO_SITES],
-                             ids=["signed-lambdas", "no-sites"])
+    @pytest.mark.parametrize("document", [SIGNED_LAMBDAS, NO_SITES,
+                                          LONG_LAMBDAS],
+                             ids=["signed-lambdas", "no-sites",
+                                  "long-lambdas"])
     def test_every_table_of_document(self, write_doc, capsys, document):
         self.check_every_table(write_doc(document), document, capsys)
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abelcover import DomainError, PhiKey, phi_exact
+from abelcover import DomainError, MalformedDataError, PhiKey, phi_exact
 from oracles import (classical_dedekind_sum, integrality_class,
                      phi_numeric_oracle, phi_sum_definition)
 
@@ -56,6 +57,19 @@ class TestPhiKey:
     def test_unnormalized_rejected(self, args):
         with pytest.raises(DomainError, match="not normalized"):
             PhiKey(*args)
+
+    @pytest.mark.parametrize("args, bad", [
+        ((5, 2.0, 0), "h=2.0"), ((5, 2, 1.5), "s=1.5"),
+        ((5, True, 0), "h=True"), ((5.0, 2, 0), "d=5.0"),
+        ((True, 0, 0), "d=True"), ((5, 2, "0"), "s='0'")])
+    @pytest.mark.parametrize("make", [PhiKey, PhiKey.of],
+                             ids=["init", "of"])
+    def test_non_int_field_refused(self, make, args, bad):
+        # nothing is converted: True % 5 would be 1, and a float would
+        # fail later inside gcd or phi_exact
+        with pytest.raises(MalformedDataError, match=f"^{re.escape(bad)} "
+                           "is not an int$"):
+            make(*args)
 
 
 class TestPhiExact:

@@ -5,6 +5,7 @@ cover-derived instances, with integer and rational branch values."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -13,9 +14,9 @@ from math import comb
 
 import pytest
 
-from abelcover import (ConsistencyError, DomainError, MalformedDataError,
-                       NoSolutionError, UniPoly, build_pchichi, dual_group,
-                       solve_polexist, validate)
+from abelcover import (AbelianGroup, ConsistencyError, DomainError,
+                       MalformedDataError, NoSolutionError, UniPoly,
+                       build_pchichi, dual_group, solve_polexist, validate)
 from abelcover.polykernel import (assembly_by_z_power, assembly_w_degree,
                                   solve_level)
 from conftest import build_cover
@@ -374,3 +375,28 @@ class TestBuildPchichi:
         spec, inv = cyclic3.spec, cyclic3.inv
         with pytest.raises(DomainError):
             build_pchichi(spec, inv, spec.group.character([0]))
+
+    def test_foreign_character_refused(self, cyclic3):
+        # refused before inv.t is read, and before the trivial check
+        spec, inv = cyclic3.spec, cyclic3.inv
+        for residues in ([1], [0]):
+            with pytest.raises(MalformedDataError, match="does not belong"):
+                build_pchichi(spec, inv, AbelianGroup((2,)).character(residues))
+
+    @pytest.mark.parametrize("dt, dtbar, error, match", [
+        (1, 0, DomainError, "f0 must have degree 7, got 6"),
+        (1, -1, NoSolutionError, "leading coefficient of f1")])
+    def test_wrong_t_refused_by_the_solver(self, dt, dtbar, error, match):
+        # Z3 with six sites at 1: t = 2 at chi = [1], 4 at its conjugate.
+        # build_pchichi checks neither the degree nor the lead itself;
+        # solve_polexist refuses t values the sites do not give
+        spec = build_cover([3], [([1], v) for v in range(6)])
+        inv = validate(spec)
+        chi = spec.group.character([1])
+        bar = chi.conjugate()
+        assert (inv.t[chi], inv.t[bar]) == (2, 4)
+        t = dict(inv.t)
+        t[chi] += dt
+        t[bar] += dtbar
+        with pytest.raises(error, match=match):
+            build_pchichi(spec, dataclasses.replace(inv, t=t), chi)
