@@ -130,7 +130,9 @@ def _parse_value(raw, where: str) -> Fraction:
         # Fraction builds 10**|exponent| before any check: bound the size
         mantissa, _, exponent = raw.lower().partition("e")
         try:
-            if "_" in raw:  # Fraction reads "1_000" only from CPython 3.11
+            # Fraction reads "1_000" only from CPython 3.11, and any
+            # Unicode digit ("١/٣", "１") on every version
+            if "_" in raw or not raw.isascii():
                 raise ValueError(raw)
             digits = sum(map(str.isdigit, mantissa)) + abs(int(exponent or 0))
             if digits <= LAMBDA_DIGITS:

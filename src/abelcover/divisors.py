@@ -25,9 +25,13 @@ exponent vectors beta/o - (o-1)/(2o).
 The condition holds exactly when the packed ints inv.packed[k][beta_k]
 compiled by validate sum to inv.packed_target.  Enumeration searches the
 slice beta_0 = 0, which meets every orbit, by backtracking on that sum
-alone under a node cap charged once per call, then expands each new hit
-by the action on int tuples, checking each member by the packed sum and
-n members per orbit in all; its order is lexicographic by canonical site.
+over a prefix of the sites and reading the last s sites from a table of
+their packed sums, s the most sites whose weight tails number at most
+sum(o_k).  The node cap is charged once per call, one node per prefix
+weight tried plus one per table lookup.  Each new hit, already proved
+non-special by the search, labels itself and is expanded by the other
+n - 1 characters on int tuples, each member checked by the packed sum,
+n members per orbit in all; the order is lexicographic by canonical site.
 The listing is plain weight tuples and labels, finished and checked in
 full before it is returned, so that the CLI can write it record by
 record; enumerate_orbits wraps each row in an InvariantDivisor.
@@ -42,7 +46,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import getitem
+from itertools import product
+from operator import add, getitem, mod
 
 from .cover import CoverInvariants, CoverSpec, _require_validated
 from .errors import (ConsistencyError, DomainError, MalformedDataError,
@@ -139,16 +144,22 @@ def _orbit_listing(spec: CoverSpec, inv: CoverInvariants,
                    cap: int) -> tuple[list[tuple[int, ...]], list[int]]:
     """The non-special weight vectors in lex order and the orbit label of
     each, by first appearance.  Every orbit meets the slice beta_0 = 0
-    first at its lex-min member: each unlabelled hit is expanded into its
-    orbit, checked free and disjoint by one identity, n members per orbit
-    in all (each orbit adds at most n)."""
+    first at its lex-min member: each unlabelled hit, which the search
+    has already proved non-special, is labelled itself and expanded by
+    the other n - 1 characters into its orbit, checked free and disjoint
+    by one identity, n members per orbit in all (each orbit adds at most
+    n)."""
+    trivial, *rows = inv.u.values()
+    if any(trivial):
+        raise ConsistencyError("the first pairing row is not the trivial "
+                               "character's")
     hits = _search_slice(spec, inv, cap)
     label: dict[tuple[int, ...], int] = {}
     orbits = 0
     for hit in hits:
         if hit not in label:
-            label.update(dict.fromkeys(
-                _expand(spec, inv, hit, inv.u.values()), orbits))
+            label[hit] = orbits
+            label.update(dict.fromkeys(_expand(spec, inv, hit, rows), orbits))
             orbits += 1
     if len(label) != orbits * inv.n:
         raise ConsistencyError("an orbit repeats a member or two orbits "
@@ -163,25 +174,43 @@ def _orbit_listing(spec: CoverSpec, inv: CoverInvariants,
 def _search_slice(spec: CoverSpec, inv: CoverInvariants,
                   cap: int) -> list[tuple[int, ...]]:
     """The non-special weight vectors with beta_0 = 0, in lex order.
-    Backtracking carries one packed sum down and reads only inv.packed,
+
+    The last s sites form the suffix, s the largest value <= B - 1 whose
+    weight tails number at most sum(o_k), so the suffix table never holds
+    more entries than the packed tables do.  The table maps each tail's
+    packed sum to its tails, in lex order.  Backtracking over the prefix
+    sites 0..B-s-1 carries one packed sum down and reads only inv.packed,
     inv.packed_target and inv.packed_guard; a branch dies once some field
     overshoots its target or can no longer reach it with the sites that
-    remain, two guard-bit compares, which at the last site reduce to
-    meeting the target exactly.  Every weight a call tries costs one
-    node, charged before its loop; over the cap raises ResourceCapError.
+    remain, two guard-bit compares.  At the last prefix site each weight
+    that survives them looks up target - sum and appends prefix + tail
+    for every tail found.  The lookup is exact because fields never
+    carry: a count is at most B < 2**(width - 1).  Every prefix weight a
+    call tries costs one node, charged before its loop, and every lookup
+    one more; over the cap raises ResourceCapError.
     """
     packed, target, guard = inv.packed, inv.packed_target, inv.packed_guard
     B = len(packed)
     if not B:
         return [()]
+    orders = spec.site_orders
+    # s: the suffix length, by the size rule above
+    s, size, bound = 0, 1, sum(orders)
+    while s < B - 1 and size * orders[B - 1 - s] <= bound:
+        s += 1
+        size *= orders[B - s]
+    last = B - s - 1
+    table: dict[int, list[tuple[int, ...]]] = {}
+    for tail in product(*map(range, orders[last + 1:])):
+        table.setdefault(sum(map(getitem, packed[last + 1:], tail)),
+                         []).append(tail)
     # reach[k]: the most each field can gain from the sites >= k; the top
     # weight of a site counts for every character any weight there does
     reach = [0] * (B + 1)
     for k in range(B - 1, -1, -1):
         reach[k] = reach[k + 1] + packed[k][-1]
     ceiling = target | guard
-    last = B - 1
-    beta = [0] * B
+    beta = [0] * (last + 1)
     found: list[tuple[int, ...]] = []
     nodes = 0
 
@@ -191,19 +220,22 @@ def _search_slice(spec: CoverSpec, inv: CoverInvariants,
         nodes += len(row)
         if nodes > cap:
             raise ResourceCapError(cap)
-        if k == last:  # the hits themselves, no frame below
-            for v, step in enumerate(row):
-                if acc + step == target:
-                    beta[k] = v
-                    found.append(tuple(beta))
-            return
         rest = reach[k + 1]
-        for v, step in enumerate(row):
-            now = acc + step
-            if (ceiling - now) & guard == guard and \
-                    (((now + rest) | guard) - target) & guard == guard:
-                beta[k] = v
+        live = [(v, now) for v, now in enumerate(map(acc.__add__, row))
+                if (ceiling - now) & guard == guard and
+                (((now + rest) | guard) - target) & guard == guard]
+        if k < last:
+            for beta[k], now in live:
                 dfs(k + 1, now)
+            return
+        nodes += len(live)  # one lookup per surviving weight
+        if nodes > cap:
+            raise ResourceCapError(cap)
+        for beta[k], now in live:
+            tails = table.get(target - now)
+            if tails:
+                head = tuple(beta)
+                found.extend([head + tail for tail in tails])
 
     dfs(0, 0)
     return found
@@ -225,8 +257,7 @@ def _expand(spec: CoverSpec, inv: CoverInvariants, beta: tuple[int, ...],
     """chi . beta, sitewise beta + u mod o, for the non-special weights
     beta and each pairing row given, in order; each result is checked."""
     orders = spec.site_orders
-    members = [tuple([(b + u) % o for o, u, b in zip(orders, row, beta)])
-               for row in rows]
+    members = [tuple(map(mod, map(add, beta, row), orders)) for row in rows]
     if not all(_meets_counts(inv, member) for member in members):
         raise ConsistencyError(
             "dual-group action left the non-special set; this contradicts "

@@ -137,6 +137,17 @@ def z101() -> Cover:
                                  enumerate((1, 2, 3, 95))], 100)
 
 
+@pytest.fixture(scope="session")
+def z2003() -> Cover:
+    """Z2003 with sites (1, 1, 2001): 4006 divisors in 2 orbits.  The
+    last site is one lookup in the suffix table, so the search spends
+    one node per weight of the middle site plus one per lookup; trying
+    every last weight would take about 2 million nodes, so its node pin
+    guards the lookup."""
+    return _make("z2003", [2003], [([r], v) for v, r in
+                                   enumerate((1, 1, 2001))], 1001)
+
+
 _ACCEPTANCE_LINES: list[tuple[int, str]] = []
 
 

@@ -144,6 +144,32 @@ class TestParsing:
             ("parse", "branch_points[1].lambda")
         assert "as a rational" in error["detail"]
 
+    @pytest.mark.parametrize("value", [
+        "\u0661/\u0663", "\uff11", "1/\u0663", "\u00a01", "1\u2003"])
+    def test_non_ascii_lambda_rejected(self, write_doc, capsys, value):
+        # Fraction reads any Unicode digit and space; --divisor refuses
+        # non-ASCII digits, and so does lambda
+        doc = {"group": [2], "branch_points": [
+            {"element": [1], "lambda": "0"},
+            {"element": [1], "lambda": value}]}
+        code, out = run(capsys, "validate", write_doc(doc))
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert (error["kind"], error["path"]) == \
+            ("parse", "branch_points[1].lambda")
+        assert "as a rational" in error["detail"]
+
+    def test_ascii_whitespace_around_lambda_accepted(self, write_doc,
+                                                     capsys):
+        doc = {"group": [2], "branch_points": [
+            {"element": [1], "lambda": " 3/4 "},
+            {"element": [1], "lambda": "\t0.5\n"}]}
+        code, _ = run(capsys, "validate", write_doc(doc))
+        assert code == 0
+        padded = parse_cover_object(doc)
+        assert [bp.value for bp in padded.branch_points] == \
+            [Fraction(3, 4), Fraction(1, 2)]
+
     def test_fraction_and_decimal_lambdas(self, write_doc, capsys):
         doc = {"group": [2], "branch_points": [
             {"element": [1], "lambda": "1/3"},

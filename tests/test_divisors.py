@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -274,15 +275,16 @@ class TestEnumerate:
         assert "10" in str(info.value)
 
     @pytest.mark.parametrize("name,minimal_cap", [
-        ("cyclic6", 2_197), ("klein", 27), ("mixed4", 193),
-        ("z7x7", 21_596), ("z4z4x6", 201), ("klein10", 313),
-        ("z31", 134_076), ("z101", 42_522)],
+        ("cyclic6", 266), ("klein", 10), ("mixed4", 42),
+        ("z7x7", 2_288), ("z4z4x6", 71), ("klein10", 81),
+        ("z31", 18_966), ("z101", 7_422), ("z2003", 3_006)],
         ids=["cyclic6", "klein", "mixed4", "z7x7", "z4z4x6", "klein10",
-             "z31", "z101"])
+             "z31", "z101", "z2003"])
     def test_minimal_cap_pins_node_accounting(self, request, name,
                                               minimal_cap):
-        # one node per attempted assignment of a weight to a site; only
-        # the slice beta_0 = 0 is searched, so site 0 costs one node
+        # one node per attempted assignment of a weight to a prefix site
+        # plus one per suffix-table lookup; only the slice beta_0 = 0 is
+        # searched, so site 0 costs one node
         cover = request.getfixturevalue(name)
         enumerate_nonspecial(cover.spec, cover.inv, cap=minimal_cap)
         with pytest.raises(ResourceCapError):
@@ -317,6 +319,20 @@ class TestEnumerate:
                 enumerate_nonspecial(cover.spec, cover.inv)] == \
             brute_force_nonspecial(cover)
 
+    @pytest.mark.parametrize("N,k", [
+        *((2, k) for k in range(1, 9)), *((3, k) for k in range(1, 4)),
+        (4, 1), (4, 2), (5, 1), (6, 1), (7, 1)])
+    def test_all_ones_cyclic_partition_count(self, N, k):
+        # [Na], [EG2]: on Z_N with N*k points all at the element 1 the
+        # non-special divisors are indexed by the partitions of the points
+        # into N labelled sets of k, (Nk)!/(k!)^N of them ([BR1]'s
+        # C(2g+2, g+1) at N = 2); the action is free, N per orbit
+        spec = build_cover([N], [([1], v) for v in range(N * k)])
+        divisors, labels = enumerate_orbits(spec, validate(spec))
+        count = factorial(N * k) // factorial(k) ** N
+        assert len(divisors) == count
+        assert len(set(labels)) == count // N
+
 
 class TestOrbitLabels:
     """enumerate_orbits against reference_orbit_labels, and each of its
@@ -343,6 +359,15 @@ class TestOrbitLabels:
         chi = spec.group.character([1])
         bad = replace(inv, u={**inv.u, chi: inv.u[chi][:-1] + (0,)})
         with pytest.raises(ConsistencyError, match="non-special set"):
+            enumerate_orbits(spec, bad)
+
+    def test_pairing_rows_must_start_at_the_trivial_character(
+            self, hyperelliptic):
+        # each hit labels itself and is expanded by the other rows only
+        spec, inv = hyperelliptic.spec, hyperelliptic.inv
+        trivial, chi = dual_group(spec.group)
+        bad = replace(inv, u={chi: inv.u[chi], trivial: inv.u[trivial]})
+        with pytest.raises(ConsistencyError, match="trivial"):
             enumerate_orbits(spec, bad)
 
     def test_action_that_is_not_free_is_caught(self, klein, monkeypatch):
