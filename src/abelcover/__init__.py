@@ -11,10 +11,10 @@ library.
 from .cover import (BranchPoint, BranchSite, CoverInvariants, CoverSpec,
                     differential_basis_descriptor, validate)
 from .dedekind import PhiKey, phi_exact
-from .divisors import (DEFAULT_NODE_CAP, HalfFormExponents, InvariantDivisor,
-                       chi_action, degree, enumerate_nonspecial,
-                       enumerate_orbits, half_form_exponents, is_nonspecial,
-                       make_divisor, negation_N, orbit, support_p)
+from .divisors import (DEFAULT_NODE_CAP, InvariantDivisor, chi_action,
+                       degree, enumerate_nonspecial, enumerate_orbits,
+                       half_form_exponents, is_nonspecial, make_divisor,
+                       negation_N, orbit, support_p)
 from .errors import (AbelcoverError, ConsistencyError, DisconnectedCoverError,
                      DomainError, InvalidCoverError, MalformedDataError,
                      NoSolutionError, ParseError, ResourceCapError)
@@ -35,7 +35,7 @@ __all__ = [
     "BranchPoint", "BranchSite", "CoverSpec", "CoverInvariants",
     "validate", "differential_basis_descriptor",
     "PhiKey", "phi_exact",
-    "InvariantDivisor", "HalfFormExponents", "DEFAULT_NODE_CAP",
+    "InvariantDivisor", "DEFAULT_NODE_CAP",
     "make_divisor", "degree", "is_nonspecial", "enumerate_nonspecial",
     "enumerate_orbits", "chi_action",
     "negation_N", "orbit", "support_p", "half_form_exponents",

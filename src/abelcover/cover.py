@@ -258,6 +258,12 @@ def _require_validated(spec: CoverSpec, inv: CoverInvariants) -> None:
             "cover invariants belong to a different cover than the one given")
 
 
+def _require_character(inv: CoverInvariants, chi: Character) -> None:
+    """chi is a character of the group that inv was validated for."""
+    if chi not in inv.u:
+        raise MalformedDataError("character does not belong to this group")
+
+
 def differential_basis_descriptor(
         inv: CoverInvariants) -> list[tuple[Character, int]]:
     """Basis markers (chi, k) for the holomorphic differentials z^k psi_chi.

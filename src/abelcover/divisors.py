@@ -49,14 +49,14 @@ from fractions import Fraction
 from itertools import product
 from operator import add, getitem, mod
 
-from .cover import CoverInvariants, CoverSpec, _require_validated
+from .cover import (CoverInvariants, CoverSpec, _require_character,
+                    _require_validated)
 from .errors import (ConsistencyError, DomainError, MalformedDataError,
                      ResourceCapError)
 from .group_core import Character
 
 __all__ = [
     "InvariantDivisor",
-    "HalfFormExponents",
     "make_divisor",
     "degree",
     "is_nonspecial",
@@ -82,13 +82,6 @@ class InvariantDivisor:
     beta: tuple[int, ...]
     p: int
     cover_fingerprint: str
-
-
-@dataclass(frozen=True)
-class HalfFormExponents:
-    """Exact exponents beta/o - (o-1)/(2o) per site."""
-
-    exps: tuple[Fraction, ...]
 
 
 def make_divisor(spec: CoverSpec, beta, p: int = 1) -> InvariantDivisor:
@@ -246,8 +239,7 @@ def chi_action(spec: CoverSpec, inv: CoverInvariants, D: InvariantDivisor,
     """The divisor chi . D.  Requires a non-special input and produces a
     non-special output with the same p."""
     _require_nonspecial(spec, inv, D)
-    if chi not in inv.u:
-        raise MalformedDataError("character does not belong to this group")
+    _require_character(inv, chi)
     [new] = _expand(spec, inv, D.beta, [inv.u[chi]])
     return InvariantDivisor(new, D.p, D.cover_fingerprint)
 
@@ -297,24 +289,22 @@ def support_p(spec: CoverSpec, inv: CoverInvariants, D: InvariantDivisor,
     is non-special."""
     _require_validated(spec, inv)
     _require_same_cover(spec, D)
-    if chi not in inv.u:
-        raise MalformedDataError("character does not belong to this group")
+    _require_character(inv, chi)
     return frozenset(
         k for k, (o, u, b) in
         enumerate(zip(spec.site_orders, inv.u[chi], D.beta)) if b >= o - u)
 
 
 def half_form_exponents(spec: CoverSpec,
-                        D: InvariantDivisor) -> HalfFormExponents:
+                        D: InvariantDivisor) -> tuple[Fraction, ...]:
     """The exponent vector beta/o - (o-1)/(2o) per site.
 
     Each entry times 2m is an integer, and the entries sum to zero when
     the divisor has degree g - 1.
     """
     _require_same_cover(spec, D)
-    exps = tuple(Fraction(2 * b - o + 1, 2 * o)
+    return tuple(Fraction(2 * b - o + 1, 2 * o)
                  for o, b in zip(spec.site_orders, D.beta))
-    return HalfFormExponents(exps=exps)
 
 
 def _require_same_cover(spec: CoverSpec, D: InvariantDivisor) -> None:

@@ -24,10 +24,11 @@ module assembles.  It is built from one integer row per pair of element
 ranks r_a <= r_b, E[s] = m n (2 T(d,h,s) + T(d,h,0) + d (o_a-1)(o_b-1)) /
 (d o_a o_b) with T = 4d phi from the O(log d) reciprocity evaluator of
 dedekind.py, so a row costs O(d log d), and checked to be an even
-integer for every s < d as it is built.  A pair reads
-E[(beta_b - h beta_a) mod d]; exponent_table and thomae_exponent both
-read these rows.  The orbit sum q_e and the character average gamma, by
-definition and in closed form, are oracles in tests/oracles.py.
+integer for every s < d as it is built.  Only exponent_table reads
+these rows, a pair at E[(beta_b - h beta_a) mod d]; thomae_exponent
+returns one entry of the table.  The orbit sum q_e and the character
+average gamma, by definition and in closed form, are oracles in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -84,15 +85,13 @@ class ExponentTable:
 
 def thomae_exponent(spec: CoverSpec, inv: CoverInvariants,
                     D: InvariantDivisor, pair: PairKey) -> int:
-    """The exponent of (lambda_a - lambda_b), 4m (2 q_e + n gamma), read
-    from the integer row of the pair as exponent_table reads it."""
-    _require_nonspecial(spec, inv, D)
-    a, b = pair.first, pair.second
-    if b >= len(spec.sites):  # PairKey already holds 0 <= a < b
-        raise MalformedDataError(
-            f"site position {b} out of range for {len(spec.sites)} sites")
-    row, d, h = _exponent_row(spec, inv, a, b)
-    return row[(D.beta[b] - h * D.beta[a]) % d]
+    """The exponent of (lambda_a - lambda_b), 4m (2 q_e + n gamma): the
+    pair's entry of exponent_table, which checks D first."""
+    entries = exponent_table(spec, inv, D).entries
+    if pair not in entries:  # PairKey already holds 0 <= first < second
+        raise MalformedDataError(f"site position {pair.second} out of "
+                                 f"range for {len(spec.sites)} sites")
+    return entries[pair]
 
 
 def exponent_table(spec: CoverSpec, inv: CoverInvariants,

@@ -44,7 +44,8 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Sequence
 
-from .cover import CoverInvariants, CoverSpec, _require_validated
+from .cover import (CoverInvariants, CoverSpec, _require_character,
+                    _require_validated)
 from .errors import (ConsistencyError, DomainError, MalformedDataError,
                      NoSolutionError)
 from .group_core import Character
@@ -255,8 +256,7 @@ def build_pchichi(spec: CoverSpec, inv: CoverInvariants,
     divided.
     """
     _require_validated(spec, inv)
-    if chi not in inv.u:
-        raise MalformedDataError("character does not belong to this group")
+    _require_character(inv, chi)
     if chi.is_trivial():
         raise DomainError("the construction needs a nontrivial character")
     tchi, tbar = inv.t[chi], inv.t[chi.conjugate()]

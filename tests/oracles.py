@@ -27,7 +27,12 @@ beside the tests that use them, to cross-check it:
   * generated_subgroup, the breadth-first closure of the branch elements
     that checks the connectedness validate reads off t, and
     packed_tables, the per-weight definition of validate's packed
-    counting tables.
+    counting tables;
+  * hyperelliptic_periods, even_characteristics and theta_constant, the
+    period matrix of y^2 = prod (x - lambda) over real branch values by
+    numerical quadrature and its theta constants by a truncated lattice
+    sum (mpmath), which check the exponent tables against the Thomae
+    formula itself.
 
 Tests import this module the way they import conftest.
 """
@@ -372,3 +377,69 @@ def kernel_pair(spec: CoverSpec, inv: CoverInvariants,
             raise ConsistencyError(
                 "dividing out a branch factor left a remainder")
     return f0, UniPoly(tuple(f1_coeffs))
+
+
+def _mpf(value: Fraction):
+    return mpmath.mpf(value.numerator) / value.denominator
+
+
+def hyperelliptic_periods(values) -> tuple:
+    """(A, tau) for y^2 = prod (x - lambda) over 2g + 2 sorted real
+    values, at the caller's mpmath precision.
+
+    A[j][k] is the period of x^j dx / y over alpha_k, which circles the
+    interval (lambda_{2k}, lambda_{2k+1}) (counting from 0), twice the
+    interval integral I; B[j][k] sums 2 I over the intervals
+    (lambda_{2i+1}, lambda_{2i+2}) for i >= k.  The orientation of each
+    of the 2g cycles is the first sign vector for which tau = A^-1 B is
+    symmetric to 1e-15 with a positive definite imaginary part.
+    """
+    g = len(values) // 2 - 1
+    lam = [_mpf(v) for v in values]
+
+    def integral(j, i):
+        return mpmath.quad(
+            lambda x: x ** j / mpmath.sqrt(
+                mpmath.fprod(x - l for l in lam) + 0j),
+            [lam[i], lam[i + 1]])
+
+    I = [[integral(j, i) for i in range(2 * g)] for j in range(g)]
+    for signs in product((1, -1), repeat=2 * g):
+        s, t = signs[:g], signs[g:]
+        A = mpmath.matrix([[2 * s[k] * I[j][2 * k] for k in range(g)]
+                           for j in range(g)])
+        B = mpmath.matrix([[sum(2 * t[i] * I[j][2 * i + 1]
+                                for i in range(k, g)) for k in range(g)]
+                           for j in range(g)])
+        tau = A ** -1 * B
+        im = mpmath.matrix([[tau[j, k].imag for k in range(g)]
+                            for j in range(g)])
+        if all(abs(tau[j, k] - tau[k, j]) < 1e-15
+               for j in range(g) for k in range(j)) and \
+                all(mpmath.det(im[:k, :k]) > 0 for k in range(1, g + 1)):
+            return A, tau
+    raise ConsistencyError("no cycle orientation gives a Riemann matrix")
+
+
+def even_characteristics(g: int):
+    """The even half-integer characteristics (a, b), a and b in
+    {0, 1/2}^g with 4 a.b even."""
+    half = Fraction(1, 2)
+    return [(a, b) for a in product((0, half), repeat=g)
+            for b in product((0, half), repeat=g)
+            if 4 * sum(map(mul, a, b)) % 2 == 0]
+
+
+def theta_constant(tau, a, b, N: int):
+    """theta[a; b](0, tau), the sum over n in [-N, N]^g of
+    exp(pi i (n+a).tau (n+a) + 2 pi i (n+a).b), at the caller's mpmath
+    precision."""
+    g = tau.rows
+    total = mpmath.mpc(0)
+    for n in product(range(-N, N + 1), repeat=g):
+        v = [_mpf(Fraction(nk) + ak) for nk, ak in zip(n, a)]
+        quad = sum(v[j] * tau[j, k] * v[k]
+                   for j in range(g) for k in range(g))
+        total += mpmath.exp(1j * mpmath.pi * (
+            quad + 2 * sum(x * _mpf(Fraction(y)) for x, y in zip(v, b))))
+    return total

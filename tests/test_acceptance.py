@@ -1,8 +1,9 @@
-"""Acceptance gate: eight criteria, each timed against its stated
+"""Acceptance gate: nine criteria, each timed against its stated
 budget and summarized as one PASS/FAIL line at the end of the run.
 
-Every check here is exact (zero tolerance) except the numeric oracle
-comparison, whose tolerance is 2 to the minus 40.
+Every check here is exact (zero tolerance) except the two numeric
+oracle comparisons: the root-of-unity sum within 2 to the minus 40, and
+the Thomae formula against theta constants within a relative 1e-15.
 """
 
 from __future__ import annotations
@@ -19,14 +20,17 @@ import pytest
 
 from abelcover import (NoSolutionError, PairKey, PhiKey, UniPoly,
                        build_pchichi, chi_action, degree, dual_group,
-                       enumerate_nonspecial, exponent_table, negation_N,
-                       orbit, pairing_u, phi_exact, relabel_equivalent,
-                       solve_polexist)
+                       enumerate_nonspecial, enumerate_orbits, exponent_table,
+                       negation_N, orbit, pairing_u, phi_exact,
+                       relabel_equivalent, solve_polexist, validate)
 from abelcover.cli import main as cli_main
 from abelcover.polykernel import assembly_w_degree
-from oracles import (binomial_level_matrix, classical_dedekind_sum, gamma,
-                     gamma_closed_form, integrality_class, matrix_inverse,
-                     phi_numeric_oracle, q_delta, q_e, q_e_closed_form)
+from conftest import build_cover
+from oracles import (binomial_level_matrix, classical_dedekind_sum,
+                     even_characteristics, gamma, gamma_closed_form,
+                     hyperelliptic_periods, integrality_class, matrix_inverse,
+                     phi_numeric_oracle, q_delta, q_e, q_e_closed_form,
+                     theta_constant)
 from test_polykernel import random_instance
 
 
@@ -386,3 +390,50 @@ def test_criterion_8_determinism(acceptance_record, tmp_path, capsys):
                 assert hashlib.sha256(
                     captured.out.encode("utf-8")).hexdigest() == digest, \
                     f"{name}: {verb}"
+
+
+def _random_real_values(seed: int, count: int) -> list[Fraction]:
+    """count distinct sorted values v / q, v from -20..20, q from 1..4."""
+    rng = random.Random(seed)
+    while True:
+        values = sorted(Fraction(v, rng.randrange(1, 5))
+                        for v in rng.sample(range(-20, 21), count))
+        if len(set(values)) == count:
+            return values
+
+
+def test_criterion_9_thomae_against_theta(acceptance_record):
+    # orbits and characteristics are matched by rank after sorting, only
+    # moduli are compared, and only Z2 covers with real branch values
+    with Criterion(acceptance_record, 9,
+                   "Thomae formula against theta constants, Z2, g=1,2, "
+                   "two seeds each, relative error < 1e-15", 15.0):
+        for g, N in ((1, 8), (2, 7)):
+            for seed in (1, 2):
+                spec = build_cover([2], [([1], v) for v in
+                                         _random_real_values(seed, 2 * g + 2)])
+                inv = validate(spec)
+                values = [site.value for site in spec.sites]
+                divisors, labels = enumerate_orbits(spec, inv)
+                # one divisor per orbit, the first in lex order
+                reps = dict(zip(reversed(labels), reversed(divisors)))
+                with mpmath.workdps(40):
+                    lam = [mpmath.mpf(v.numerator) / v.denominator
+                           for v in values]
+                    A, tau = hyperelliptic_periods(values)
+                    thetas = [abs(theta_constant(tau, a, b, N))
+                              for a, b in even_characteristics(g)]
+                    lhs = sorted(t ** (8 * inv.m) for t in thetas
+                                 if t > 1e-15)
+                    det = abs(mpmath.det(A / (2 * mpmath.pi)))
+                    rhs = []
+                    for D in reps.values():
+                        table = exponent_table(spec, inv, D)
+                        assert table.theta_exponent == 8 * inv.m
+                        assert table.detC_exponent == 4 * inv.m
+                        rhs.append(det ** table.detC_exponent * mpmath.fprod(
+                            abs(lam[k.first] - lam[k.second]) ** e
+                            for k, e in table.entries.items()))
+                    assert len(lhs) == len(rhs) == len(set(labels))
+                    for x, y in zip(lhs, sorted(rhs)):
+                        assert abs(x - y) < 1e-15 * y

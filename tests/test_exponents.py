@@ -7,6 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
+import mpmath
 import pytest
 
 import abelcover.exponents as exponents_module
@@ -16,7 +17,8 @@ from abelcover import (AbelianGroup, ConsistencyError, DomainError,
                        orbit, pairing_u, relabel_equivalent, thomae_exponent,
                        validate)
 from conftest import build_cover
-from oracles import (gamma, gamma_closed_form, q_delta, q_e, q_e_closed_form,
+from oracles import (even_characteristics, gamma, gamma_closed_form, q_delta,
+                     q_e, q_e_closed_form, theta_constant,
                      thomae_exponent_closed_form)
 
 
@@ -228,6 +230,14 @@ class TestThomaeExponent:
         foreign = make_divisor(cyclic3.spec, [2, 1, 0])
         with pytest.raises(MalformedDataError):
             thomae_exponent(spec, inv, foreign, PairKey(0, 1))
+
+    def test_special_divisor_refused_before_position(self, hyperelliptic):
+        # the table checks D before the pair is looked up, so a special
+        # divisor with an out-of-range pair is a DomainError
+        spec, inv = hyperelliptic.spec, hyperelliptic.inv
+        with pytest.raises(DomainError):
+            thomae_exponent(spec, inv, make_divisor(spec, [1] * 6),
+                            PairKey(0, 6))
 
     def test_equals_table_entry_on_battery(self, battery, z5h2):
         for cover in (*battery, z5h2):
@@ -445,3 +455,19 @@ class TestRelabelEquivalent:
                 if matched >= 4:
                     break
             assert matched > 0
+
+
+class TestThetaOracle:
+    def test_even_characteristic_counts(self):
+        # 2^(g-1) (2^g + 1) even characteristics
+        assert [len(even_characteristics(g)) for g in (1, 2)] == [3, 10]
+
+    def test_jacobi_quartic_identity(self):
+        # theta[0;0]^4 = theta[0;1/2]^4 + theta[1/2;0]^4 at genus 1
+        half = Fraction(1, 2)
+        with mpmath.workdps(40):
+            tau = mpmath.matrix([[mpmath.mpc("0.3", "1.1")]])
+            t00, t01, t10 = (theta_constant(tau, a, b, 8) for a, b in
+                             (((0,), (0,)), ((0,), (half,)),
+                              ((half,), (0,))))
+            assert abs(t00 ** 4 - t01 ** 4 - t10 ** 4) < 1e-35 * abs(t00 ** 4)
