@@ -9,20 +9,18 @@ library.
 """
 
 from .cover import (BranchPoint, BranchSite, CoverInvariants, CoverSpec,
-                    differential_basis_descriptor, validate)
+                    validate)
 from .dedekind import PhiKey, phi_exact
 from .divisors import (DEFAULT_NODE_CAP, InvariantDivisor, chi_action,
-                       degree, enumerate_nonspecial, enumerate_orbits,
-                       half_form_exponents, is_nonspecial, make_divisor,
-                       negation_N, orbit, support_p)
+                       enumerate_nonspecial, enumerate_orbits, is_nonspecial,
+                       make_divisor, negation_N, orbit)
 from .errors import (AbelcoverError, ConsistencyError, DisconnectedCoverError,
                      DomainError, InvalidCoverError, MalformedDataError,
                      NoSolutionError, ParseError, ResourceCapError)
-from .exponents import (ExponentTable, PairKey, exponent_table,
-                        relabel_equivalent, thomae_exponent)
+from .exponents import ExponentTable, PairKey, exponent_table, thomae_exponent
 from .group_core import (AbelianGroup, Character, GroupElement,
-                         IntersectionData, cyclic_subgroup, dual_group,
-                         element_order, intersection_data, pairing_u)
+                         IntersectionData, dual_group, element_order,
+                         intersection_data, pairing_u)
 from .polykernel import (KernelSolution, UniPoly, build_pchichi,
                          solve_polexist)
 
@@ -30,17 +28,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbelianGroup", "GroupElement", "Character", "IntersectionData",
-    "element_order", "pairing_u", "dual_group", "cyclic_subgroup",
-    "intersection_data",
-    "BranchPoint", "BranchSite", "CoverSpec", "CoverInvariants",
-    "validate", "differential_basis_descriptor",
+    "element_order", "pairing_u", "dual_group", "intersection_data",
+    "BranchPoint", "BranchSite", "CoverSpec", "CoverInvariants", "validate",
     "PhiKey", "phi_exact",
     "InvariantDivisor", "DEFAULT_NODE_CAP",
-    "make_divisor", "degree", "is_nonspecial", "enumerate_nonspecial",
-    "enumerate_orbits", "chi_action",
-    "negation_N", "orbit", "support_p", "half_form_exponents",
+    "make_divisor", "is_nonspecial", "enumerate_nonspecial",
+    "enumerate_orbits", "chi_action", "negation_N", "orbit",
     "PairKey", "ExponentTable", "thomae_exponent", "exponent_table",
-    "relabel_equivalent",
     "UniPoly", "KernelSolution", "solve_polexist", "build_pchichi",
     "AbelcoverError", "MalformedDataError", "DomainError",
     "InvalidCoverError", "DisconnectedCoverError", "ConsistencyError",

@@ -19,9 +19,8 @@ and g = sum_chi t_chi - n + 1 is checked by one Riemann-Hurwitz identity,
 
     2 sum_chi t_chi = sum over branch points of (n / o(sigma)) (o(sigma) - 1).
 
-Connectedness leaves t_chi >= 1 at the n - 1 nontrivial characters, which
-conjugation permutes, so g >= 0 and the dimension count sum over
-nontrivial chi of (t_{conj(chi)} - 1) equals g with no pass of its own.
+Connectedness leaves t_chi >= 1 at the n - 1 nontrivial characters, so
+g >= 0.
 
 validate is the only place where u_{chi,sigma} is computed for a cover,
 by the integer rule it shares with pairing_u; it keeps the table as
@@ -53,7 +52,6 @@ __all__ = [
     "CoverSpec",
     "CoverInvariants",
     "validate",
-    "differential_basis_descriptor",
 ]
 
 # the cover fingerprint prints each branch value, and str() refuses an int
@@ -262,19 +260,3 @@ def _require_character(inv: CoverInvariants, chi: Character) -> None:
     """chi is a character of the group that inv was validated for."""
     if chi not in inv.u:
         raise MalformedDataError("character does not belong to this group")
-
-
-def differential_basis_descriptor(
-        inv: CoverInvariants) -> list[tuple[Character, int]]:
-    """Basis markers (chi, k) for the holomorphic differentials z^k psi_chi.
-
-    One pair for each nontrivial chi and each 0 <= k <= t_{conj(chi)} - 2,
-    characters in dual-group order with k ascending; the list has length g.
-    """
-    out: list[tuple[Character, int]] = []
-    for chi in inv.t:
-        if chi.is_trivial():
-            continue
-        for k in range(inv.t[chi.conjugate()] - 1):
-            out.append((chi, k))
-    return out

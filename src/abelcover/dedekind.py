@@ -13,7 +13,7 @@ evaluates T = 4d phi, an integer, by the reciprocity law
 
 which runs (d, h, s) down the Euclid chain to d = 1 and climbs back in
 O(log d) integer steps, each division checked exact; phi_exact returns
-T / 4d as the one Fraction.
+T / 4d as the one Fraction; _phi_walk steps T(0) along the shift law.
 
 Other known laws, all exercised by the test suite: the shift law
 phi(s+h) = phi(s) + s - (d-1)/2, the closed form (d^2 - 1 - 6s(d-s))/12
@@ -89,6 +89,18 @@ def _phi_t(d: int, h: int, s: int) -> int:
             raise ConsistencyError(
                 f"reciprocity step at d={d}, h={h}, s={s} is not integral")
     return t
+
+
+def _phi_walk(d: int, h: int) -> list[int]:
+    """T(s) = 4d phi_{h+dZ}(s) for s = 0 .. d-1 of a normalized (d, h),
+    by the shift law T(s+h mod d) = T(s) + 4ds - 2d(d-1) from T(0); as h
+    is a unit, the walk s = 0, h, 2h, ... meets every residue once."""
+    row, t, s = [0] * d, _phi_t(d, h, 0), 0
+    for _ in range(d):
+        row[s] = t
+        t += 4 * d * s - 2 * d * (d - 1)
+        s = (s + h) % d
+    return row
 
 
 def phi_exact(key: PhiKey) -> Fraction:

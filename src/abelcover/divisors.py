@@ -18,9 +18,8 @@ condition, enumerates all solutions, and implements the dual-group action
     beta -> beta + u            when beta < o - u,
     beta -> beta + u - o        otherwise,
 
-the negation involution beta -> o - 1 - beta, orbits under the action,
-the support sets of the associated polynomials, and the half-form
-exponent vectors beta/o - (o-1)/(2o).
+the negation involution beta -> o - 1 - beta and orbits under the
+action.
 
 The condition holds exactly when the packed ints inv.packed[k][beta_k]
 compiled by validate sum to inv.packed_target.  Enumeration searches the
@@ -45,7 +44,6 @@ internal steps do not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from operator import add, getitem, mod
 
@@ -58,15 +56,12 @@ from .group_core import Character
 __all__ = [
     "InvariantDivisor",
     "make_divisor",
-    "degree",
     "is_nonspecial",
     "enumerate_nonspecial",
     "enumerate_orbits",
     "chi_action",
     "negation_N",
     "orbit",
-    "support_p",
-    "half_form_exponents",
     "DEFAULT_NODE_CAP",
 ]
 
@@ -90,13 +85,6 @@ def make_divisor(spec: CoverSpec, beta, p: int = 1) -> InvariantDivisor:
     D = InvariantDivisor(tuple(beta), p, spec.fingerprint)
     _require_same_cover(spec, D)
     return D
-
-
-def degree(spec: CoverSpec, D: InvariantDivisor) -> int:
-    _require_same_cover(spec, D)
-    n = spec.group.order
-    return sum(b * (n // o) for b, o in zip(D.beta, spec.site_orders)) \
-        - D.p * n
 
 
 def is_nonspecial(spec: CoverSpec, inv: CoverInvariants,
@@ -280,31 +268,6 @@ def orbit(spec: CoverSpec, inv: CoverInvariants,
         raise ConsistencyError(
             "dual-group orbit has repeats; the action should be free")
     return [InvariantDivisor(b, D.p, D.cover_fingerprint) for b in members]
-
-
-def support_p(spec: CoverSpec, inv: CoverInvariants, D: InvariantDivisor,
-              chi: Character) -> frozenset[int]:
-    """Positions of the sites with beta >= o - u_{chi,sigma}, the root set
-    of the support polynomial for chi.  Its size equals t_chi whenever D
-    is non-special."""
-    _require_validated(spec, inv)
-    _require_same_cover(spec, D)
-    _require_character(inv, chi)
-    return frozenset(
-        k for k, (o, u, b) in
-        enumerate(zip(spec.site_orders, inv.u[chi], D.beta)) if b >= o - u)
-
-
-def half_form_exponents(spec: CoverSpec,
-                        D: InvariantDivisor) -> tuple[Fraction, ...]:
-    """The exponent vector beta/o - (o-1)/(2o) per site.
-
-    Each entry times 2m is an integer, and the entries sum to zero when
-    the divisor has degree g - 1.
-    """
-    _require_same_cover(spec, D)
-    return tuple(Fraction(2 * b - o + 1, 2 * o)
-                 for o, b in zip(spec.site_orders, D.beta))
 
 
 def _require_same_cover(spec: CoverSpec, D: InvariantDivisor) -> None:

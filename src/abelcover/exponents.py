@@ -22,8 +22,8 @@ always an even integer; the full table over unordered pairs, together
 with the det C exponent 4m and the theta exponent 8m, is what this
 module assembles.  It is built from one integer row per pair of element
 ranks r_a <= r_b, E[s] = m n (2 T(d,h,s) + T(d,h,0) + d (o_a-1)(o_b-1)) /
-(d o_a o_b) with T = 4d phi from the O(log d) reciprocity evaluator of
-dedekind.py, so a row costs O(d log d), and checked to be an even
+(d o_a o_b) with T = 4d phi walked along the shift law by
+dedekind._phi_walk, so a row costs O(d), and checked to be an even
 integer for every s < d as it is built.  Only exponent_table reads
 these rows, a pair at E[(beta_b - h beta_a) mod d]; thomae_exponent
 returns one entry of the table.  The orbit sum q_e and the character
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cover import CoverInvariants, CoverSpec
-from .dedekind import _phi_t
+from .dedekind import _phi_walk
 from .divisors import InvariantDivisor, _expand, _require_nonspecial
 from .errors import ConsistencyError, DomainError, MalformedDataError
 from .group_core import intersection_data
@@ -47,7 +47,6 @@ __all__ = [
     "ExponentTable",
     "thomae_exponent",
     "exponent_table",
-    "relabel_equivalent",
 ]
 
 
@@ -129,40 +128,13 @@ def _exponent_row(spec: CoverSpec, inv: CoverInvariants, a: int,
     data = intersection_data(spec.group, spec.sites[a].element,
                              spec.sites[b].element)
     d, h, oa, ob = data.d, data.h, spec.site_orders[a], spec.site_orders[b]
-    scale, divisor, row = inv.m * inv.n, d * oa * ob, [0] * d
-    base = _phi_t(d, h, 0) + d * (oa - 1) * (ob - 1)
-    for s in range(d):
-        value, rest = divmod(scale * (2 * _phi_t(d, h, s) + base), divisor)
+    scale, divisor, row = inv.m * inv.n, d * oa * ob, _phi_walk(d, h)
+    base = row[0] + d * (oa - 1) * (ob - 1)
+    for s, t in enumerate(row):
+        value, rest = divmod(scale * (2 * t + base), divisor)
         if rest or value % 2:
             raise ConsistencyError(
                 f"exponent row of sites ({a}, {b}) has an odd or "
                 f"non-integral entry E[{s}] = {value} + {rest}/{divisor}")
         row[s] = value
     return tuple(row), d, h
-
-
-def relabel_equivalent(spec: CoverSpec, inv: CoverInvariants,
-                       D1: InvariantDivisor,
-                       D2: InvariantDivisor) -> tuple[int, ...] | None:
-    """A site permutation carrying the weights of D1 to those of D2, if
-    the two divisors have identical weight-level cardinalities within
-    every monodromy block; None otherwise.
-
-    The permutation acts within each block, and position a of D1 maps to
-    position perm[a] of D2 with D2.beta[perm[a]] = D1.beta[a].  When it
-    exists, the two exponent tables agree up to relabeling pairs by it.
-    """
-    for D in (D1, D2):
-        _require_nonspecial(spec, inv, D)
-    blocks: dict[int, list[int]] = {}
-    for k, site in enumerate(spec.sites):
-        blocks.setdefault(site.element_rank, []).append(k)
-    perm = [0] * len(spec.sites)  # every site lies in exactly one block
-    for positions in blocks.values():
-        src = sorted(positions, key=lambda k: (D1.beta[k], k))
-        dst = sorted(positions, key=lambda k: (D2.beta[k], k))
-        if [D1.beta[k] for k in src] != [D2.beta[k] for k in dst]:
-            return None
-        for a, b in zip(src, dst):
-            perm[a] = b
-    return tuple(perm)

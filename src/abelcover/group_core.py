@@ -37,7 +37,6 @@ __all__ = [
     "pairing_u",
     "dual_group",
     "intersection_data",
-    "cyclic_subgroup",
 ]
 
 
@@ -227,11 +226,6 @@ def dual_group(group: AbelianGroup) -> list[Character]:
     on residue vectors."""
     return [Character(group, residues) for residues in
             product(*(range(m) for m in group.factor_orders))]
-
-
-def cyclic_subgroup(group: AbelianGroup, s: GroupElement) -> list[GroupElement]:
-    """The powers 0*s, 1*s, ..., (o(s)-1)*s in that order."""
-    return [s * k for k in range(element_order(group, s))]
 
 
 # value-keyed, so it spans the covers of one process: tables ops +11% without

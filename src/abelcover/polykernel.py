@@ -56,8 +56,6 @@ __all__ = [
     "solve_polexist",
     "solve_level",
     "build_pchichi",
-    "assembly_by_z_power",
-    "assembly_w_degree",
 ]
 
 
@@ -149,14 +147,6 @@ def solve_level(a: int, r: int, b0: int, b1: int) -> list[int]:
             for m in range(r)]
 
 
-def _scaled_rows(polys: Sequence[UniPoly]) -> tuple[int, list[list[int]]]:
-    """L, the lcm of every coefficient denominator, and the coefficients
-    of each L f_l as ints, low degree first."""
-    scale = lcm(*(c.denominator for f in polys for c in f.coeffs))
-    return scale, [[c.numerator * (scale // c.denominator) for c in f.coeffs]
-                   for f in polys]
-
-
 def _row_degree(row: Sequence[int]) -> int:
     """The degree of the polynomial with these coefficients; -1 if zero."""
     k = len(row) - 1
@@ -197,7 +187,9 @@ def solve_polexist(f0: UniPoly, f1: UniPoly, d: int, e: int) -> KernelSolution:
         if f.degree != want:
             raise DomainError(
                 f"{name} must have degree {want}, got {f.degree}")
-    scale, rows = _scaled_rows((f0, f1))
+    scale = lcm(*(c.denominator for f in (f0, f1) for c in f.coeffs))
+    rows = [[c.numerator * (scale // c.denominator) for c in f.coeffs]
+            for f in (f0, f1)]
     # a_{l,k} is the coefficient of (-w)^k in L f_l, rows[l][k] that of w^k
     a0, a1 = ([c if k % 2 == 0 else -c for k, c in enumerate(row)]
               for row in rows)
@@ -221,19 +213,6 @@ def solve_polexist(f0: UniPoly, f1: UniPoly, d: int, e: int) -> KernelSolution:
     return KernelSolution((f0, f1, *(
         UniPoly(tuple(Fraction(c, scale) for c in row)) for row in rows[2:])),
         d, e)
-
-
-def assembly_by_z_power(solution: KernelSolution) -> list[UniPoly]:
-    """The assembly S(z, w), expanded fully: entry i is the coefficient
-    of z^i as a polynomial in w."""
-    scale, rows = _scaled_rows(solution.polys)
-    return [UniPoly(tuple(Fraction(c, scale) for c in row))
-            for row in _expand(rows)]
-
-
-def assembly_w_degree(solution: KernelSolution) -> int:
-    """The exact w-degree of the assembly, from the full expansion."""
-    return max(map(_row_degree, _expand(_scaled_rows(solution.polys)[1])))
 
 
 def build_pchichi(spec: CoverSpec, inv: CoverInvariants,

@@ -28,6 +28,18 @@ beside the tests that use them, to cross-check it:
     that checks the connectedness validate reads off t, and
     packed_tables, the per-weight definition of validate's packed
     counting tables;
+  * cyclic_subgroup, the list of multiples of an element, which checks
+    intersection_data by brute-force intersection; degree, the divisor
+    degree by its definition, which checks the degree g - 1 that validate
+    proves once per cover; support_p, the root set of the support
+    polynomial; differential_basis_descriptor, the (chi, k) markers of a
+    basis of holomorphic differentials, which checks that the counts t
+    give g of them; relabel_equivalent, a blockwise site permutation
+    carrying one divisor's weights to another's, under which the two
+    exponent tables must agree;
+  * assembly_by_z_power and assembly_w_degree, the kernel assembly
+    S(z, w) expanded in Fraction arithmetic, which checks the degree
+    bound that solve_polexist verifies on integer rows;
   * hyperelliptic_periods, even_characteristics and theta_constant, the
     period matrix of y^2 = prod (x - lambda) over real branch values by
     numerical quadrature and its theta constants by a truncated lattice
@@ -49,9 +61,10 @@ import mpmath
 
 from abelcover import (AbelianGroup, Character, ConsistencyError,
                        CoverInvariants, CoverSpec, DomainError, GroupElement,
-                       InvariantDivisor, MalformedDataError, PairKey, PhiKey,
-                       UniPoly, element_order, intersection_data,
-                       is_nonspecial, orbit, phi_exact)
+                       InvariantDivisor, KernelSolution, MalformedDataError,
+                       PairKey, PhiKey, UniPoly, element_order,
+                       intersection_data, is_nonspecial, orbit, phi_exact)
+from abelcover.cover import _require_character
 from abelcover.divisors import _require_same_cover
 from abelcover.group_core import _require_membership
 from abelcover.polykernel import _exact
@@ -134,6 +147,61 @@ def integrality_class(key: PhiKey) -> Fraction:
     if key.d % 3 == 0:
         rep -= Fraction(key.h, 3)
     return rep % 1
+
+
+def cyclic_subgroup(group: AbelianGroup, s: GroupElement) -> list[GroupElement]:
+    """The multiples 0*s, 1*s, ..., (o(s)-1)*s in that order."""
+    return [s * k for k in range(element_order(group, s))]
+
+
+def degree(spec: CoverSpec, D: InvariantDivisor) -> int:
+    """sum over sites of beta n / o(sigma), minus p n."""
+    n = spec.group.order
+    return sum(b * (n // o) for b, o in zip(D.beta, spec.site_orders)) \
+        - D.p * n
+
+
+def support_p(spec: CoverSpec, inv: CoverInvariants, D: InvariantDivisor,
+              chi: Character) -> frozenset[int]:
+    """Positions of the sites with beta >= o - u_{chi,sigma}, the root set
+    of the support polynomial for chi; of size t_chi when D is
+    non-special."""
+    _require_character(inv, chi)
+    return frozenset(
+        k for k, (o, u, b) in
+        enumerate(zip(spec.site_orders, inv.u[chi], D.beta)) if b >= o - u)
+
+
+def differential_basis_descriptor(
+        inv: CoverInvariants) -> list[tuple[Character, int]]:
+    """Basis markers (chi, k) for the holomorphic differentials z^k psi_chi:
+    one for each nontrivial chi and each 0 <= k <= t_{conj(chi)} - 2, in
+    dual-group order with k ascending; g of them in all."""
+    return [(chi, k) for chi in inv.t if not chi.is_trivial()
+            for k in range(inv.t[chi.conjugate()] - 1)]
+
+
+def relabel_equivalent(spec: CoverSpec, inv: CoverInvariants,
+                       D1: InvariantDivisor,
+                       D2: InvariantDivisor) -> tuple[int, ...] | None:
+    """A site permutation perm with D2.beta[perm[a]] = D1.beta[a], acting
+    within each monodromy block and keeping sites of equal weight in
+    order, when the two divisors have the same weights in every block;
+    None otherwise.  Both must be non-special."""
+    if not (is_nonspecial(spec, inv, D1) and is_nonspecial(spec, inv, D2)):
+        raise DomainError("relabeling is defined for non-special divisors")
+    blocks: dict[int, list[int]] = {}
+    for k, site in enumerate(spec.sites):
+        blocks.setdefault(site.element_rank, []).append(k)
+    perm = [0] * len(spec.sites)
+    for positions in blocks.values():
+        src = sorted(positions, key=lambda k: (D1.beta[k], k))
+        dst = sorted(positions, key=lambda k: (D2.beta[k], k))
+        if [D1.beta[k] for k in src] != [D2.beta[k] for k in dst]:
+            return None
+        for a, b in zip(src, dst):
+            perm[a] = b
+    return tuple(perm)
 
 
 def _centered(o: int, b: int) -> Fraction:
@@ -377,6 +445,26 @@ def kernel_pair(spec: CoverSpec, inv: CoverInvariants,
             raise ConsistencyError(
                 "dividing out a branch factor left a remainder")
     return f0, UniPoly(tuple(f1_coeffs))
+
+
+def assembly_by_z_power(solution: KernelSolution) -> list[UniPoly]:
+    """S(z, w) = sum_l f_l(w) (z - w)^l expanded in Fraction arithmetic,
+    with (z - w)^l = sum_i C(l, i) z^i (-w)^(l-i): entry i is the
+    coefficient of z^i as a polynomial in w."""
+    polys = solution.polys
+    width = max(len(f.coeffs) + l for l, f in enumerate(polys))
+    out = [[Fraction(0)] * width for _ in polys]
+    for l, f in enumerate(polys):
+        for i in range(l + 1):
+            c = comb(l, i) * (-1) ** (l - i)
+            for k, a in enumerate(f.coeffs):
+                out[i][k + l - i] += c * a
+    return [UniPoly(tuple(row)) for row in out]
+
+
+def assembly_w_degree(solution: KernelSolution) -> int:
+    """The w-degree of the assembly S(z, w); -1 when it is zero."""
+    return max(p.degree for p in assembly_by_z_power(solution))
 
 
 def _mpf(value: Fraction):

@@ -19,17 +19,17 @@ import mpmath
 import pytest
 
 from abelcover import (NoSolutionError, PairKey, PhiKey, UniPoly,
-                       build_pchichi, chi_action, degree, dual_group,
+                       build_pchichi, chi_action, dual_group,
                        enumerate_nonspecial, enumerate_orbits, exponent_table,
                        negation_N, orbit, pairing_u, phi_exact,
-                       relabel_equivalent, solve_polexist, validate)
+                       solve_polexist, validate)
 from abelcover.cli import main as cli_main
-from abelcover.polykernel import assembly_w_degree
 from conftest import build_cover
-from oracles import (binomial_level_matrix, classical_dedekind_sum,
-                     even_characteristics, gamma, gamma_closed_form,
-                     hyperelliptic_periods, integrality_class, matrix_inverse,
-                     phi_numeric_oracle, q_delta, q_e, q_e_closed_form,
+from oracles import (assembly_w_degree, binomial_level_matrix,
+                     classical_dedekind_sum, degree, even_characteristics,
+                     gamma, gamma_closed_form, hyperelliptic_periods,
+                     integrality_class, matrix_inverse, phi_numeric_oracle,
+                     q_delta, q_e, q_e_closed_form, relabel_equivalent,
                      theta_constant)
 from test_polykernel import random_instance
 

@@ -13,10 +13,11 @@ from hypothesis import given, settings, strategies as st
 import abelcover.cover as cover_module
 from abelcover import (AbelianGroup, BranchPoint, ConsistencyError,
                        CoverSpec, DisconnectedCoverError, InvalidCoverError,
-                       MalformedDataError, differential_basis_descriptor,
-                       dual_group, element_order, validate)
+                       MalformedDataError, dual_group, element_order,
+                       validate)
 from conftest import build_cover
-from oracles import generated_subgroup, packed_tables
+from oracles import (differential_basis_descriptor, generated_subgroup,
+                     packed_tables)
 from test_divisors import draw_noncyclic_cover
 from test_exponents import all_small_factorizations
 

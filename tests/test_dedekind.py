@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abelcover import DomainError, MalformedDataError, PhiKey, phi_exact
+from abelcover.dedekind import _phi_walk
 from oracles import (classical_dedekind_sum, integrality_class,
                      phi_numeric_oracle, phi_sum_definition)
 
@@ -90,6 +91,9 @@ class TestPhiExact:
         shifted = PhiKey.of(key.d, key.h, key.s + key.h)
         assert phi_exact(shifted) == \
             phi_exact(key) + key.s - Fraction(key.d - 1, 2)
+        # the row walk follows the law from s = 0 and must land on the
+        # reciprocity value at s
+        assert _phi_walk(key.d, key.h)[key.s] == 4 * key.d * phi_exact(key)
 
     @given(phi_keys(max_d=40, min_d=2))
     def test_inverse_symmetry(self, key):
@@ -132,8 +136,9 @@ class TestWalkAgainstDefinition:
 
     @staticmethod
     def check_every_s(d, h):
+        walk = _phi_walk(d, h)
         for s in range(d):
-            assert 4 * d * phi_exact(PhiKey(d, h, s)) == \
+            assert 4 * d * phi_exact(PhiKey(d, h, s)) == walk[s] == \
                 phi_sum_definition(d, h, s)
 
     def test_every_key_up_to_60(self):

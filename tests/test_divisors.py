@@ -15,11 +15,12 @@ from hypothesis import assume, given, settings, strategies as st
 import abelcover.divisors as divisors_module
 from abelcover import (AbelianGroup, ConsistencyError, DisconnectedCoverError,
                        DomainError, InvariantDivisor, MalformedDataError,
-                       ResourceCapError, chi_action, degree, dual_group,
+                       ResourceCapError, chi_action, dual_group,
                        enumerate_nonspecial, enumerate_orbits, exponent_table,
-                       half_form_exponents, is_nonspecial, make_divisor,
-                       negation_N, orbit, pairing_u, support_p, validate)
+                       is_nonspecial, make_divisor, negation_N, orbit,
+                       pairing_u, validate)
 from conftest import Cover, build_cover
+from oracles import _centered, degree, support_p
 
 
 def brute_force_nonspecial(cover):
@@ -515,17 +516,24 @@ class TestSupport:
 
 
 class TestHalfForm:
+    """The half-form exponent vector beta/o - (o-1)/(2o), one centered
+    weight of oracles._centered per site."""
+
+    @staticmethod
+    def exponents(spec, D):
+        return tuple(map(_centered, spec.site_orders, D.beta))
+
     def test_values(self, hyperelliptic):
         spec = hyperelliptic.spec
         D = make_divisor(spec, [0, 0, 0, 1, 1, 1])
-        assert half_form_exponents(spec, D) == \
+        assert self.exponents(spec, D) == \
             (Fraction(-1, 4),) * 3 + (Fraction(1, 4),) * 3
 
     def test_scaled_integrality_and_zero_sum(self, battery):
         for cover in battery:
             spec, inv = cover.spec, cover.inv
             for D in enumerate_nonspecial(spec, inv)[:8]:
-                exps = half_form_exponents(spec, D)
+                exps = self.exponents(spec, D)
                 assert sum(exps) == 0
                 for e in exps:
                     assert (2 * inv.m * e).denominator == 1
@@ -534,8 +542,8 @@ class TestHalfForm:
         for cover in battery:
             spec, inv = cover.spec, cover.inv
             for D in enumerate_nonspecial(spec, inv)[:6]:
-                plus = half_form_exponents(spec, D)
-                minus = half_form_exponents(
+                plus = self.exponents(spec, D)
+                minus = self.exponents(
                     spec, negation_N(spec, inv, D))
                 assert minus == tuple(-e for e in plus)
 
@@ -544,9 +552,9 @@ class TestHalfForm:
             spec, inv = cover.spec, cover.inv
             group = spec.group
             for D in enumerate_nonspecial(spec, inv)[:6]:
-                base = half_form_exponents(spec, D)
+                base = self.exponents(spec, D)
                 for chi in dual_group(group):
-                    moved = half_form_exponents(
+                    moved = self.exponents(
                         spec, chi_action(spec, inv, D, chi))
                     for k, site in enumerate(spec.sites):
                         u = pairing_u(group, chi, site.element)

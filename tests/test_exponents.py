@@ -14,11 +14,10 @@ import abelcover.exponents as exponents_module
 from abelcover import (AbelianGroup, ConsistencyError, DomainError,
                        MalformedDataError, PairKey, dual_group,
                        enumerate_nonspecial, exponent_table, make_divisor,
-                       orbit, pairing_u, relabel_equivalent, thomae_exponent,
-                       validate)
+                       orbit, pairing_u, thomae_exponent, validate)
 from conftest import build_cover
 from oracles import (even_characteristics, gamma, gamma_closed_form, q_delta,
-                     q_e, q_e_closed_form, theta_constant,
+                     q_e, q_e_closed_form, relabel_equivalent, theta_constant,
                      thomae_exponent_closed_form)
 
 
@@ -39,14 +38,16 @@ def all_small_factorizations(max_order=24):
 
 
 def spoil_last_residue(monkeypatch):
-    """Wrap the Dedekind evaluator as exponents imports it, adding 1 to T
+    """Wrap the Dedekind row walk as exponents imports it, adding 1 to T
     only at s = d - 1."""
-    evaluate = exponents_module._phi_t
+    walk = exponents_module._phi_walk
 
-    def spoiled(d, h, s):
-        return evaluate(d, h, s) + (s == d - 1)
+    def spoiled(d, h):
+        row = walk(d, h)
+        row[-1] += 1
+        return row
 
-    monkeypatch.setattr(exponents_module, "_phi_t", spoiled)
+    monkeypatch.setattr(exponents_module, "_phi_walk", spoiled)
 
 
 class TestPairKey:
@@ -239,13 +240,18 @@ class TestThomaeExponent:
             thomae_exponent(spec, inv, make_divisor(spec, [1] * 6),
                             PairKey(0, 6))
 
-    def test_equals_table_entry_on_battery(self, battery, z5h2):
+    def test_matches_closed_form_on_battery(self, battery, z5h2):
+        # the integer rows, read through thomae_exponent, against the
+        # rational closed-form route, on every pair of every divisor of
+        # every battery cover and of z5h2
         for cover in (*battery, z5h2):
             spec, inv = cover.spec, cover.inv
+            B = len(spec.sites)
             for D in enumerate_nonspecial(spec, inv):
-                table = exponent_table(spec, inv, D)
-                for pair, value in table.entries.items():
-                    assert thomae_exponent(spec, inv, D, pair) == value
+                for pair in (PairKey(a, b) for a in range(B)
+                             for b in range(a + 1, B)):
+                    assert thomae_exponent(spec, inv, D, pair) == \
+                        thomae_exponent_closed_form(spec, inv, D, pair)
 
 
 class TestExponentTable:
@@ -311,18 +317,6 @@ class TestExponentTable:
                      for chi in dual_group(group)),
                     Fraction(0))
                 assert lhs == rhs
-
-    def test_rows_match_thomae_exponent_on_battery(self, battery, z5h2):
-        # the integer rows against the rational closed-form route, on
-        # every divisor of every battery cover and of z5h2
-        for cover in (*battery, z5h2):
-            spec, inv = cover.spec, cover.inv
-            B = len(spec.sites)
-            for D in enumerate_nonspecial(spec, inv):
-                expected = {PairKey(a, b): thomae_exponent_closed_form(
-                    spec, inv, D, PairKey(a, b))
-                    for a in range(B) for b in range(a + 1, B)}
-                assert exponent_table(spec, inv, D).entries == expected
 
     def test_rows_on_every_pair_of_small_group_elements(self):
         # one cover per group carrying every nontrivial element twice, so

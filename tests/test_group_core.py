@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from abelcover import (AbelianGroup, DomainError, MalformedDataError,
-                       cyclic_subgroup, dual_group, element_order,
-                       intersection_data, pairing_u)
-from oracles import pairing_u_definition
+                       dual_group, element_order, intersection_data,
+                       pairing_u)
+from oracles import cyclic_subgroup, pairing_u_definition
 from test_exponents import all_small_factorizations
 
 groups = st.lists(st.integers(min_value=2, max_value=8),

@@ -17,10 +17,10 @@ import pytest
 from abelcover import (AbelianGroup, ConsistencyError, DomainError,
                        MalformedDataError, NoSolutionError, UniPoly,
                        build_pchichi, dual_group, solve_polexist, validate)
-from abelcover.polykernel import (assembly_by_z_power, assembly_w_degree,
-                                  solve_level)
+from abelcover.polykernel import solve_level
 from conftest import build_cover
-from oracles import (binomial_level_matrix, jordan_factor, kernel_pair,
+from oracles import (assembly_by_z_power, assembly_w_degree,
+                     binomial_level_matrix, jordan_factor, kernel_pair,
                      matrix_inverse, matrix_multiply, pascal_factor,
                      poly_from_roots, solve_linear_system)
 
