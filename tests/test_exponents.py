@@ -253,6 +253,20 @@ class TestThomaeExponent:
                     assert thomae_exponent(spec, inv, D, pair) == \
                         thomae_exponent_closed_form(spec, inv, D, pair)
 
+    def test_equals_table_entry_on_battery(self, battery, z5h2):
+        # the lookup contract on every divisor: each pair reads its table
+        # entry, and a pair past the last site is refused with
+        # MalformedDataError after D has been checked
+        for cover in (*battery, z5h2):
+            spec, inv = cover.spec, cover.inv
+            B = len(spec.sites)
+            for D in enumerate_nonspecial(spec, inv):
+                table = exponent_table(spec, inv, D)
+                for pair, value in table.entries.items():
+                    assert thomae_exponent(spec, inv, D, pair) == value
+                with pytest.raises(MalformedDataError):
+                    thomae_exponent(spec, inv, D, PairKey(0, B))
+
 
 class TestExponentTable:
     def test_hyperelliptic_table(self, hyperelliptic):
@@ -317,6 +331,19 @@ class TestExponentTable:
                      for chi in dual_group(group)),
                     Fraction(0))
                 assert lhs == rhs
+
+    def test_rows_match_thomae_exponent_on_battery(self, battery, z5h2):
+        # the whole table, read from the integer rows, against the
+        # rational closed form of the Thomae exponent: same pairs, same
+        # values, on every divisor of every battery cover and of z5h2
+        for cover in (*battery, z5h2):
+            spec, inv = cover.spec, cover.inv
+            B = len(spec.sites)
+            for D in enumerate_nonspecial(spec, inv):
+                expected = {PairKey(a, b): thomae_exponent_closed_form(
+                    spec, inv, D, PairKey(a, b))
+                    for a in range(B) for b in range(a + 1, B)}
+                assert exponent_table(spec, inv, D).entries == expected
 
     def test_rows_on_every_pair_of_small_group_elements(self):
         # one cover per group carrying every nontrivial element twice, so
