@@ -18,16 +18,15 @@ from .errors import (AbelcoverError, ConsistencyError, DisconnectedCoverError,
                      DomainError, InvalidCoverError, MalformedDataError,
                      NoSolutionError, ParseError, ResourceCapError)
 from .exponents import ExponentTable, PairKey, exponent_table, thomae_exponent
-from .group_core import (AbelianGroup, Character, GroupElement,
-                         IntersectionData, dual_group, element_order,
-                         intersection_data, pairing_u)
+from .group_core import (AbelianGroup, Character, GroupElement, dual_group,
+                         element_order, intersection_data, pairing_u)
 from .polykernel import (KernelSolution, UniPoly, build_pchichi,
                          solve_polexist)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbelianGroup", "GroupElement", "Character", "IntersectionData",
+    "AbelianGroup", "GroupElement", "Character",
     "element_order", "pairing_u", "dual_group", "intersection_data",
     "BranchPoint", "BranchSite", "CoverSpec", "CoverInvariants", "validate",
     "PhiKey", "phi_exact",

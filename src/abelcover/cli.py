@@ -220,7 +220,7 @@ def _select_divisor(spec: CoverSpec, inv: CoverInvariants,
             raise ParseError(
                 f"divisor index {parsed} out of range; enumeration has "
                 f"{len(betas)} entries", path="--divisor")
-        return InvariantDivisor(betas[parsed], 1, spec.fingerprint)
+        return InvariantDivisor(betas[parsed], spec.fingerprint)
     raise ParseError(f"cannot parse divisor selector {text!r}",
                      path="--divisor")
 
@@ -253,7 +253,7 @@ def cmd_exponents(args) -> int:
         sys.stdout.write(
             f'{{\n  "theta_exponent": {table.theta_exponent},\n'
             f'  "detC_exponent": {table.detC_exponent},\n'
-            f'  "divisor": {{\n    "p": {D.p},\n    "beta": '
+            '  "divisor": {\n    "p": 1,\n    "beta": '
             + _array([f"      {b}" for b in D.beta], 4)
             + f',\n    "orbit_fingerprint": '
               f'{json.dumps(table.divisor_fingerprint)}\n  }},\n  "pairs": '
@@ -442,3 +442,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

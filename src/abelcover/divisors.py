@@ -1,13 +1,13 @@
 """Invariant divisors supported over the branch fibers.
 
 A divisor is a vector of integer weights beta, one per branch site, with
-0 <= beta < o(sigma) at a site whose monodromy is sigma, plus a pole
-multiplicity p over infinity.  Its degree is
+0 <= beta < o(sigma) at a site whose monodromy is sigma, plus one simple
+pole over infinity.  Its degree is
 
-    sum over sites of beta * n / o(sigma)  -  p * n.
+    sum over sites of beta * n / o(sigma)  -  n.
 
-The non-special divisors are exactly those with p = 1 whose weights meet,
-for every character chi, the counting condition
+The non-special divisors are exactly those whose weights meet, for every
+character chi, the counting condition
 
     #{ sites with beta >= o(sigma) - u_{chi,sigma} } = t_chi;
 
@@ -70,33 +70,32 @@ DEFAULT_NODE_CAP = 100_000_000
 
 @dataclass(frozen=True)
 class InvariantDivisor:
-    """Weights in canonical site order, the pole multiplicity p, and the
-    fingerprint of the cover the weights refer to.  Equality includes the
-    fingerprint, so divisors of different covers never compare equal."""
+    """Weights in canonical site order and the fingerprint of the cover
+    they refer to.  Equality includes the fingerprint, so divisors of
+    different covers never compare equal."""
 
     beta: tuple[int, ...]
-    p: int
     cover_fingerprint: str
 
 
-def make_divisor(spec: CoverSpec, beta, p: int = 1) -> InvariantDivisor:
+def make_divisor(spec: CoverSpec, beta) -> InvariantDivisor:
     """Build a divisor for this cover, checking every weight range.  Each
-    weight and p must be an int (not a bool); nothing is converted."""
-    D = InvariantDivisor(tuple(beta), p, spec.fingerprint)
+    weight must be an int (not a bool); nothing is converted."""
+    D = InvariantDivisor(tuple(beta), spec.fingerprint)
     _require_same_cover(spec, D)
     return D
 
 
 def is_nonspecial(spec: CoverSpec, inv: CoverInvariants,
                   D: InvariantDivisor) -> bool:
-    """Decide the per-character counting condition (with p = 1).
+    """Decide the per-character counting condition.
 
     A divisor that meets it has degree g - 1, which validate proved for
     the cover; it is not checked again here.
     """
     _require_validated(spec, inv)
     _require_same_cover(spec, D)
-    return D.p == 1 and _meets_counts(inv, D.beta)
+    return _meets_counts(inv, D.beta)
 
 
 def _meets_counts(inv: CoverInvariants, beta: tuple[int, ...]) -> bool:
@@ -118,7 +117,7 @@ def enumerate_orbits(spec: CoverSpec, inv: CoverInvariants, *,
     vector wrapped in an InvariantDivisor."""
     _require_validated(spec, inv)
     betas, labels = _orbit_listing(spec, inv, cap)
-    return [InvariantDivisor(b, 1, spec.fingerprint) for b in betas], labels
+    return [InvariantDivisor(b, spec.fingerprint) for b in betas], labels
 
 
 def _orbit_listing(spec: CoverSpec, inv: CoverInvariants,
@@ -225,11 +224,11 @@ def _search_slice(spec: CoverSpec, inv: CoverInvariants,
 def chi_action(spec: CoverSpec, inv: CoverInvariants, D: InvariantDivisor,
                chi: Character) -> InvariantDivisor:
     """The divisor chi . D.  Requires a non-special input and produces a
-    non-special output with the same p."""
+    non-special output."""
     _require_nonspecial(spec, inv, D)
     _require_character(inv, chi)
     [new] = _expand(spec, inv, D.beta, [inv.u[chi]])
-    return InvariantDivisor(new, D.p, D.cover_fingerprint)
+    return InvariantDivisor(new, D.cover_fingerprint)
 
 
 def _expand(spec: CoverSpec, inv: CoverInvariants, beta: tuple[int, ...],
@@ -247,12 +246,12 @@ def _expand(spec: CoverSpec, inv: CoverInvariants, beta: tuple[int, ...],
 
 def negation_N(spec: CoverSpec, inv: CoverInvariants,
                D: InvariantDivisor) -> InvariantDivisor:
-    """The negation involution, sitewise beta -> o - 1 - beta with p = 1."""
+    """The negation involution, sitewise beta -> o - 1 - beta."""
     _require_nonspecial(spec, inv, D)
     new = tuple(o - 1 - b for o, b in zip(spec.site_orders, D.beta))
     if not _meets_counts(inv, new):
         raise ConsistencyError("negation left the non-special set")
-    return InvariantDivisor(new, 1, D.cover_fingerprint)
+    return InvariantDivisor(new, D.cover_fingerprint)
 
 
 def orbit(spec: CoverSpec, inv: CoverInvariants,
@@ -267,16 +266,14 @@ def orbit(spec: CoverSpec, inv: CoverInvariants,
     if len(set(members)) != spec.group.order:
         raise ConsistencyError(
             "dual-group orbit has repeats; the action should be free")
-    return [InvariantDivisor(b, D.p, D.cover_fingerprint) for b in members]
+    return [InvariantDivisor(b, D.cover_fingerprint) for b in members]
 
 
 def _require_same_cover(spec: CoverSpec, D: InvariantDivisor) -> None:
-    """D belongs to this cover, p and the weights are ints, and each
-    weight is in [0, o(sigma))."""
-    if not all(isinstance(x, int) and not isinstance(x, bool)
-               for x in (D.p, *D.beta)):
-        raise MalformedDataError(
-            "divisor weights and pole multiplicity must be integers")
+    """D belongs to this cover, the weights are ints, and each weight
+    is in [0, o(sigma))."""
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in D.beta):
+        raise MalformedDataError("divisor weights must be integers")
     if D.cover_fingerprint != spec.fingerprint:
         raise MalformedDataError(
             "divisor belongs to a different cover than the one given")

@@ -125,9 +125,9 @@ def _pair_keys(B: int) -> tuple[PairKey, ...]:
 def _exponent_row(spec: CoverSpec, inv: CoverInvariants, a: int,
                   b: int) -> tuple[tuple[int, ...], int, int]:
     """(E, d, h) for the monodromies of sites a, b; E[s] checked even."""
-    data = intersection_data(spec.group, spec.sites[a].element,
+    d, h = intersection_data(spec.group, spec.sites[a].element,
                              spec.sites[b].element)
-    d, h, oa, ob = data.d, data.h, spec.site_orders[a], spec.site_orders[b]
+    oa, ob = spec.site_orders[a], spec.site_orders[b]
     scale, divisor, row = inv.m * inv.n, d * oa * ob, _phi_walk(d, h)
     base = row[0] + d * (oa - 1) * (ob - 1)
     for s, t in enumerate(row):

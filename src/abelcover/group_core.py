@@ -32,7 +32,6 @@ __all__ = [
     "AbelianGroup",
     "GroupElement",
     "Character",
-    "IntersectionData",
     "element_order",
     "pairing_u",
     "dual_group",
@@ -175,17 +174,6 @@ class Character:
             zip(self.residues, self.group.factor_orders)))
 
 
-@dataclass(frozen=True)
-class IntersectionData:
-    """The invariants (d, h) of a pair of nontrivial elements (s, r):
-    d is the size of the intersection of the cyclic subgroups they
-    generate, and h is the unit modulo d with r^(o(r)/d) = (s^(o(s)/d))^h.
-    """
-
-    d: int
-    h: int
-
-
 def element_order(group: AbelianGroup, s: GroupElement) -> int:
     """The order o(s), the least k >= 1 with k * s equal to the identity.
 
@@ -231,14 +219,13 @@ def dual_group(group: AbelianGroup) -> list[Character]:
 # value-keyed, so it spans the covers of one process: tables ops +11% without
 @lru_cache(maxsize=None)
 def intersection_data(group: AbelianGroup, s: GroupElement,
-                      r: GroupElement) -> IntersectionData:
-    """The pair (d, h) for two nontrivial elements.
-
-    d is found by brute-force intersection of the two cyclic subgroups;
-    the subgroups in scope are tiny, so no discrete-log machinery is
-    warranted.  h is then the discrete logarithm of r^(o(r)/d) with
-    respect to s^(o(s)/d), which generates the intersection; gcd(h, d) = 1
-    is automatic since r^(o(r)/d) generates the same subgroup.  For equal
+                      r: GroupElement) -> tuple[int, int]:
+    """The pair (d, h) for two nontrivial elements s, r: d is the size of
+    the intersection of the cyclic subgroups they generate, found by brute
+    force (the subgroups in scope are tiny), and h is the unit modulo d
+    with r^(o(r)/d) = (s^(o(s)/d))^h, the discrete logarithm with respect
+    to s^(o(s)/d), which generates the intersection; gcd(h, d) = 1 is
+    automatic since r^(o(r)/d) generates the same subgroup.  For equal
     inputs the result is (o(s), 1); h = 0 occurs only when d = 1.
     """
     o_s = element_order(group, s)
@@ -258,7 +245,7 @@ def intersection_data(group: AbelianGroup, s: GroupElement,
             if gcd(h, d) != 1:
                 raise ConsistencyError(
                     f"discrete log h={h} is not a unit modulo d={d}")
-            return IntersectionData(d, h)
+            return d, h
     raise ConsistencyError(
         "no discrete log found; the intersection is not cyclic as expected")
 

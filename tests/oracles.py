@@ -155,10 +155,10 @@ def cyclic_subgroup(group: AbelianGroup, s: GroupElement) -> list[GroupElement]:
 
 
 def degree(spec: CoverSpec, D: InvariantDivisor) -> int:
-    """sum over sites of beta n / o(sigma), minus p n."""
+    """sum over sites of beta n / o(sigma), minus n for the simple pole
+    over infinity."""
     n = spec.group.order
-    return sum(b * (n // o) for b, o in zip(D.beta, spec.site_orders)) \
-        - D.p * n
+    return sum(b * (n // o) for b, o in zip(D.beta, spec.site_orders)) - n
 
 
 def support_p(spec: CoverSpec, inv: CoverInvariants, D: InvariantDivisor,
@@ -242,11 +242,10 @@ def q_e_closed_form(spec: CoverSpec, inv: CoverInvariants,
     _require_sites(spec, D, a, b)
     group = spec.group
     oa, ob = spec.site_orders[a], spec.site_orders[b]
-    data = intersection_data(group, spec.sites[a].element,
+    d, h = intersection_data(group, spec.sites[a].element,
                              spec.sites[b].element)
-    s = (D.beta[b] - data.h * D.beta[a]) % data.d
-    return Fraction(group.order, oa * ob) * \
-        phi_exact(PhiKey.of(data.d, data.h, s))
+    s = (D.beta[b] - h * D.beta[a]) % d
+    return Fraction(group.order, oa * ob) * phi_exact(PhiKey.of(d, h, s))
 
 
 def gamma(group: AbelianGroup, s: GroupElement,
@@ -274,8 +273,7 @@ def gamma_closed_form(group: AbelianGroup, s: GroupElement,
         raise DomainError("gamma requires nontrivial elements")
     o_s = element_order(group, s)
     o_r = element_order(group, r)
-    data = intersection_data(group, s, r)
-    phi0 = phi_exact(PhiKey.of(data.d, data.h, 0))
+    phi0 = phi_exact(PhiKey.of(*intersection_data(group, s, r), 0))
     return (phi0 + Fraction((o_s - 1) * (o_r - 1), 4)) / (o_s * o_r)
 
 

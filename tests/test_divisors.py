@@ -101,12 +101,6 @@ class TestMakeDivisor:
         with pytest.raises(MalformedDataError):
             make_divisor(hyperelliptic.spec, [bad, 0, 0, 1, 1, 1])
 
-    @pytest.mark.parametrize("bad", [1.0, True, "1", None])
-    def test_non_integer_pole_multiplicity_rejected(self, hyperelliptic,
-                                                    bad):
-        with pytest.raises(MalformedDataError):
-            make_divisor(hyperelliptic.spec, [0, 0, 0, 1, 1, 1], p=bad)
-
     def test_cross_cover_divisor_rejected(self, hyperelliptic, cyclic3):
         D = make_divisor(cyclic3.spec, [2, 1, 0])
         with pytest.raises(MalformedDataError):
@@ -136,11 +130,6 @@ class TestIsNonspecial:
         spec, inv = hyperelliptic.spec, hyperelliptic.inv
         assert not is_nonspecial(spec, inv, make_divisor(spec, [1] * 6))
         assert not is_nonspecial(spec, inv, make_divisor(spec, [0] * 6))
-
-    def test_pole_multiplicity_must_be_one(self, hyperelliptic):
-        spec, inv = hyperelliptic.spec, hyperelliptic.inv
-        D = make_divisor(spec, [0, 0, 0, 1, 1, 1], p=2)
-        assert not is_nonspecial(spec, inv, D)
 
     def test_invariants_of_another_cover_refused(self, hyperelliptic,
                                                  klein):
@@ -232,7 +221,7 @@ class TestPackedCheck:
     def test_hand_built_weights_out_of_range(self, hyperelliptic, beta):
         # the weights index the packed tables, so each one is checked first
         spec, inv = hyperelliptic.spec, hyperelliptic.inv
-        D = InvariantDivisor(beta, 1, spec.fingerprint)
+        D = InvariantDivisor(beta, spec.fingerprint)
         for call in (is_nonspecial, orbit, exponent_table, negation_N):
             with pytest.raises(MalformedDataError):
                 call(spec, inv, D)
@@ -260,7 +249,6 @@ class TestEnumerate:
     def test_every_result_is_nonspecial_of_degree_g_minus_1(self, battery):
         for cover in battery:
             for D in enumerate_nonspecial(cover.spec, cover.inv):
-                assert D.p == 1
                 assert is_nonspecial(cover.spec, cover.inv, D)
                 assert degree(cover.spec, D) == cover.inv.g - 1
 

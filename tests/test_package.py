@@ -1,14 +1,17 @@
-"""The package surface: every exported name resolves, and the README's
-library tour runs and gives the values its comments state."""
+"""The package surface: every exported name resolves, the README's
+library tour runs and gives the values its comments state, and its
+cover document is a valid cover."""
 
 from __future__ import annotations
 
+import json
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import abelcover
+from abelcover.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = ["abelcover", *(f"abelcover.{info.name}" for info in
@@ -22,16 +25,17 @@ def test_star_import_resolves_every_exported_name(name):
     exec(f"from {name} import *", {})
 
 
-def library_tour() -> str:
-    """The first Python block after the README's "Library tour" heading."""
+def readme_block(heading: str, language: str) -> str:
+    """The first fenced block in language after the README's heading."""
     text = README.read_text()
-    tour = text[text.index("## Library tour"):]
-    start = tour.index("```python\n") + len("```python\n")
-    return tour[start:tour.index("```", start)]
+    section = text[text.index(heading):]
+    fence = f"```{language}\n"
+    start = section.index(fence) + len(fence)
+    return section[start:section.index("```", start)]
 
 
 def test_readme_library_tour():
-    block = library_tour()
+    block = readme_block("## Library tour", "python")
     namespace: dict = {}
     exec(block, namespace)
     # a bare expression line states its value as a Python literal in its
@@ -46,3 +50,13 @@ def test_readme_library_tour():
     inv, labels = namespace["inv"], namespace["labels"]
     assert (inv.n, inv.m, inv.g) == (2, 2, 2)
     assert len(namespace["divisors"]) == 20 and len(set(labels)) == 10
+
+
+def test_readme_cover_document_is_a_valid_cover(tmp_path, capsys):
+    path = tmp_path / "cover.json"
+    path.write_text(readme_block("### Cover document", "json"))
+    assert main(["validate", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["g"] == 3
+    assert main(["enumerate", str(path)]) == 0
+    listing = json.loads(capsys.readouterr().out)
+    assert (listing["count"], listing["orbit_count"]) == (8, 1)
