@@ -14,7 +14,10 @@ Exit codes: 0 success, 1 parse error (also a malformed command line),
 resource limit (the search node cap, or validate's bounds on the group
 order and the packed table bits).  Results go to stdout; errors are
 reported as a JSON object on stdout as well, so both outcomes are
-machine readable.
+machine readable.  The console script exits 141 (128 + SIGPIPE, what a
+shell reports for a process that signal ends) with nothing on stderr
+when its reader closes stdout early, as `abelcover enumerate ... | head`
+does.
 
 JSON output has a fixed layout: the bytes of json.dumps(obj, indent=2)
 plus a newline, keys in the order documented per verb, one array item
@@ -32,6 +35,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -52,6 +56,7 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
+EXIT_CLOSED_PIPE = 141
 # most mantissa digits plus |exponent| in a lambda string, a work bound so
 # that Fraction never builds a power of ten past 10**8600; BranchPoint's
 # 4300-digit bound then decides which values are accepted
@@ -441,7 +446,15 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; send what is still buffered to devnull, so
+        # that the flush at exit does not raise the same error again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

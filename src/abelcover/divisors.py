@@ -27,13 +27,17 @@ slice beta_0 = 0, which meets every orbit, by backtracking on that sum
 over a prefix of the sites and reading the last s sites from a table of
 their packed sums, s the most sites whose weight tails number at most
 sum(o_k).  The node cap is charged once per call, one node per prefix
-weight tried plus one per table lookup.  Each new hit, already proved
-non-special by the search, labels itself and is expanded by the other
-n - 1 characters on int tuples, each member checked by the packed sum,
-n members per orbit in all; the order is lexicographic by canonical site.
-The listing is plain weight tuples and labels, finished and checked in
-full before it is returned, so that the CLI can write it record by
-record; enumerate_orbits wraps each row in an InvariantDivisor.
+weight tried plus one per table lookup.  Each orbit is listed from its
+representative, its lex-min member: the hits that every nontrivial
+character of K_0 = {chi : u_{chi,0} = 0} moves up in lex order, every
+hit when K_0 is trivial.  The representatives, already proved
+non-special by the search, are expanded on int tuples by each of the
+other n - 1 characters in one call per character, each member checked by
+the packed sum, and the n members per orbit are sorted once into
+lexicographic order by canonical site, orbit i being the i-th
+representative.  The listing is plain weight tuples and labels, finished
+and checked in full before it is returned, so that the CLI can write it
+record by record; enumerate_orbits wraps each row in an InvariantDivisor.
 
 The action reads u_{chi,sigma} from the table inv.u built by validate.
 The helpers take a validated CoverInvariants as given and check each
@@ -44,8 +48,9 @@ internal steps do not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from operator import add, getitem, mod
+from functools import partial
+from itertools import islice, product
+from operator import add, eq, getitem, mod
 
 from .cover import (CoverInvariants, CoverSpec, _require_character,
                     _require_validated)
@@ -123,32 +128,58 @@ def enumerate_orbits(spec: CoverSpec, inv: CoverInvariants, *,
 def _orbit_listing(spec: CoverSpec, inv: CoverInvariants,
                    cap: int) -> tuple[list[tuple[int, ...]], list[int]]:
     """The non-special weight vectors in lex order and the orbit label of
-    each, by first appearance.  Every orbit meets the slice beta_0 = 0
-    first at its lex-min member: each unlabelled hit, which the search
-    has already proved non-special, is labelled itself and expanded by
-    the other n - 1 characters into its orbit, checked free and disjoint
-    by one identity, n members per orbit in all (each orbit adds at most
-    n)."""
+    each, by first appearance.  An orbit first appears at its
+    representative (_slice_rows), which lies in the slice beta_0 = 0 and
+    is less than its other members there, the hit moved by each
+    nontrivial row of K_0 = {chi : u_{chi,0} = 0}.  So orbit i is the
+    i-th hit that every such row moves up; when site 0 generates the
+    group K_0 is trivial and every hit is one, at no cost per hit.  The
+    representatives, already proved non-special by the search, are
+    expanded by each other row in one _expand call per row, every member
+    checked, and the orbits * n members are sorted once through an index
+    list, member j having label j % orbits.  A repeat in the sorted
+    listing means an action that is not free or two orbits that share a
+    member; the slice must hold |K_0| members of each orbit, and these
+    must be the hits."""
     trivial, *rows = inv.u.values()
     if any(trivial):
         raise ConsistencyError("the first pairing row is not the trivial "
                                "character's")
     hits = _search_slice(spec, inv, cap)
-    label: dict[tuple[int, ...], int] = {}
-    orbits = 0
-    for hit in hits:
-        if hit not in label:
-            label[hit] = orbits
-            label.update(dict.fromkeys(_expand(spec, inv, hit, rows), orbits))
-            orbits += 1
-    if len(label) != orbits * inv.n:
+    keep = _slice_rows(spec, inv, (0,))[1:]  # K_0 but its trivial row
+    reps = hits
+    for row in keep:
+        reps = [h for h, m in zip(reps, _expand(spec, inv, reps, row))
+                if h < m]
+    orbits = len(reps)
+    members = reps.copy()
+    for row in rows:
+        members += _expand(spec, inv, reps, row)
+    order = sorted(range(len(members)), key=members.__getitem__)
+    betas = list(map(members.__getitem__, order))
+    if any(map(eq, betas, islice(betas, 1, None))):
         raise ConsistencyError("an orbit repeats a member or two orbits "
                                "share one, yet the action is free")
-    # every expanded member with beta_0 = 0 must be a slice hit
-    if sum(1 for b in label if not b or b[0] == 0) != len(hits):
+    # the slice beta_0 = 0 comes first in lex order: its members must be
+    # the hits, |K_0| per orbit
+    k = len(hits)
+    if (k != orbits * (len(keep) + 1) or betas[:k] != hits
+            or any(not b[0] for b in betas[k:k + 1])):
         raise ConsistencyError("the slice search missed an orbit member")
-    betas = sorted(label)
-    return betas, list(map(label.__getitem__, betas))
+    ids = list(range(orbits))  # one int per orbit, shared by its labels
+    return betas, [ids[j % orbits] for j in order]
+
+
+def _slice_rows(spec: CoverSpec, inv: CoverInvariants,
+                beta: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The pairing rows that carry beta into the slice beta_0 = 0, those
+    with beta_0 + u_{chi,0} = 0 mod o_0 (every row when there are no
+    sites), in dual-group order.  chi -> u_{chi,0} is onto Z_{o_0}, so
+    they number |K_0| = n / o_0, and at beta_0 = 0 they are K_0 itself,
+    trivial row first.  An orbit's representative is its lex-min member;
+    its beta_0 is 0, so it is the least of the members these rows give."""
+    return [row for row in inv.u.values()
+            if not any(map(mod, map(add, beta[:1], row), spec.site_orders))]
 
 
 def _search_slice(spec: CoverSpec, inv: CoverInvariants,
@@ -227,17 +258,19 @@ def chi_action(spec: CoverSpec, inv: CoverInvariants, D: InvariantDivisor,
     non-special output."""
     _require_nonspecial(spec, inv, D)
     _require_character(inv, chi)
-    [new] = _expand(spec, inv, D.beta, [inv.u[chi]])
+    [new] = _expand(spec, inv, [D.beta], inv.u[chi])
     return InvariantDivisor(new, D.cover_fingerprint)
 
 
-def _expand(spec: CoverSpec, inv: CoverInvariants, beta: tuple[int, ...],
-            rows) -> list[tuple[int, ...]]:
-    """chi . beta, sitewise beta + u mod o, for the non-special weights
-    beta and each pairing row given, in order; each result is checked."""
+def _expand(spec: CoverSpec, inv: CoverInvariants, betas,
+            row: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """chi . beta, sitewise beta + u mod o, for chi's pairing row u and
+    each non-special weight vector beta given, in order; each result is
+    checked."""
     orders = spec.site_orders
-    members = [tuple(map(mod, map(add, beta, row), orders)) for row in rows]
-    if not all(_meets_counts(inv, member) for member in members):
+    members = [tuple(map(mod, map(add, beta, row), orders))
+               for beta in betas]
+    if not all(map(partial(_meets_counts, inv), members)):
         raise ConsistencyError(
             "dual-group action left the non-special set; this contradicts "
             "its defining property")
@@ -262,7 +295,8 @@ def orbit(spec: CoverSpec, inv: CoverInvariants,
     exactly n distinct members; a repeat is an internal error.
     """
     _require_nonspecial(spec, inv, D)
-    members = _expand(spec, inv, D.beta, inv.u.values())
+    members = [_expand(spec, inv, [D.beta], row)[0]
+               for row in inv.u.values()]
     if len(set(members)) != spec.group.order:
         raise ConsistencyError(
             "dual-group orbit has repeats; the action should be free")

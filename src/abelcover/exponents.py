@@ -38,7 +38,8 @@ from functools import lru_cache
 
 from .cover import CoverInvariants, CoverSpec
 from .dedekind import _phi_walk
-from .divisors import InvariantDivisor, _expand, _require_nonspecial
+from .divisors import (InvariantDivisor, _expand, _require_nonspecial,
+                       _slice_rows)
 from .errors import ConsistencyError, DomainError, MalformedDataError
 from .group_core import intersection_data
 
@@ -99,7 +100,8 @@ def exponent_table(spec: CoverSpec, inv: CoverInvariants,
     read from the integer rows of the module docstring.  D must be
     non-special, otherwise DomainError is raised."""
     _require_nonspecial(spec, inv, D)
-    rep = min(_expand(spec, inv, D.beta, inv.u.values()))
+    rep = min(_expand(spec, inv, [D.beta], row)[0]
+              for row in _slice_rows(spec, inv, D.beta))
     rows, entries = {}, {}
     for key in _pair_keys(len(D.beta)):
         a, b = key.first, key.second

@@ -16,7 +16,6 @@ import time
 from fractions import Fraction
 
 import mpmath
-import pytest
 
 from abelcover import (NoSolutionError, PairKey, PhiKey, UniPoly,
                        build_pchichi, chi_action, dual_group,

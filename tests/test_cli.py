@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import abelcover.divisors as divisors_module
-from abelcover import enumerate_orbits, exponent_table, make_divisor, validate
+from abelcover import enumerate_orbits, exponent_table, validate
 from abelcover.cli import (build_parser, console_main, main,
                            parse_cover_object)
 from test_divisors import draw_noncyclic_cover
@@ -275,6 +275,24 @@ class TestCommandLine:
         proc = run_module("validate", write_doc(invalid))
         assert proc.returncode == 2, proc.stderr
         assert json.loads(proc.stdout)["error"]["kind"] == "monodromy"
+
+    def test_reader_that_stops_early_gets_no_traceback(self, write_doc):
+        # C(14, 7) = 3 432 records, 0.8 MB of JSON, more than a pipe holds:
+        # the writer is still writing when the reader closes its end, and
+        # the BrokenPipeError used to escape as a traceback with exit 1
+        path = write_doc({"group": [2], "branch_points": [
+            {"element": [1], "lambda": str(v)} for v in range(14)]})
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        with subprocess.Popen(
+                [sys.executable, "-m", "abelcover.cli", "enumerate", path],
+                env=env, stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.read(100).startswith(b'{\n  "count": 3432,')
+            proc.stdout.close()
+            stderr = proc.stderr.read().decode()
+            assert proc.wait(timeout=120) == 141
+        assert "Traceback" not in stderr, stderr
 
     @pytest.mark.parametrize("argv", [
         ["enumerate", "--workers", "2"], ["enumerate", "--bogus"],
@@ -586,8 +604,7 @@ class TestEnumerate:
                                                 monkeypatch):
         # every check runs before the first byte of the listing
         monkeypatch.setattr(divisors_module, "_expand",
-                            lambda spec, inv, beta, rows:
-                            [beta for _ in rows])
+                            lambda spec, inv, betas, row: list(betas))
         code, out = run(capsys, "enumerate", write_doc(HYPERELLIPTIC))
         assert code == 2
         assert json.loads(out) == {"error": {

@@ -65,6 +65,27 @@ def reference_orbit_labels(cover):
     return betas, [labels[i] for i in range(len(betas))]
 
 
+def assert_representatives(cover):
+    """Orbit i of the listing first appears at the i-th divisor that is
+    the least of the members _slice_rows carries it to, and the exponent
+    table of every divisor names min(orbit()) as its orbit."""
+    spec, inv = cover.spec, cover.inv
+    divisors, labels = enumerate_orbits(spec, inv)
+    first: dict[int, tuple[int, ...]] = {}
+    for D, label in zip(divisors, labels):
+        first.setdefault(label, D.beta)
+    expand, slice_rows = divisors_module._expand, divisors_module._slice_rows
+    reps = [D.beta for D in divisors
+            if D.beta == min(expand(spec, inv, [D.beta], row)[0]
+                             for row in slice_rows(spec, inv, D.beta))]
+    assert reps == [first[i] for i in range(len(first))]
+    for D, label in zip(divisors, labels):
+        least = min(member.beta for member in orbit(spec, inv, D))
+        assert least == first[label]
+        assert exponent_table(spec, inv, D).divisor_fingerprint == \
+            f"{spec.fingerprint}:orbit{list(least)}"
+
+
 def draw_noncyclic_cover(data) -> Cover:
     """A random connected cover of Z2xZ2, Z2xZ4, Z3xZ3 or Z2^3 with at
     most 6 branch sites."""
@@ -350,39 +371,76 @@ class TestOrbitLabels:
         with pytest.raises(ConsistencyError, match="non-special set"):
             enumerate_orbits(spec, bad)
 
+    def test_representatives_are_first_members(self, battery, klein10,
+                                               z4z4x6):
+        for cover in (*battery, klein10, z4z4x6):
+            assert_representatives(cover)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_random_noncyclic_representatives(self, data):
+        # K_0 is nontrivial on all of these groups
+        assert_representatives(draw_noncyclic_cover(data))
+
     def test_pairing_rows_must_start_at_the_trivial_character(
             self, hyperelliptic):
-        # each hit labels itself and is expanded by the other rows only
+        # each representative is expanded by the other rows only
         spec, inv = hyperelliptic.spec, hyperelliptic.inv
         trivial, chi = dual_group(spec.group)
         bad = replace(inv, u={chi: inv.u[chi], trivial: inv.u[trivial]})
         with pytest.raises(ConsistencyError, match="trivial"):
             enumerate_orbits(spec, bad)
 
-    def test_action_that_is_not_free_is_caught(self, klein, monkeypatch):
+    def test_action_that_is_not_free_is_caught(self, hyperelliptic,
+                                               monkeypatch):
+        # K_0 is trivial on this cover, so every slice hit is a
+        # representative and the broken action reaches only the expansion
+        spec, inv = hyperelliptic.spec, hyperelliptic.inv
         monkeypatch.setattr(divisors_module, "_expand",
-                            lambda spec, inv, beta, rows:
-                            [beta for _ in rows])
+                            lambda spec, inv, betas, row: list(betas))
         with pytest.raises(ConsistencyError, match="repeats"):
-            enumerate_orbits(klein.spec, klein.inv)
+            enumerate_orbits(spec, inv)
 
-    def test_overlapping_orbits_are_caught(self, klein, monkeypatch):
-        # every slice hit expands to the orbit of the first one
-        first = enumerate_nonspecial(klein.spec, klein.inv)[0]
+    def test_overlapping_orbits_are_caught(self, hyperelliptic,
+                                           monkeypatch):
+        # every representative expands to the orbit of the first one
+        spec, inv = hyperelliptic.spec, hyperelliptic.inv
+        first = enumerate_nonspecial(spec, inv)[0]
         expand = divisors_module._expand
         monkeypatch.setattr(divisors_module, "_expand",
-                            lambda spec, inv, beta, rows:
-                            expand(spec, inv, first.beta, rows))
+                            lambda spec, inv, betas, row:
+                            expand(spec, inv, [first.beta] * len(betas),
+                                   row))
         with pytest.raises(ConsistencyError, match="two"):
-            enumerate_orbits(klein.spec, klein.inv)
+            enumerate_orbits(spec, inv)
 
     def test_missed_slice_member_is_caught(self, klein, monkeypatch):
-        # each Klein orbit meets the slice beta_0 = 0 twice, so dropping
-        # the last slice hit leaves every orbit expanded but one hit short
+        # each Klein orbit meets the slice beta_0 = 0 twice, so the last
+        # slice hit is no representative: dropping it leaves every orbit
+        # expanded but the slice one hit short
         search = divisors_module._search_slice
         monkeypatch.setattr(divisors_module, "_search_slice",
                             lambda spec, inv, cap:
                             search(spec, inv, cap)[:-1])
+        with pytest.raises(ConsistencyError, match="missed"):
+            enumerate_orbits(klein.spec, klein.inv)
+
+    def test_hit_outside_the_listed_orbits_is_caught(self, klein,
+                                                     monkeypatch):
+        # without orbit 0's representative and orbit 1's other slice
+        # member, the hits still number |K_0| = 2 per listed orbit, but
+        # orbit 0's remaining hit is no member of the listing
+        divisors, labels = enumerate_orbits(klein.spec, klein.inv)
+        slice_members: dict[int, list[tuple[int, ...]]] = {}
+        for D, label in zip(divisors, labels):
+            if D.beta[0] == 0:
+                slice_members.setdefault(label, []).append(D.beta)
+        drop = {slice_members[0][0], slice_members[1][1]}
+        search = divisors_module._search_slice
+        monkeypatch.setattr(divisors_module, "_search_slice",
+                            lambda spec, inv, cap:
+                            [h for h in search(spec, inv, cap)
+                             if h not in drop])
         with pytest.raises(ConsistencyError, match="missed"):
             enumerate_orbits(klein.spec, klein.inv)
 

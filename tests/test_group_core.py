@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
