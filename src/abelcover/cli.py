@@ -207,7 +207,7 @@ def cmd_enumerate(args) -> int:
 
 
 def _select_divisor(spec: CoverSpec, inv: CoverInvariants,
-                    selector: str, args) -> InvariantDivisor:
+                    selector: str, cap: int) -> InvariantDivisor:
     text = selector.strip()
     try:  # the comma form b,b,b is read as the JSON list [b,b,b]
         parsed = json.loads(f"[{text}]" if "," in text
@@ -220,7 +220,7 @@ def _select_divisor(spec: CoverSpec, inv: CoverInvariants,
                              path="--divisor")
         return make_divisor(spec, parsed)
     if isinstance(parsed, int) and not isinstance(parsed, bool):
-        betas, _ = _orbit_listing(spec, inv, args.cap)
+        betas, _ = _orbit_listing(spec, inv, cap)
         if not 0 <= parsed < len(betas):
             raise ParseError(
                 f"divisor index {parsed} out of range; enumeration has "
@@ -233,7 +233,7 @@ def _select_divisor(spec: CoverSpec, inv: CoverInvariants,
 def cmd_exponents(args) -> int:
     spec = load_cover_document(args.path)
     inv = validate(spec)
-    D = _select_divisor(spec, inv, args.divisor, args)
+    D = _select_divisor(spec, inv, args.divisor, args.cap)
     try:
         table = exponent_table(spec, inv, D)
     except DomainError:  # D fails the counting condition

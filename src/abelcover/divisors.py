@@ -26,8 +26,9 @@ compiled by validate sum to inv.packed_target.  Enumeration searches the
 slice beta_0 = 0, which meets every orbit, by backtracking on that sum
 over a prefix of the sites and reading the last s sites from a table of
 their packed sums, s the most sites whose weight tails number at most
-sum(o_k).  The node cap is charged once per call, one node per prefix
-weight tried plus one per table lookup.  Each orbit is listed from its
+sum(o_k).  The search does not recurse, so a cover with any number of
+sites ends in a result or at the node cap: one node per prefix weight
+tried plus one per table lookup.  Each orbit is listed from its
 representative, its lex-min member: the hits that every nontrivial
 character of K_0 = {chi : u_{chi,0} = 0} moves up in lex order, every
 hit when K_0 is trivial.  The representatives, already proved
@@ -148,9 +149,9 @@ def _orbit_listing(spec: CoverSpec, inv: CoverInvariants,
     hits = _search_slice(spec, inv, cap)
     keep = _slice_rows(spec, inv, (0,))[1:]  # K_0 but its trivial row
     reps = hits
-    for row in keep:
-        reps = [h for h, m in zip(reps, _expand(spec, inv, reps, row))
-                if h < m]
+    for row in keep:  # the bare action: K_0 maps hits to hits
+        reps = [h for h in reps if h < tuple(map(mod, map(add, h, row),
+                                                  spec.site_orders))]
     orbits = len(reps)
     members = reps.copy()
     for row in rows:
@@ -190,15 +191,19 @@ def _search_slice(spec: CoverSpec, inv: CoverInvariants,
     weight tails number at most sum(o_k), so the suffix table never holds
     more entries than the packed tables do.  The table maps each tail's
     packed sum to its tails, in lex order.  Backtracking over the prefix
-    sites 0..B-s-1 carries one packed sum down and reads only inv.packed,
-    inv.packed_target and inv.packed_guard; a branch dies once some field
-    overshoots its target or can no longer reach it with the sites that
-    remain, two guard-bit compares.  At the last prefix site each weight
-    that survives them looks up target - sum and appends prefix + tail
-    for every tail found.  The lookup is exact because fields never
-    carry: a count is at most B < 2**(width - 1).  Every prefix weight a
-    call tries costs one node, charged before its loop, and every lookup
-    one more; over the cap raises ResourceCapError.
+    sites 0..B-s-1 is one loop over a stack of entries (k, sum of the
+    prefix before site k, weight chosen at site k - 1), never a prefix
+    copy: a pop writes that weight into the shared prefix, whose first
+    k - 1 entries LIFO order keeps valid, and pushes the weights that
+    survive at k in reverse, so hits come out in lex order.  It reads
+    only inv.packed, inv.packed_target and inv.packed_guard; a weight
+    dies once some field overshoots its target or can no longer reach it
+    with the sites that remain, two guard-bit compares.  At the last
+    prefix site each weight that survives them looks up target - sum and
+    appends prefix + tail for every tail found.  The lookup is exact
+    because fields never carry: a count is at most B < 2**(width - 1).
+    A pop costs one node per weight tried, plus one per lookup at the
+    last prefix site; over the cap raises ResourceCapError.
     """
     packed, target, guard = inv.packed, inv.packed_target, inv.packed_guard
     B = len(packed)
@@ -224,31 +229,26 @@ def _search_slice(spec: CoverSpec, inv: CoverInvariants,
     beta = [0] * (last + 1)
     found: list[tuple[int, ...]] = []
     nodes = 0
-
-    def dfs(k: int, acc: int) -> None:
-        nonlocal nodes
+    stack = [(0, 0, 0)]
+    while stack:
+        # at k = 0 this writes beta[-1], which the lookup loop rewrites
+        k, acc, beta[k - 1] = stack.pop()
         row = packed[k] if k else packed[0][:1]
-        nodes += len(row)
-        if nodes > cap:
-            raise ResourceCapError(cap)
         rest = reach[k + 1]
         live = [(v, now) for v, now in enumerate(map(acc.__add__, row))
                 if (ceiling - now) & guard == guard and
                 (((now + rest) | guard) - target) & guard == guard]
-        if k < last:
-            for beta[k], now in live:
-                dfs(k + 1, now)
-            return
-        nodes += len(live)  # one lookup per surviving weight
+        nodes += len(row) if k < last else len(row) + len(live)
         if nodes > cap:
             raise ResourceCapError(cap)
+        if k < last:
+            stack += [(k + 1, now, v) for v, now in reversed(live)]
+            continue
         for beta[k], now in live:
             tails = table.get(target - now)
             if tails:
                 head = tuple(beta)
                 found.extend([head + tail for tail in tails])
-
-    dfs(0, 0)
     return found
 
 

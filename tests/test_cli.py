@@ -577,6 +577,17 @@ class TestEnumerate:
         assert error["kind"] == "resource-cap"
         assert error["cap"] == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["enumerate"], ["exponents", "--divisor", "0"]])
+    def test_many_sites_exit_3(self, write_doc, capsys, argv):
+        # Z2 with 2 000 sites: a search with one Python frame per prefix
+        # site ended in a RecursionError traceback with exit 1
+        path = write_doc({"group": [2], "branch_points": [
+            {"element": [1], "lambda": str(v)} for v in range(2000)]})
+        code, out = run(capsys, *argv, "--cap", "20000", path)
+        assert code == 3
+        assert json.loads(out)["error"]["kind"] == "resource-cap"
+
     @pytest.mark.parametrize("fmt", ["--json", "--csv"])
     def test_listing_is_written_record_by_record(self, write_doc, tmp_path,
                                                  fmt):

@@ -4,6 +4,7 @@ support sets, and half-form exponent vectors."""
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -299,6 +300,21 @@ class TestEnumerate:
         enumerate_nonspecial(cover.spec, cover.inv, cap=minimal_cap)
         with pytest.raises(ResourceCapError):
             enumerate_nonspecial(cover.spec, cover.inv, cap=minimal_cap - 1)
+
+    def test_many_sites_end_at_the_cap(self):
+        # Z2 with 4 000 sites: a search with one Python frame per prefix
+        # site ended in RecursionError, and stack entries that copy the
+        # prefix peaked at 16.5 MB under tracemalloc, quadratic in the depth
+        spec = build_cover([2], [([1], v) for v in range(4000)])
+        inv = validate(spec)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError):
+                enumerate_orbits(spec, inv, cap=20_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
