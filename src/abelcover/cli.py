@@ -243,8 +243,8 @@ def cmd_exponents(args) -> int:
         return EXIT_INVALID
     cells = [(s.element_rank, s.occurrence, str(s.value)) for s in spec.sites]
     rows = []
-    for key, value in table.entries.items():
-        (ra, j, la), (rb, i, lb) = cells[key.first], cells[key.second]
+    for (a, b), value in table.entries.items():
+        (ra, j, la), (rb, i, lb) = cells[a], cells[b]
         rows.append((ra, j, rb, i, la, lb, value))
     if args.csv:
         _write_csv(["sigma_rank", "j", "rho_rank", "i",

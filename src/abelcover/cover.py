@@ -155,7 +155,6 @@ class CoverInvariants:
     field's guard bit exactly when that field of x is >= that of y.
     cover_fingerprint is that of the validated CoverSpec."""
 
-    group: AbelianGroup
     n: int
     m: int
     g: int
@@ -242,7 +241,7 @@ def validate(spec: CoverSpec) -> CoverInvariants:
                for v, x in enumerate(packed[k])):
             raise ConsistencyError(f"packed[{k}] miscounts the u values")
     return CoverInvariants(
-        group=group, n=n, m=group.exponent, g=g, t=t, u=u,
+        n=n, m=group.exponent, g=g, t=t, u=u,
         packed=tuple(packed), packed_target=sum(
             tc << (c * width) for c, tc in enumerate(t.values())),
         packed_guard=sum(1 << (c * width + width - 1) for c in range(n)),

@@ -47,8 +47,9 @@ class ConsistencyError(AbelcoverError):
 
 
 class ResourceCapError(AbelcoverError):
-    """A limit was reached: the search's node cap, or validate's bound on
-    the group order or packed table size; cap is the limit, detail names it."""
+    """A limit was reached: the search's node cap, validate's bound on the
+    group order or packed table size, or exponent_table's bound on the
+    site pairs; cap is the limit, detail names it."""
 
     def __init__(self, cap: int, detail: str | None = None):
         self.cap = cap

@@ -25,22 +25,22 @@ ranks r_a <= r_b, E[s] = m n (2 T(d,h,s) + T(d,h,0) + d (o_a-1)(o_b-1)) /
 (d o_a o_b) with T = 4d phi walked along the shift law by
 dedekind._phi_walk, so a row costs O(d), and checked to be an even
 integer for every s < d as it is built.  Only exponent_table reads
-these rows, a pair at E[(beta_b - h beta_a) mod d]; thomae_exponent
-returns one entry of the table.  The orbit sum q_e and the character
-average gamma, by definition and in closed form, are oracles in
-tests/oracles.py.
+these rows, a pair at E[(beta_b - h beta_a) mod d] under the plain key
+(a, b) with a < b (no key cache); thomae_exponent returns one entry of
+the table.  The orbit sum q_e and the character average gamma, by
+definition and in closed form, are oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .cover import CoverInvariants, CoverSpec
 from .dedekind import _phi_walk
 from .divisors import (InvariantDivisor, _expand, _require_nonspecial,
                        _slice_rows)
-from .errors import ConsistencyError, DomainError, MalformedDataError
+from .errors import (ConsistencyError, DomainError, MalformedDataError,
+                     ResourceCapError)
 from .group_core import intersection_data
 
 __all__ = [
@@ -49,6 +49,8 @@ __all__ = [
     "thomae_exponent",
     "exponent_table",
 ]
+
+MAX_TABLE_PAIRS = 2 ** 19  # exponent_table's limit: B <= 1024 sites
 
 
 @dataclass(frozen=True, order=True)
@@ -64,20 +66,14 @@ class PairKey:
                 f"pair ({self.first}, {self.second}) is not an ordered pair "
                 f"of distinct nonnegative positions")
 
-    @classmethod
-    def of(cls, a: int, b: int) -> "PairKey":
-        if a == b:
-            raise DomainError("a pair needs two distinct sites")
-        return cls(min(a, b), max(a, b))
-
 
 @dataclass
 class ExponentTable:
-    """The assembled table: one even integer per unordered site pair, the
-    det C exponent 4m, the theta exponent 8m, and a fingerprint naming the
-    source divisor orbit."""
+    """The assembled table: one even integer per site pair (a, b), a < b,
+    in ascending pair order, the det C exponent 4m, the theta exponent
+    8m, and a fingerprint naming the source divisor orbit."""
 
-    entries: dict[PairKey, int]
+    entries: dict[tuple[int, int], int]
     detC_exponent: int
     theta_exponent: int
     divisor_fingerprint: str
@@ -88,40 +84,41 @@ def thomae_exponent(spec: CoverSpec, inv: CoverInvariants,
     """The exponent of (lambda_a - lambda_b), 4m (2 q_e + n gamma): the
     pair's entry of exponent_table, which checks D first."""
     entries = exponent_table(spec, inv, D).entries
-    if pair not in entries:  # PairKey already holds 0 <= first < second
+    if (key := (pair.first, pair.second)) not in entries:  # first < second
         raise MalformedDataError(f"site position {pair.second} out of "
                                  f"range for {len(spec.sites)} sites")
-    return entries[pair]
+    return entries[key]
 
 
 def exponent_table(spec: CoverSpec, inv: CoverInvariants,
                    D: InvariantDivisor) -> ExponentTable:
-    """The full table over unordered site pairs, in ascending pair order,
-    read from the integer rows of the module docstring.  D must be
-    non-special, otherwise DomainError is raised."""
+    """The full table over unordered site pairs, keyed by (a, b) with
+    a < b in ascending pair order, read from the integer rows of the
+    module docstring.  More than MAX_TABLE_PAIRS pairs raises
+    ResourceCapError, checked first; then D must be non-special,
+    otherwise DomainError is raised."""
+    B = len(spec.sites)
+    if (pairs := B * (B - 1) // 2) > MAX_TABLE_PAIRS:
+        raise ResourceCapError(MAX_TABLE_PAIRS, f"table pairs: {pairs}, "
+                               f"over the limit of {MAX_TABLE_PAIRS}")
     _require_nonspecial(spec, inv, D)
     rep = min(_expand(spec, inv, [D.beta], row)[0]
               for row in _slice_rows(spec, inv, D.beta))
+    beta, ranks = D.beta, [site.element_rank for site in spec.sites]
     rows, entries = {}, {}
-    for key in _pair_keys(len(D.beta)):
-        a, b = key.first, key.second
-        # canonical site order makes a < b imply r_a <= r_b
-        ranks = spec.sites[a].element_rank, spec.sites[b].element_rank
-        if ranks not in rows:
-            rows[ranks] = _exponent_row(spec, inv, a, b)
-        row, d, h = rows[ranks]
-        entries[key] = row[(D.beta[b] - h * D.beta[a]) % d]
+    for a in range(B):
+        for b in range(a + 1, B):
+            # canonical site order makes a < b imply r_a <= r_b
+            pair_ranks = ranks[a], ranks[b]
+            if pair_ranks not in rows:
+                rows[pair_ranks] = _exponent_row(spec, inv, a, b)
+            row, d, h = rows[pair_ranks]
+            entries[a, b] = row[(beta[b] - h * beta[a]) % d]
     return ExponentTable(
         entries=entries,
         detC_exponent=4 * inv.m,
         theta_exponent=8 * inv.m,
         divisor_fingerprint=f"{spec.fingerprint}:orbit{list(rep)}")
-
-
-# keyed by the site count B, shared by every cover of B sites: +4% without
-@lru_cache(maxsize=None)
-def _pair_keys(B: int) -> tuple[PairKey, ...]:
-    return tuple(PairKey(a, b) for a in range(B) for b in range(a + 1, B))
 
 
 def _exponent_row(spec: CoverSpec, inv: CoverInvariants, a: int,

@@ -71,9 +71,6 @@ class AbelianGroup:
         group)."""
         return lcm(*self.factor_orders) if self.factor_orders else 1
 
-    def identity(self) -> "GroupElement":
-        return GroupElement(self, (0,) * len(self.factor_orders))
-
     def element(self, residues: Sequence[int]) -> "GroupElement":
         return GroupElement(self, tuple(residues))
 
@@ -120,10 +117,6 @@ class GroupElement:
 
     def is_identity(self) -> bool:
         return all(r == 0 for r in self.residues)
-
-    @property
-    def order(self) -> int:
-        return element_order(self.group, self)
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         if not isinstance(other, GroupElement):

@@ -82,14 +82,6 @@ class UniPoly:
         object.__setattr__(self, "coeffs", tuple(cs))
 
     @classmethod
-    def of(cls, coeffs: Sequence) -> "UniPoly":
-        return cls(tuple(coeffs))
-
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls(())
-
-    @classmethod
     def monomial(cls, c, k: int) -> "UniPoly":
         if type(k) is not int or k < 0:
             raise DomainError(f"monomial degree must be an int >= 0, got {k!r}")
@@ -102,14 +94,6 @@ class UniPoly:
     @property
     def lead(self) -> Fraction:
         return self.coeffs[-1] if self.coeffs else Fraction(0)
-
-    def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __call__(self, x) -> Fraction:
         """The value at x, which must be an int or a Fraction."""

@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -756,6 +757,19 @@ class TestExponents:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_table_past_the_pair_bound_exit_3(self, write_doc, capsys):
+        # Z2 with 1 500 sites has 1 124 250 pairs; holding every one took
+        # 6.4 s and 898 MB of peak memory on a 2-core x86 box
+        path = write_doc({"group": [2], "branch_points": [
+            {"element": [1], "lambda": str(v)} for v in range(1500)]})
+        selector = json.dumps([1] * 750 + [0] * 750)
+        start = time.perf_counter()
+        code, out = run(capsys, "exponents", "--divisor", selector, path)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        error = json.loads(out)["error"]
+        assert (error["kind"], error["cap"]) == ("resource-cap", 524288)
+
 
 def cover_document(spec) -> dict:
     return {"group": list(spec.group.factor_orders),
@@ -788,8 +802,8 @@ def dumps_tables(document):
     for D in enumerate_orbits(spec, inv)[0]:
         table = exponent_table(spec, inv, D)
         rows = []
-        for key, value in table.entries.items():
-            sa, sb = spec.sites[key.first], spec.sites[key.second]
+        for (a, b), value in table.entries.items():
+            sa, sb = spec.sites[a], spec.sites[b]
             rows.append({
                 "sigma_rank": sa.element_rank, "j": sa.occurrence,
                 "rho_rank": sb.element_rank, "i": sb.occurrence,

@@ -38,7 +38,7 @@ class TestSpecConstruction:
     def test_identity_branch_element_rejected(self):
         g = AbelianGroup((2,))
         with pytest.raises(MalformedDataError):
-            CoverSpec(g, (BranchPoint(g.identity(), Fraction(0)),))
+            CoverSpec(g, (BranchPoint(g.element([0]), Fraction(0)),))
 
     def test_wrong_group_element_rejected(self):
         g = AbelianGroup((2,))

@@ -12,9 +12,10 @@ import pytest
 
 import abelcover.exponents as exponents_module
 from abelcover import (AbelianGroup, ConsistencyError, DomainError,
-                       MalformedDataError, PairKey, dual_group,
-                       enumerate_nonspecial, exponent_table, make_divisor,
-                       orbit, pairing_u, thomae_exponent, validate)
+                       MalformedDataError, PairKey, ResourceCapError,
+                       dual_group, enumerate_nonspecial, exponent_table,
+                       make_divisor, orbit, pairing_u, thomae_exponent,
+                       validate)
 from conftest import build_cover
 from oracles import (even_characteristics, gamma, gamma_closed_form, q_delta,
                      q_e, q_e_closed_form, relabel_equivalent, theta_constant,
@@ -51,12 +52,9 @@ def spoil_last_residue(monkeypatch):
 
 
 class TestPairKey:
-    def test_ordering(self):
-        assert PairKey.of(3, 1) == PairKey(1, 3)
-
     def test_equal_positions_rejected(self):
         with pytest.raises(DomainError):
-            PairKey.of(2, 2)
+            PairKey(2, 2)
 
     def test_unordered_direct_construction_rejected(self):
         with pytest.raises(DomainError):
@@ -162,9 +160,9 @@ class TestGamma:
     def test_identity_rejected(self):
         z2 = AbelianGroup((2,))
         with pytest.raises(DomainError):
-            gamma(z2, z2.identity(), z2.element([1]))
+            gamma(z2, z2.element([0]), z2.element([1]))
         with pytest.raises(DomainError):
-            gamma_closed_form(z2, z2.element([1]), z2.identity())
+            gamma_closed_form(z2, z2.element([1]), z2.element([0]))
 
     def test_diagonal_law(self):
         for order in range(2, 13):
@@ -262,8 +260,9 @@ class TestThomaeExponent:
             B = len(spec.sites)
             for D in enumerate_nonspecial(spec, inv):
                 table = exponent_table(spec, inv, D)
-                for pair, value in table.entries.items():
-                    assert thomae_exponent(spec, inv, D, pair) == value
+                for (a, b), value in table.entries.items():
+                    assert thomae_exponent(spec, inv, D,
+                                           PairKey(a, b)) == value
                 with pytest.raises(MalformedDataError):
                     thomae_exponent(spec, inv, D, PairKey(0, B))
 
@@ -276,8 +275,8 @@ class TestExponentTable:
         assert table.theta_exponent == 16
         assert table.detC_exponent == 8
         assert len(table.entries) == 15
-        same_side = {PairKey(a, b) for a in range(3) for b in range(a + 1, 3)} \
-            | {PairKey(a, b) for a in range(3, 6) for b in range(a + 1, 6)}
+        same_side = {(a, b) for a in range(3) for b in range(a + 1, 3)} \
+            | {(a, b) for a in range(3, 6) for b in range(a + 1, 6)}
         for key, value in table.entries.items():
             assert value == (4 if key in same_side else 0)
         assert sum(table.entries.values()) == 24
@@ -287,8 +286,24 @@ class TestExponentTable:
         D = enumerate_nonspecial(spec, inv)[0]
         table = exponent_table(spec, inv, D)
         keys = list(table.entries)
-        expected = [PairKey(a, b) for a in range(6) for b in range(a + 1, 6)]
+        expected = [(a, b) for a in range(6) for b in range(a + 1, 6)]
         assert keys == expected
+        assert all(type(a) is int and type(b) is int for a, b in keys)
+
+    def test_pair_bound(self, hyperelliptic, monkeypatch):
+        # 6 sites have 15 pairs: a bound of 15 admits the table, 14 does
+        # not, and the bound is checked before the non-special test
+        spec, inv = hyperelliptic.spec, hyperelliptic.inv
+        D = make_divisor(spec, [0, 0, 0, 1, 1, 1])
+        monkeypatch.setattr(exponents_module, "MAX_TABLE_PAIRS", 15)
+        assert len(exponent_table(spec, inv, D).entries) == 15
+        monkeypatch.setattr(exponents_module, "MAX_TABLE_PAIRS", 14)
+        for divisor in (D, make_divisor(spec, [1] * 6)):
+            with pytest.raises(ResourceCapError) as info:
+                exponent_table(spec, inv, divisor)
+            assert info.value.cap == 14
+            assert str(info.value) == \
+                "table pairs: 15, over the limit of 14"
 
     def test_orbit_members_share_fingerprint_and_entries(self, cyclic3):
         spec, inv = cyclic3.spec, cyclic3.inv
@@ -340,7 +355,7 @@ class TestExponentTable:
             spec, inv = cover.spec, cover.inv
             B = len(spec.sites)
             for D in enumerate_nonspecial(spec, inv):
-                expected = {PairKey(a, b): thomae_exponent_closed_form(
+                expected = {(a, b): thomae_exponent_closed_form(
                     spec, inv, D, PairKey(a, b))
                     for a in range(B) for b in range(a + 1, B)}
                 assert exponent_table(spec, inv, D).entries == expected
@@ -469,9 +484,9 @@ class TestRelabelEquivalent:
                     continue
                 t1 = exponent_table(spec, inv, D1)
                 t2 = exponent_table(spec, inv, D2)
-                for key, value in t1.entries.items():
-                    image = PairKey.of(perm[key.first], perm[key.second])
-                    assert t2.entries[image] == value
+                for (a, b), value in t1.entries.items():
+                    image = PairKey(*sorted((perm[a], perm[b])))
+                    assert t2.entries[image.first, image.second] == value
                 matched += 1
                 if matched >= 4:
                     break
