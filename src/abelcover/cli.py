@@ -11,13 +11,13 @@ pipeline exact end to end.
 
 Exit codes: 0 success, 1 parse error (also a malformed command line),
 2 invalid input (bad cover, bad key, selector not non-special), 3 a
-resource limit (the search node cap, or validate's bounds on the group
-order and the packed table bits).  Results go to stdout; errors are
-reported as a JSON object on stdout as well, so both outcomes are
-machine readable.  The console script exits 141 (128 + SIGPIPE, what a
-shell reports for a process that signal ends) with nothing on stderr
-when its reader closes stdout early, as `abelcover enumerate ... | head`
-does.
+resource limit (the search node cap, validate's bounds on the group
+order and the packed table bits, or exponent_table's MAX_TABLE_PAIRS
+bound on the site pairs).  Results go to stdout; errors are reported as
+a JSON object on stdout as well, so both outcomes are machine readable.
+The console script exits 141 (128 + SIGPIPE, what a shell reports for a
+process that signal ends) with nothing on stderr when its reader closes
+stdout early, as `abelcover enumerate ... | head` does.
 
 JSON output has a fixed layout: the bytes of json.dumps(obj, indent=2)
 plus a newline, keys in the order documented per verb, one array item
@@ -25,9 +25,10 @@ per line.  The enumerate listing and the exponents table (they can be
 large) are written with format strings in that layout, smaller payloads
 by json.dumps itself.  The listing is written record by record from the
 weight tuples once every check has passed, so an error still prints as
-one JSON object and no record is held.  The table renders each site
-once and writes its lambda as "%s": str(Fraction) is an optional -,
-ASCII digits and at most one /, and JSON escapes none of these.
+one JSON object and no record is held.  The table is written pair by
+pair the same way, once exponent_table has checked every row; each
+lambda is rendered once, as "%s": str(Fraction) is an optional -, ASCII
+digits and at most one /, none of which JSON escapes.
 """
 
 from __future__ import annotations
@@ -241,29 +242,30 @@ def cmd_exponents(args) -> int:
                          "detail": "selected divisor fails the counting "
                                    "condition"}})
         return EXIT_INVALID
-    cells = [(s.element_rank, s.occurrence, str(s.value)) for s in spec.sites]
-    rows = []
-    for (a, b), value in table.entries.items():
-        (ra, j, la), (rb, i, lb) = cells[a], cells[b]
-        rows.append((ra, j, rb, i, la, lb, value))
+    ranks = [(s.element_rank, s.occurrence) for s in spec.sites]
+    lambdas = [str(s.value) for s in spec.sites]
+    rows = ((*ranks[a], *ranks[b], lambdas[a], lambdas[b], value)
+            for (a, b), value in table.entries.items())
     if args.csv:
         _write_csv(["sigma_rank", "j", "rho_rank", "i",
                     "lambda_a", "lambda_b", "exponent"], rows)
-    else:
-        # "%s" is json.dumps here: JSON escapes no character of str(Fraction)
-        pair = ('    {\n      "sigma_rank": %d,\n      "j": %d,\n'
-                '      "rho_rank": %d,\n      "i": %d,\n'
-                '      "lambda_a": "%s",\n      "lambda_b": "%s",\n'
-                '      "exponent": %d\n    }')
-        sys.stdout.write(
-            f'{{\n  "theta_exponent": {table.theta_exponent},\n'
-            f'  "detC_exponent": {table.detC_exponent},\n'
-            '  "divisor": {\n    "p": 1,\n    "beta": '
-            + _array([f"      {b}" for b in D.beta], 4)
-            + f',\n    "orbit_fingerprint": '
-              f'{json.dumps(table.divisor_fingerprint)}\n  }},\n  "pairs": '
-            + _array([pair % row for row in rows], 2)
-            + "\n}\n")
+        return EXIT_OK
+    # each pair starts with its separator from the one before; "%s" is
+    # json.dumps here: JSON escapes no character of str(Fraction)
+    pair = ('%s    {\n      "sigma_rank": %d,\n      "j": %d,\n'
+            '      "rho_rank": %d,\n      "i": %d,\n'
+            '      "lambda_a": "%s",\n      "lambda_b": "%s",\n'
+            '      "exponent": %d\n    }')
+    out = sys.stdout
+    out.write(f'{{\n  "theta_exponent": {table.theta_exponent},\n'
+              f'  "detC_exponent": {table.detC_exponent},\n'
+              '  "divisor": {\n    "p": 1,\n    "beta": '
+              + _array([f"      {b}" for b in D.beta], 4)
+              + ',\n    "orbit_fingerprint": '
+              + json.dumps(table.divisor_fingerprint) + '\n  },\n  "pairs": [')
+    out.writelines(pair % (",\n" if k else "\n", *row)
+                   for k, row in enumerate(rows))
+    out.write("\n  ]\n}\n" if table.entries else "]\n}\n")
     return EXIT_OK
 
 

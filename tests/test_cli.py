@@ -27,6 +27,7 @@ from abelcover import enumerate_orbits, exponent_table, validate
 from abelcover.cli import (build_parser, console_main, main,
                            parse_cover_object)
 from test_divisors import draw_noncyclic_cover
+from test_exponents import spoil_last_residue
 
 HYPERELLIPTIC = {
     "group": [2],
@@ -769,6 +770,41 @@ class TestExponents:
         assert code == 3
         error = json.loads(out)["error"]
         assert (error["kind"], error["cap"]) == ("resource-cap", 524288)
+
+    @pytest.mark.parametrize("fmt", ["--json", "--csv"])
+    def test_table_is_written_pair_by_pair(self, write_doc, tmp_path, fmt):
+        # Z2 with 300 sites has 44 850 pairs (7 MB of JSON); holding a
+        # row list beside the table peaked at 9.8 MiB in CSV, and the
+        # whole document as one string at 32.6 MiB in JSON
+        path = write_doc({"group": [2], "branch_points": [
+            {"element": [1], "lambda": str(v)} for v in range(300)]})
+        selector = json.dumps([1] * 150 + [0] * 150)
+        table = tmp_path / "table.out"
+        with open(table, "w") as out, contextlib.redirect_stdout(out):
+            tracemalloc.start()
+            try:
+                code = main(["exponents", fmt, "--divisor", selector, path])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 9 * 2**20
+        if fmt == "--json":
+            assert len(json.loads(table.read_text())["pairs"]) == 44850
+        else:
+            assert len(table.read_text().splitlines()) == 44851
+
+    def test_broken_row_prints_only_the_error(self, write_doc, capsys,
+                                              monkeypatch):
+        # every row is checked before the first byte of the table
+        spoil_last_residue(monkeypatch)
+        code, out = run(capsys, "exponents", "--divisor", "[0,0,0,1,1,1]",
+                        write_doc(HYPERELLIPTIC))
+        assert code == 2
+        error = json.loads(out)
+        assert list(error) == ["error"]
+        assert error["error"]["kind"] == "ConsistencyError"
+        assert "odd or non-integral" in error["error"]["detail"]
 
 
 def cover_document(spec) -> dict:
