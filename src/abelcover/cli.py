@@ -34,7 +34,6 @@ digits and at most one /, none of which JSON escapes.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -160,6 +159,7 @@ def _emit(obj) -> None:
 
 def _write_csv(header: list[str], rows) -> None:
     """Write the header and rows to stdout as CSV, one line each."""
+    import csv  # only the --csv outputs need it: kept out of start-up
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)

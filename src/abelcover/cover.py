@@ -35,14 +35,15 @@ a validated CoverInvariants as given and check each divisor once.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, groupby
 from operator import attrgetter, mul
 
 from .errors import (ConsistencyError, DisconnectedCoverError,
-                     InvalidCoverError, MalformedDataError, ResourceCapError)
+                     InvalidCoverError, MalformedDataError, ResourceCapError,
+                     _read_only)
 from .group_core import (AbelianGroup, Character, GroupElement,
                          _pairing_coefficients, dual_group, element_order)
 
@@ -63,23 +64,39 @@ MAX_GROUP_ORDER = 2 ** 16
 MAX_PACKED_BITS = 2 ** 32
 
 
-@dataclass(frozen=True)
 class BranchPoint:
     """One branch point: a nontrivial monodromy element and a finite
     rational branch value."""
 
+    __slots__ = ("element", "value")
     element: GroupElement
     value: Fraction
 
-    def __post_init__(self) -> None:
-        value = Fraction(self.value)
+    def __init__(self, element: GroupElement, value) -> None:
+        value = Fraction(value)
         if max(abs(value.numerator), value.denominator) >= _VALUE_LIMIT:
             raise MalformedDataError("a branch value's numerator and "
                                      "denominator need at most 4300 digits")
+        object.__setattr__(self, "element", element)
         object.__setattr__(self, "value", value)
 
+    __setattr__ = __delattr__ = _read_only
 
-@dataclass(frozen=True)
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.element, self.value) == (other.element, other.value)
+
+    def __hash__(self) -> int:
+        return hash((self.element, self.value))
+
+    def __repr__(self) -> str:
+        return f"BranchPoint(element={self.element!r}, value={self.value!r})"
+
+    def __reduce__(self):
+        return BranchPoint, (self.element, self.value)
+
+
 class BranchSite:
     """A branch point in canonical position.
 
@@ -91,29 +108,76 @@ class BranchSite:
     its index in CoverSpec.sites.
     """
 
+    __slots__ = ("element", "element_rank", "occurrence", "value")
     element: GroupElement
     element_rank: int
     occurrence: int
     value: Fraction
 
+    def __init__(self, element: GroupElement, element_rank: int,
+                 occurrence: int, value: Fraction) -> None:
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "element_rank", element_rank)
+        object.__setattr__(self, "occurrence", occurrence)
+        object.__setattr__(self, "value", value)
 
-@dataclass(frozen=True)
+    __setattr__ = __delattr__ = _read_only
+
+    def _fields(self) -> tuple:
+        return self.element, self.element_rank, self.occurrence, self.value
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"BranchSite(element={self.element!r}, element_rank="
+                f"{self.element_rank!r}, occurrence={self.occurrence!r}, "
+                f"value={self.value!r})")
+
+    def __reduce__(self):
+        return BranchSite, self._fields()
+
+
 class CoverSpec:
-    """The raw branching data, prior to validation."""
+    """The raw branching data, prior to validation.  Immutable, but not
+    slotted: the cached properties below are kept in its __dict__."""
 
     group: AbelianGroup
     branch_points: tuple[BranchPoint, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "branch_points", tuple(self.branch_points))
-        for k, bp in enumerate(self.branch_points):
-            if bp.element.group != self.group:
+    def __init__(self, group: AbelianGroup,
+                 branch_points: Sequence[BranchPoint]) -> None:
+        branch_points = tuple(branch_points)
+        for k, bp in enumerate(branch_points):
+            if bp.element.group != group:
                 raise MalformedDataError(
                     f"branch point {k} carries an element of a different group")
             if bp.element.is_identity():
                 raise MalformedDataError(
                     f"branch point {k} carries the identity; branch elements "
                     f"must be nontrivial")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "branch_points", branch_points)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.group, self.branch_points)
+                == (other.group, other.branch_points))
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.branch_points))
+
+    def __repr__(self) -> str:
+        return (f"CoverSpec(group={self.group!r}, "
+                f"branch_points={self.branch_points!r})")
 
     @cached_property
     def sites(self) -> tuple[BranchSite, ...]:
@@ -141,7 +205,6 @@ class CoverSpec:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-@dataclass
 class CoverInvariants:
     """Validated numeric invariants of a cover: group order n, exponent m,
     genus g, the character integers t_chi (> 0 unless chi is trivial) and
@@ -153,17 +216,46 @@ class CoverInvariants:
     sums never carry between fields and the top bit of each is a free
     guard bit, set in packed_guard.  (x | packed_guard) - y keeps a
     field's guard bit exactly when that field of x is >= that of y.
-    cover_fingerprint is that of the validated CoverSpec."""
+    cover_fingerprint is that of the validated CoverSpec.  The fields
+    can be reassigned; equal fields compare equal, and it is unhashable."""
 
+    __slots__ = ("n", "m", "g", "t", "u", "packed", "packed_target",
+                 "packed_guard", "cover_fingerprint")
     n: int
     m: int
     g: int
-    t: dict[Character, int] = field(repr=False)
-    u: dict[Character, tuple[int, ...]] = field(repr=False)
-    packed: tuple[tuple[int, ...], ...] = field(repr=False)
-    packed_target: int = field(repr=False)
-    packed_guard: int = field(repr=False)
-    cover_fingerprint: str = field(repr=False)
+    t: dict[Character, int]
+    u: dict[Character, tuple[int, ...]]
+    packed: tuple[tuple[int, ...], ...]
+    packed_target: int
+    packed_guard: int
+    cover_fingerprint: str
+
+    def __init__(self, n: int, m: int, g: int, t: dict[Character, int],
+                 u: dict[Character, tuple[int, ...]],
+                 packed: tuple[tuple[int, ...], ...], packed_target: int,
+                 packed_guard: int, cover_fingerprint: str) -> None:
+        self.n = n
+        self.m = m
+        self.g = g
+        self.t = t
+        self.u = u
+        self.packed = packed
+        self.packed_target = packed_target
+        self.packed_guard = packed_guard
+        self.cover_fingerprint = cover_fingerprint
+
+    def _fields(self) -> tuple:
+        return (self.n, self.m, self.g, self.t, self.u, self.packed,
+                self.packed_target, self.packed_guard, self.cover_fingerprint)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return f"CoverInvariants(n={self.n!r}, m={self.m!r}, g={self.g!r})"
 
 
 def validate(spec: CoverSpec) -> CoverInvariants:
@@ -181,11 +273,13 @@ def validate(spec: CoverSpec) -> CoverInvariants:
     group = spec.group
     n = group.order
 
-    seen: set[Fraction] = set()
+    # a Fraction is in lowest terms, so its ratio names its value, and
+    # hashing a tuple of ints is cheaper than Fraction.__hash__
+    seen: set[tuple[int, int]] = set()
     for bp in spec.branch_points:
-        if bp.value in seen:
+        if (key := bp.value.as_integer_ratio()) in seen:
             raise MalformedDataError(f"duplicate branch value {bp.value}")
-        seen.add(bp.value)
+        seen.add(key)
 
     residues = [bp.element.residues for bp in spec.branch_points]
     total = tuple(sum(r[i] for r in residues) % o

@@ -28,11 +28,11 @@ they are test oracles in tests/oracles.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import ConsistencyError, DomainError, MalformedDataError
+from .errors import (ConsistencyError, DomainError, MalformedDataError,
+                     _read_only)
 
 __all__ = [
     "PhiKey",
@@ -40,29 +40,47 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class PhiKey:
     """A normalized argument triple (d, h, s) with d >= 1, 0 <= h < d,
     0 <= s < d and gcd(h, d) = 1.  For d = 1 the key is (1, 0, 0).  Each
     field must be an int (not a bool); nothing is converted."""
 
+    __slots__ = ("d", "h", "s")
     d: int
     h: int
     s: int
 
-    def __post_init__(self) -> None:
-        for name, x in vars(self).items():
+    def __init__(self, d: int, h: int, s: int) -> None:
+        for name, x in (("d", d), ("h", h), ("s", s)):
             if type(x) is not int:
                 raise MalformedDataError(f"{name}={x!r} is not an int")
-        if self.d < 1:
-            raise DomainError(f"modulus d must be positive, got {self.d}")
-        if not 0 <= self.h < self.d:
-            raise DomainError(f"h={self.h} is not normalized modulo d={self.d}")
-        if not 0 <= self.s < self.d:
-            raise DomainError(f"s={self.s} is not normalized modulo d={self.d}")
-        if gcd(self.h, self.d) != 1:
-            raise DomainError(
-                f"h={self.h} must be a unit modulo d={self.d}")
+        if d < 1:
+            raise DomainError(f"modulus d must be positive, got {d}")
+        if not 0 <= h < d:
+            raise DomainError(f"h={h} is not normalized modulo d={d}")
+        if not 0 <= s < d:
+            raise DomainError(f"s={s} is not normalized modulo d={d}")
+        if gcd(h, d) != 1:
+            raise DomainError(f"h={h} must be a unit modulo d={d}")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "s", s)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.d, self.h, self.s) == (other.d, other.h, other.s)
+
+    def __hash__(self) -> int:
+        return hash((self.d, self.h, self.s))
+
+    def __repr__(self) -> str:
+        return f"PhiKey(d={self.d!r}, h={self.h!r}, s={self.s!r})"
+
+    def __reduce__(self):
+        return PhiKey, (self.d, self.h, self.s)
 
     @classmethod
     def of(cls, d: int, h: int, s: int) -> "PhiKey":

@@ -48,7 +48,6 @@ internal steps do not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import islice, product
 from operator import add, eq, getitem, mod
@@ -56,7 +55,7 @@ from operator import add, eq, getitem, mod
 from .cover import (CoverInvariants, CoverSpec, _require_character,
                     _require_validated)
 from .errors import (ConsistencyError, DomainError, MalformedDataError,
-                     ResourceCapError)
+                     ResourceCapError, _read_only)
 from .group_core import Character
 
 __all__ = [
@@ -74,14 +73,36 @@ __all__ = [
 DEFAULT_NODE_CAP = 100_000_000
 
 
-@dataclass(frozen=True)
 class InvariantDivisor:
     """Weights in canonical site order and the fingerprint of the cover
     they refer to.  Equality includes the fingerprint, so divisors of
     different covers never compare equal."""
 
+    __slots__ = ("beta", "cover_fingerprint")
     beta: tuple[int, ...]
     cover_fingerprint: str
+
+    def __init__(self, beta: tuple[int, ...], cover_fingerprint: str) -> None:
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "cover_fingerprint", cover_fingerprint)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.beta, self.cover_fingerprint)
+                == (other.beta, other.cover_fingerprint))
+
+    def __hash__(self) -> int:
+        return hash((self.beta, self.cover_fingerprint))
+
+    def __repr__(self) -> str:
+        return (f"InvariantDivisor(beta={self.beta!r}, "
+                f"cover_fingerprint={self.cover_fingerprint!r})")
+
+    def __reduce__(self):
+        return InvariantDivisor, (self.beta, self.cover_fingerprint)
 
 
 def make_divisor(spec: CoverSpec, beta) -> InvariantDivisor:

@@ -73,3 +73,16 @@ class ParseError(AbelcoverError):
         self.column = column
         self.path = path
         super().__init__(message)
+
+
+def _read_only(self, name: str, *value) -> None:
+    """__setattr__ and __delattr__ of the library's immutable value types,
+    whose __init__ sets each field once with object.__setattr__.
+
+    They are plain classes with these methods written out, each
+    equal only to an instance of its own class with equal fields and
+    hashed by the tuple of its fields: generating them at import, with
+    the inspect module that pulls in, took about half of the time a CLI
+    call spends importing abelcover."""
+    raise AttributeError(
+        f"{type(self).__name__} is immutable: cannot set or delete {name!r}")

@@ -33,14 +33,14 @@ definition and in closed form, are oracles in tests/oracles.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 
 from .cover import CoverInvariants, CoverSpec
 from .dedekind import _phi_walk
 from .divisors import (InvariantDivisor, _expand, _require_nonspecial,
                        _slice_rows)
 from .errors import (ConsistencyError, DomainError, MalformedDataError,
-                     ResourceCapError)
+                     ResourceCapError, _read_only)
 from .group_core import intersection_data
 
 __all__ = [
@@ -53,30 +53,80 @@ __all__ = [
 MAX_TABLE_PAIRS = 2 ** 19  # exponent_table's limit: B <= 1024 sites
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class PairKey:
-    """An unordered pair of site positions, stored with first < second."""
+    """An unordered pair of site positions, stored with first < second;
+    pair keys sort by (first, second)."""
 
+    __slots__ = ("first", "second")
     first: int
     second: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.first < self.second:
+    def __init__(self, first: int, second: int) -> None:
+        if not 0 <= first < second:
             raise DomainError(
-                f"pair ({self.first}, {self.second}) is not an ordered pair "
+                f"pair ({first}, {second}) is not an ordered pair "
                 f"of distinct nonnegative positions")
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.first, self.second) == (other.first, other.second)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.first, self.second) < (other.first, other.second)
+
+    def __hash__(self) -> int:
+        return hash((self.first, self.second))
+
+    def __repr__(self) -> str:
+        return f"PairKey(first={self.first!r}, second={self.second!r})"
+
+    def __reduce__(self):
+        return PairKey, (self.first, self.second)
 
 
-@dataclass
 class ExponentTable:
     """The assembled table: one even integer per site pair (a, b), a < b,
     in ascending pair order, the det C exponent 4m, the theta exponent
-    8m, and a fingerprint naming the source divisor orbit."""
+    8m, and a fingerprint naming the source divisor orbit.  The fields
+    can be reassigned; equal fields compare equal, and it is unhashable."""
 
+    __slots__ = ("entries", "detC_exponent", "theta_exponent",
+                 "divisor_fingerprint")
     entries: dict[tuple[int, int], int]
     detC_exponent: int
     theta_exponent: int
     divisor_fingerprint: str
+
+    def __init__(self, entries: dict[tuple[int, int], int],
+                 detC_exponent: int, theta_exponent: int,
+                 divisor_fingerprint: str) -> None:
+        self.entries = entries
+        self.detC_exponent = detC_exponent
+        self.theta_exponent = theta_exponent
+        self.divisor_fingerprint = divisor_fingerprint
+
+    def _fields(self) -> tuple:
+        return (self.entries, self.detC_exponent, self.theta_exponent,
+                self.divisor_fingerprint)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return (f"ExponentTable(entries={self.entries!r}, detC_exponent="
+                f"{self.detC_exponent!r}, theta_exponent="
+                f"{self.theta_exponent!r}, divisor_fingerprint="
+                f"{self.divisor_fingerprint!r})")
 
 
 def thomae_exponent(spec: CoverSpec, inv: CoverInvariants,

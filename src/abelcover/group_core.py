@@ -19,14 +19,14 @@ presentations and inputs match their fibered-product descriptions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Iterator, Sequence
 
-from .errors import ConsistencyError, DomainError, MalformedDataError
+from .errors import (ConsistencyError, DomainError, MalformedDataError,
+                     _read_only)
 
 __all__ = [
     "AbelianGroup",
@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class AbelianGroup:
     """The product Z_{m_1} x ... x Z_{m_q}.
 
@@ -47,11 +46,11 @@ class AbelianGroup:
     int (not a bool) of at least 2; nothing is converted.
     """
 
+    __slots__ = ("factor_orders",)
     factor_orders: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        orders = tuple(self.factor_orders)
-        object.__setattr__(self, "factor_orders", orders)
+    def __init__(self, factor_orders: Sequence[int]) -> None:
+        orders = tuple(factor_orders)
         for m in orders:
             if type(m) is not int:
                 raise MalformedDataError(
@@ -59,6 +58,20 @@ class AbelianGroup:
             if m < 2:
                 raise MalformedDataError(
                     f"cyclic factor orders must be at least 2, got {m}")
+        object.__setattr__(self, "factor_orders", orders)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factor_orders == other.factor_orders
+
+    def __hash__(self) -> int:
+        return hash((self.factor_orders,))
+
+    def __reduce__(self):
+        return AbelianGroup, (self.factor_orders,)
 
     @property
     def order(self) -> int:
@@ -103,17 +116,36 @@ def _check_residues(group: AbelianGroup, residues: tuple[int, ...],
                 f"{kind} residue {r} out of range [0, {m})")
 
 
-@dataclass(frozen=True)
 class GroupElement:
     """An element of an AbelianGroup, stored as one int residue per
     factor; a bool or any other type is refused, not converted."""
 
+    __slots__ = ("group", "residues")
     group: AbelianGroup
     residues: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "residues", tuple(self.residues))
-        _check_residues(self.group, self.residues, "element")
+    def __init__(self, group: AbelianGroup, residues: Sequence[int]) -> None:
+        residues = tuple(residues)
+        _check_residues(group, residues, "element")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "residues", residues)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.residues) == (other.group, other.residues)
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.residues))
+
+    def __repr__(self) -> str:
+        return (f"GroupElement(group={self.group!r}, "
+                f"residues={self.residues!r})")
+
+    def __reduce__(self):
+        return GroupElement, (self.group, self.residues)
 
     def is_identity(self) -> bool:
         return all(r == 0 for r in self.residues)
@@ -142,21 +174,40 @@ class GroupElement:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
 class Character:
     """A character of an AbelianGroup.
 
     The int residue vector (e_1, ..., e_q) represents the homomorphism
     sending the l-th standard generator to e(e_l / m_l).  The conjugate
-    character negates every residue.
+    character negates every residue.  A Character never equals the
+    GroupElement with the same residues.
     """
 
+    __slots__ = ("group", "residues")
     group: AbelianGroup
     residues: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "residues", tuple(self.residues))
-        _check_residues(self.group, self.residues, "character")
+    def __init__(self, group: AbelianGroup, residues: Sequence[int]) -> None:
+        residues = tuple(residues)
+        _check_residues(group, residues, "character")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "residues", residues)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.residues) == (other.group, other.residues)
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.residues))
+
+    def __repr__(self) -> str:
+        return f"Character(group={self.group!r}, residues={self.residues!r})"
+
+    def __reduce__(self):
+        return Character, (self.group, self.residues)
 
     def is_trivial(self) -> bool:
         return all(r == 0 for r in self.residues)

@@ -39,15 +39,14 @@ Every coefficient a caller sees is a Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import comb, lcm
-from typing import Sequence
 
 from .cover import (CoverInvariants, CoverSpec, _require_character,
                     _require_validated)
 from .errors import (ConsistencyError, DomainError, MalformedDataError,
-                     NoSolutionError)
+                     NoSolutionError, _read_only)
 from .group_core import Character
 
 __all__ = [
@@ -67,19 +66,35 @@ def _exact(c) -> Fraction:
     return Fraction(c)
 
 
-@dataclass(frozen=True)
 class UniPoly:
     """A univariate polynomial with exact rational coefficients, stored
     low degree first with trailing zeros trimmed.  The zero polynomial
     has degree -1.  Coefficients must be Fractions or ints (not bools)."""
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        cs = [c if type(c) is Fraction else _exact(c) for c in self.coeffs]
+    def __init__(self, coeffs: Sequence) -> None:
+        cs = [c if type(c) is Fraction else _exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __repr__(self) -> str:
+        return f"UniPoly(coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return UniPoly, (self.coeffs,)
 
     @classmethod
     def monomial(cls, c, k: int) -> "UniPoly":
@@ -103,13 +118,35 @@ class UniPoly:
         return acc
 
 
-@dataclass(frozen=True)
 class KernelSolution:
     """The list f_0, ..., f_d together with the degree parameters."""
 
+    __slots__ = ("polys", "d", "e")
     polys: tuple[UniPoly, ...]
     d: int
     e: int
+
+    def __init__(self, polys: tuple[UniPoly, ...], d: int, e: int) -> None:
+        object.__setattr__(self, "polys", polys)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "e", e)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.polys, self.d, self.e) == (other.polys, other.d, other.e)
+
+    def __hash__(self) -> int:
+        return hash((self.polys, self.d, self.e))
+
+    def __repr__(self) -> str:
+        return (f"KernelSolution(polys={self.polys!r}, d={self.d!r}, "
+                f"e={self.e!r})")
+
+    def __reduce__(self):
+        return KernelSolution, (self.polys, self.d, self.e)
 
 
 def solve_level(a: int, r: int, b0: int, b1: int) -> list[int]:

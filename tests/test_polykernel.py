@@ -5,7 +5,7 @@ cover-derived instances, with integer and rational branch values."""
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import hashlib
 import json
 import random
@@ -397,5 +397,7 @@ class TestBuildPchichi:
         t = dict(inv.t)
         t[chi] += dt
         t[bar] += dtbar
+        perturbed = copy.copy(inv)
+        perturbed.t = t
         with pytest.raises(error, match=match):
-            build_pchichi(spec, dataclasses.replace(inv, t=t), chi)
+            build_pchichi(spec, perturbed, chi)
