@@ -43,7 +43,7 @@ from operator import attrgetter, mul
 
 from .errors import (ConsistencyError, DisconnectedCoverError,
                      InvalidCoverError, MalformedDataError, ResourceCapError,
-                     _read_only)
+                     _Value)
 from .group_core import (AbelianGroup, Character, GroupElement,
                          _pairing_coefficients, dual_group, element_order)
 
@@ -64,40 +64,33 @@ MAX_GROUP_ORDER = 2 ** 16
 MAX_PACKED_BITS = 2 ** 32
 
 
-class BranchPoint:
+class BranchPoint(_Value):
     """One branch point: a nontrivial monodromy element and a finite
-    rational branch value."""
+    rational branch value, given as an int (not a bool), which becomes
+    a Fraction, or as a Fraction, kept as it is.  A float, a str or any
+    other type is refused, not converted."""
 
     __slots__ = ("element", "value")
     element: GroupElement
     value: Fraction
 
-    def __init__(self, element: GroupElement, value) -> None:
-        value = Fraction(value)
+    def __init__(self, element: GroupElement, value: Fraction | int) -> None:
+        if type(element) is not GroupElement:
+            raise MalformedDataError(
+                f"branch element {element!r:.40} is not a GroupElement")
+        if type(value) is int:
+            value = Fraction(value)
+        elif type(value) is not Fraction:
+            raise MalformedDataError(f"a branch value must be an int or a "
+                                     f"Fraction, not {type(value).__name__}")
         if max(abs(value.numerator), value.denominator) >= _VALUE_LIMIT:
             raise MalformedDataError("a branch value's numerator and "
                                      "denominator need at most 4300 digits")
         object.__setattr__(self, "element", element)
         object.__setattr__(self, "value", value)
 
-    __setattr__ = __delattr__ = _read_only
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.element, self.value) == (other.element, other.value)
-
-    def __hash__(self) -> int:
-        return hash((self.element, self.value))
-
-    def __repr__(self) -> str:
-        return f"BranchPoint(element={self.element!r}, value={self.value!r})"
-
-    def __reduce__(self):
-        return BranchPoint, (self.element, self.value)
-
-
-class BranchSite:
+class BranchSite(_Value):
     """A branch point in canonical position.
 
     Sites are ordered by (element_rank, occurrence), where element_rank is
@@ -121,39 +114,26 @@ class BranchSite:
         object.__setattr__(self, "occurrence", occurrence)
         object.__setattr__(self, "value", value)
 
-    __setattr__ = __delattr__ = _read_only
 
-    def _fields(self) -> tuple:
-        return self.element, self.element_rank, self.occurrence, self.value
+class CoverSpec(_Value):
+    """The raw branching data, prior to validation: an AbelianGroup and
+    a sequence of BranchPoints, any other type refused.  Immutable, but
+    with a __dict__ slot: the cached properties below are kept there."""
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (f"BranchSite(element={self.element!r}, element_rank="
-                f"{self.element_rank!r}, occurrence={self.occurrence!r}, "
-                f"value={self.value!r})")
-
-    def __reduce__(self):
-        return BranchSite, self._fields()
-
-
-class CoverSpec:
-    """The raw branching data, prior to validation.  Immutable, but not
-    slotted: the cached properties below are kept in its __dict__."""
-
+    __slots__ = ("group", "branch_points", "__dict__")
     group: AbelianGroup
     branch_points: tuple[BranchPoint, ...]
 
     def __init__(self, group: AbelianGroup,
                  branch_points: Sequence[BranchPoint]) -> None:
+        if type(group) is not AbelianGroup:
+            raise MalformedDataError(
+                f"cover group {group!r:.40} is not an AbelianGroup")
         branch_points = tuple(branch_points)
         for k, bp in enumerate(branch_points):
+            if type(bp) is not BranchPoint:
+                raise MalformedDataError(
+                    f"branch point {k} is not a BranchPoint")
             if bp.element.group != group:
                 raise MalformedDataError(
                     f"branch point {k} carries an element of a different group")
@@ -163,21 +143,6 @@ class CoverSpec:
                     f"must be nontrivial")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "branch_points", branch_points)
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.group, self.branch_points)
-                == (other.group, other.branch_points))
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.branch_points))
-
-    def __repr__(self) -> str:
-        return (f"CoverSpec(group={self.group!r}, "
-                f"branch_points={self.branch_points!r})")
 
     @cached_property
     def sites(self) -> tuple[BranchSite, ...]:
@@ -205,7 +170,7 @@ class CoverSpec:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-class CoverInvariants:
+class CoverInvariants(_Value):
     """Validated numeric invariants of a cover: group order n, exponent m,
     genus g, the character integers t_chi (> 0 unless chi is trivial) and
     the pairing table u with u[chi][k] = u_{chi,sigma} for the site at
@@ -245,14 +210,9 @@ class CoverInvariants:
         self.packed_guard = packed_guard
         self.cover_fingerprint = cover_fingerprint
 
-    def _fields(self) -> tuple:
-        return (self.n, self.m, self.g, self.t, self.u, self.packed,
-                self.packed_target, self.packed_guard, self.cover_fingerprint)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
     def __repr__(self) -> str:
         return f"CoverInvariants(n={self.n!r}, m={self.m!r}, g={self.g!r})"

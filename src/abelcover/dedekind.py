@@ -31,8 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import (ConsistencyError, DomainError, MalformedDataError,
-                     _read_only)
+from .errors import ConsistencyError, DomainError, MalformedDataError, _Value
 
 __all__ = [
     "PhiKey",
@@ -40,7 +39,7 @@ __all__ = [
 ]
 
 
-class PhiKey:
+class PhiKey(_Value):
     """A normalized argument triple (d, h, s) with d >= 1, 0 <= h < d,
     0 <= s < d and gcd(h, d) = 1.  For d = 1 the key is (1, 0, 0).  Each
     field must be an int (not a bool); nothing is converted."""
@@ -65,22 +64,6 @@ class PhiKey:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "s", s)
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.d, self.h, self.s) == (other.d, other.h, other.s)
-
-    def __hash__(self) -> int:
-        return hash((self.d, self.h, self.s))
-
-    def __repr__(self) -> str:
-        return f"PhiKey(d={self.d!r}, h={self.h!r}, s={self.s!r})"
-
-    def __reduce__(self):
-        return PhiKey, (self.d, self.h, self.s)
 
     @classmethod
     def of(cls, d: int, h: int, s: int) -> "PhiKey":

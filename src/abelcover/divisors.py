@@ -55,7 +55,7 @@ from operator import add, eq, getitem, mod
 from .cover import (CoverInvariants, CoverSpec, _require_character,
                     _require_validated)
 from .errors import (ConsistencyError, DomainError, MalformedDataError,
-                     ResourceCapError, _read_only)
+                     ResourceCapError, _Value)
 from .group_core import Character
 
 __all__ = [
@@ -73,7 +73,7 @@ __all__ = [
 DEFAULT_NODE_CAP = 100_000_000
 
 
-class InvariantDivisor:
+class InvariantDivisor(_Value):
     """Weights in canonical site order and the fingerprint of the cover
     they refer to.  Equality includes the fingerprint, so divisors of
     different covers never compare equal."""
@@ -85,24 +85,6 @@ class InvariantDivisor:
     def __init__(self, beta: tuple[int, ...], cover_fingerprint: str) -> None:
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "cover_fingerprint", cover_fingerprint)
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.beta, self.cover_fingerprint)
-                == (other.beta, other.cover_fingerprint))
-
-    def __hash__(self) -> int:
-        return hash((self.beta, self.cover_fingerprint))
-
-    def __repr__(self) -> str:
-        return (f"InvariantDivisor(beta={self.beta!r}, "
-                f"cover_fingerprint={self.cover_fingerprint!r})")
-
-    def __reduce__(self):
-        return InvariantDivisor, (self.beta, self.cover_fingerprint)
 
 
 def make_divisor(spec: CoverSpec, beta) -> InvariantDivisor:

@@ -5,9 +5,14 @@ catch everything with one clause.  The split below mirrors how the CLI
 maps failures to exit codes: parse problems, invalid input data, and
 resource caps are distinct outcomes, while ConsistencyError marks an
 internal contradiction that should be unreachable on valid input.
+
+The module also holds _Value, the base of the value types of every
+other module.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 
 class AbelcoverError(Exception):
@@ -75,14 +80,46 @@ class ParseError(AbelcoverError):
         super().__init__(message)
 
 
-def _read_only(self, name: str, *value) -> None:
-    """__setattr__ and __delattr__ of the library's immutable value types,
-    whose __init__ sets each field once with object.__setattr__.
+class _Value:
+    """Base of the value types.  A subclass lists its fields in __slots__
+    (plus "__dict__" if it needs one) and sets each once, with
+    object.__setattr__, in an __init__ whose parameters are its fields
+    in that order.  The base gives it a class-exact __eq__ (a
+    GroupElement never equals a Character), __hash__ of the fields, the
+    repr Name(field=value, ...), __reduce__ as (class, fields) for copy
+    and pickle, and __setattr__ and __delattr__ that raise
+    AttributeError; a mutable subclass restores object's two and sets
+    __hash__ = None.  __eq__ and __hash__ are closures over one
+    attrgetter, made once per class, so no call looks the getter up."""
 
-    They are plain classes with these methods written out, each
-    equal only to an instance of its own class with equal fields and
-    hashed by the tuple of its fields: generating them at import, with
-    the inspect module that pulls in, took about half of the time a CLI
-    call spends importing abelcover."""
-    raise AttributeError(
-        f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._names = tuple(n for n in cls.__slots__ if n != "__dict__")
+        fields = attrgetter(*cls._names)  # one name: the bare value
+
+        def __eq__(self, other: object) -> bool:
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return self is other or fields(self) == fields(other)
+
+        def __hash__(self) -> int:
+            return hash(fields(self))
+
+        cls.__eq__ = __eq__
+        if "__hash__" not in cls.__dict__:
+            cls.__hash__ = __hash__
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._names))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._names)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: "
+                             f"cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__

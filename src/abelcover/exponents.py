@@ -40,7 +40,7 @@ from .dedekind import _phi_walk
 from .divisors import (InvariantDivisor, _expand, _require_nonspecial,
                        _slice_rows)
 from .errors import (ConsistencyError, DomainError, MalformedDataError,
-                     ResourceCapError, _read_only)
+                     ResourceCapError, _Value)
 from .group_core import intersection_data
 
 __all__ = [
@@ -54,7 +54,7 @@ MAX_TABLE_PAIRS = 2 ** 19  # exponent_table's limit: B <= 1024 sites
 
 
 @total_ordering
-class PairKey:
+class PairKey(_Value):
     """An unordered pair of site positions, stored with first < second;
     pair keys sort by (first, second)."""
 
@@ -70,29 +70,13 @@ class PairKey:
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "second", second)
 
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.first, self.second) == (other.first, other.second)
-
     def __lt__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.first, self.second) < (other.first, other.second)
 
-    def __hash__(self) -> int:
-        return hash((self.first, self.second))
 
-    def __repr__(self) -> str:
-        return f"PairKey(first={self.first!r}, second={self.second!r})"
-
-    def __reduce__(self):
-        return PairKey, (self.first, self.second)
-
-
-class ExponentTable:
+class ExponentTable(_Value):
     """The assembled table: one even integer per site pair (a, b), a < b,
     in ascending pair order, the det C exponent 4m, the theta exponent
     8m, and a fingerprint naming the source divisor orbit.  The fields
@@ -113,20 +97,9 @@ class ExponentTable:
         self.theta_exponent = theta_exponent
         self.divisor_fingerprint = divisor_fingerprint
 
-    def _fields(self) -> tuple:
-        return (self.entries, self.detC_exponent, self.theta_exponent,
-                self.divisor_fingerprint)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return (f"ExponentTable(entries={self.entries!r}, detC_exponent="
-                f"{self.detC_exponent!r}, theta_exponent="
-                f"{self.theta_exponent!r}, divisor_fingerprint="
-                f"{self.divisor_fingerprint!r})")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
 
 def thomae_exponent(spec: CoverSpec, inv: CoverInvariants,

@@ -25,8 +25,7 @@ from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
 
-from .errors import (ConsistencyError, DomainError, MalformedDataError,
-                     _read_only)
+from .errors import ConsistencyError, DomainError, MalformedDataError, _Value
 
 __all__ = [
     "AbelianGroup",
@@ -39,7 +38,7 @@ __all__ = [
 ]
 
 
-class AbelianGroup:
+class AbelianGroup(_Value):
     """The product Z_{m_1} x ... x Z_{m_q}.
 
     The empty product is the trivial group.  Each factor order must be an
@@ -59,19 +58,6 @@ class AbelianGroup:
                 raise MalformedDataError(
                     f"cyclic factor orders must be at least 2, got {m}")
         object.__setattr__(self, "factor_orders", orders)
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.factor_orders == other.factor_orders
-
-    def __hash__(self) -> int:
-        return hash((self.factor_orders,))
-
-    def __reduce__(self):
-        return AbelianGroup, (self.factor_orders,)
 
     @property
     def order(self) -> int:
@@ -104,6 +90,9 @@ class AbelianGroup:
 
 def _check_residues(group: AbelianGroup, residues: tuple[int, ...],
                     kind: str) -> None:
+    if type(group) is not AbelianGroup:
+        raise MalformedDataError(
+            f"{kind} group {group!r:.40} is not an AbelianGroup")
     if len(residues) != len(group.factor_orders):
         raise MalformedDataError(
             f"{kind} has {len(residues)} residues for a group with "
@@ -116,9 +105,10 @@ def _check_residues(group: AbelianGroup, residues: tuple[int, ...],
                 f"{kind} residue {r} out of range [0, {m})")
 
 
-class GroupElement:
+class GroupElement(_Value):
     """An element of an AbelianGroup, stored as one int residue per
-    factor; a bool or any other type is refused, not converted."""
+    factor; a bool or any other type is refused, not converted, and so
+    is a multiplier k in k * s."""
 
     __slots__ = ("group", "residues")
     group: AbelianGroup
@@ -129,23 +119,6 @@ class GroupElement:
         _check_residues(group, residues, "element")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "residues", residues)
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.group, self.residues) == (other.group, other.residues)
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.residues))
-
-    def __repr__(self) -> str:
-        return (f"GroupElement(group={self.group!r}, "
-                f"residues={self.residues!r})")
-
-    def __reduce__(self):
-        return GroupElement, (self.group, self.residues)
 
     def is_identity(self) -> bool:
         return all(r == 0 for r in self.residues)
@@ -165,7 +138,7 @@ class GroupElement:
             zip(self.residues, self.group.factor_orders)))
 
     def __mul__(self, k: int) -> "GroupElement":
-        if not isinstance(k, int):
+        if type(k) is not int:
             return NotImplemented
         return GroupElement(self.group, tuple(
             (r * k) % m for r, m in
@@ -174,7 +147,7 @@ class GroupElement:
     __rmul__ = __mul__
 
 
-class Character:
+class Character(_Value):
     """A character of an AbelianGroup.
 
     The int residue vector (e_1, ..., e_q) represents the homomorphism
@@ -192,22 +165,6 @@ class Character:
         _check_residues(group, residues, "character")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "residues", residues)
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.group, self.residues) == (other.group, other.residues)
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.residues))
-
-    def __repr__(self) -> str:
-        return f"Character(group={self.group!r}, residues={self.residues!r})"
-
-    def __reduce__(self):
-        return Character, (self.group, self.residues)
 
     def is_trivial(self) -> bool:
         return all(r == 0 for r in self.residues)

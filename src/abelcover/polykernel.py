@@ -46,7 +46,7 @@ from math import comb, lcm
 from .cover import (CoverInvariants, CoverSpec, _require_character,
                     _require_validated)
 from .errors import (ConsistencyError, DomainError, MalformedDataError,
-                     NoSolutionError, _read_only)
+                     NoSolutionError, _Value)
 from .group_core import Character
 
 __all__ = [
@@ -66,7 +66,7 @@ def _exact(c) -> Fraction:
     return Fraction(c)
 
 
-class UniPoly:
+class UniPoly(_Value):
     """A univariate polynomial with exact rational coefficients, stored
     low degree first with trailing zeros trimmed.  The zero polynomial
     has degree -1.  Coefficients must be Fractions or ints (not bools)."""
@@ -79,22 +79,6 @@ class UniPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
-
-    def __repr__(self) -> str:
-        return f"UniPoly(coeffs={self.coeffs!r})"
-
-    def __reduce__(self):
-        return UniPoly, (self.coeffs,)
 
     @classmethod
     def monomial(cls, c, k: int) -> "UniPoly":
@@ -118,7 +102,7 @@ class UniPoly:
         return acc
 
 
-class KernelSolution:
+class KernelSolution(_Value):
     """The list f_0, ..., f_d together with the degree parameters."""
 
     __slots__ = ("polys", "d", "e")
@@ -130,23 +114,6 @@ class KernelSolution:
         object.__setattr__(self, "polys", polys)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "e", e)
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.polys, self.d, self.e) == (other.polys, other.d, other.e)
-
-    def __hash__(self) -> int:
-        return hash((self.polys, self.d, self.e))
-
-    def __repr__(self) -> str:
-        return (f"KernelSolution(polys={self.polys!r}, d={self.d!r}, "
-                f"e={self.e!r})")
-
-    def __reduce__(self):
-        return KernelSolution, (self.polys, self.d, self.e)
 
 
 def solve_level(a: int, r: int, b0: int, b1: int) -> list[int]:

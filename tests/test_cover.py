@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import abelcover.cover as cover_module
-from abelcover import (AbelianGroup, BranchPoint, ConsistencyError,
-                       CoverSpec, DisconnectedCoverError, InvalidCoverError,
-                       MalformedDataError, dual_group, element_order,
-                       validate)
+from abelcover import (AbelianGroup, BranchPoint, Character, ConsistencyError,
+                       CoverSpec, DisconnectedCoverError, GroupElement,
+                       InvalidCoverError, MalformedDataError, dual_group,
+                       element_order, validate)
 from conftest import build_cover
 from oracles import (differential_basis_descriptor, generated_subgroup,
                      packed_tables)
@@ -61,6 +61,38 @@ class TestSpecConstruction:
         g = AbelianGroup((2,))
         with pytest.raises(MalformedDataError, match="4300 digits"):
             BranchPoint(g.element([1]), value)
+
+    @pytest.mark.parametrize("value", [
+        0.1, float("nan"), True, "1/3", "1e100000", None])
+    def test_value_neither_int_nor_fraction_rejected(self, value):
+        # Fraction() took 0.1 as 3602879701896397/36028797018963968, True
+        # as 1 and "1/3" as 1/3, and built 10**100000 from "1e100000"
+        g = AbelianGroup((2,))
+        with pytest.raises(MalformedDataError, match="int or a Fraction"):
+            BranchPoint(g.element([1]), value)
+
+    def test_value_kept_or_made_a_fraction(self):
+        e, third = AbelianGroup((2,)).element([1]), Fraction(1, 3)
+        assert BranchPoint(e, third).value is third
+        value = BranchPoint(e, -7).value
+        assert type(value) is Fraction and value == -7
+
+    # each ended in an AttributeError inside CoverSpec or validate before
+    @pytest.mark.parametrize("build", [
+        lambda g, e: validate(CoverSpec((2,), [])),
+        lambda g, e: CoverSpec(g, [BranchPoint(e, 0), (e, 1)]),
+        lambda g, e: validate(CoverSpec(g, [BranchPoint("x", 0)])),
+        lambda g, e: CoverSpec(g, [BranchPoint(g.character([1]), 0),
+                                   BranchPoint(e, 1)]),
+        lambda g, e: GroupElement((2,), [1]),
+        lambda g, e: Character((2,), [1]),
+    ], ids=["group-tuple", "point-tuple", "element-str",
+            "element-character", "element-group-tuple",
+            "character-group-tuple"])
+    def test_wrongly_typed_part_rejected(self, build):
+        g = AbelianGroup((2,))
+        with pytest.raises(MalformedDataError):
+            build(g, g.element([1]))
 
     def test_value_of_4300_digits_validates(self):
         # str() of each part, as the cover fingerprint needs, still works

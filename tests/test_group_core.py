@@ -75,6 +75,15 @@ class TestAbelianGroup:
         assert (3 * a).residues == (1, 1)
         assert (a + (-a)).is_identity()
 
+    @pytest.mark.parametrize("bad", [True, 2.0, Fraction(2), "2"])
+    def test_non_int_multiplier_rejected(self, bad):
+        # a bool was taken as 0 or 1 before: e * True returned e
+        a = AbelianGroup((4,)).element([1])
+        with pytest.raises(TypeError):
+            a * bad
+        with pytest.raises(TypeError):
+            bad * a
+
     def test_cross_group_addition_rejected(self):
         a = AbelianGroup((2,)).element([1])
         b = AbelianGroup((4,)).element([1])

@@ -2,7 +2,7 @@
 library tour runs and gives the values its comments state, its cover
 document is a valid cover, the import stays light, and the value types
 keep the equality, hashing, immutability and reprs they had as
-dataclasses."""
+dataclasses, now from one base class."""
 
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from abelcover import (AbelianGroup, BranchPoint, CoverInvariants, CoverSpec,
                        ExponentTable, KernelSolution, PairKey, PhiKey, UniPoly,
                        make_divisor, validate)
 from abelcover.cli import main
+from abelcover.errors import _Value
 from conftest import build_cover
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -154,6 +155,21 @@ def test_value_type_semantics(make, field, text):
         with pytest.raises(AttributeError):
             delattr(a, field)
         assert a == b  # unchanged by the refused set and delete
+
+
+def test_every_value_type_is_pinned_above():
+    # a new value type cannot skip test_value_type_semantics
+    assert set(_Value.__subclasses__()) == {
+        type(make()) for make, _, _ in VALUE_TYPES}
+
+
+@pytest.mark.parametrize("cls", _Value.__subclasses__(),
+                         ids=lambda cls: cls.__name__)
+def test_init_takes_the_fields_in_order(cls):
+    # __reduce__ calls cls(*fields) and the repr names them in this order
+    code = cls.__init__.__code__
+    assert code.co_varnames[1:code.co_argcount] == tuple(
+        name for name in cls.__slots__ if name != "__dict__")
 
 
 def test_equality_is_class_exact():
