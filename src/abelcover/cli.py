@@ -100,7 +100,7 @@ def parse_cover_object(raw) -> CoverSpec:
     points = raw["branch_points"]
     if not isinstance(points, list):
         raise ParseError("branch_points must be a list", path="branch_points")
-    branch_points = []
+    branch_points, elements = [], {}  # one GroupElement per residue list
     for idx, entry in enumerate(points):
         where = f"branch_points[{idx}]"
         if not isinstance(entry, dict):
@@ -113,7 +113,9 @@ def parse_cover_object(raw) -> CoverSpec:
         if not _is_int_list(res):
             raise ParseError("element must be a list of integers",
                              path=f"{where}.element")
-        element = group.element(res)
+        if (key := tuple(res)) not in elements:
+            elements[key] = group.element(key)
+        element = elements[key]
         value = _parse_value(entry["lambda"], f"{where}.lambda")
         try:
             branch_points.append(BranchPoint(element=element, value=value))
@@ -143,6 +145,13 @@ def _parse_value(raw, where: str) -> Fraction:
                 raise ValueError(raw)
             digits = sum(map(str.isdigit, mantissa)) + abs(int(exponent or 0))
             if digits <= LAMBDA_DIGITS:
+                # -?digits or -?digits/digits without Fraction's regex;
+                # an ASCII isdigit() is 0-9 only, and int() keeps the
+                # 4300-digit limit that Fraction(raw) would apply
+                num, slash, den = raw.partition("/")
+                if (num.removeprefix("-").isdigit()
+                        and (den.isdigit() or not slash)):
+                    return Fraction(int(num), int(den or 1))
                 return Fraction(raw)
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"cannot parse {raw[:40]!r} ({len(raw)} "

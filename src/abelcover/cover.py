@@ -24,11 +24,16 @@ g >= 0.
 
 validate is the only place where u_{chi,sigma} is computed for a cover,
 by the integer rule it shares with pairing_u; it keeps the table as
-CoverInvariants.u and packs the counting condition from it.  It proves
-the degree identity once per cover: u_{chi,sigma} takes each value in
-[0, o) n/o times as chi runs over the dual group, so the fields of
-packed[k][v] total v n/o, and sum_chi t_chi = g - 1 + n; any beta that
-meets packed_target has degree g - 1.  The helpers of later layers take
+CoverInvariants.u and packs the counting condition from it.  Sites are
+contiguous by element rank, and validate works once per rank, that is
+per distinct branch element: its order, its pairing coefficients, its
+u column over the dual group and its packed row, with the t and
+Riemann-Hurwitz sums weighted by the rank's site count.  The sites of
+one rank share that column and that packed row.  It proves the degree
+identity once per cover: u_{chi,sigma} takes each value in [0, o) n/o
+times as chi runs over the dual group, so the fields of packed[k][v]
+total v n/o, and sum_chi t_chi = g - 1 + n; any beta that meets
+packed_target has degree g - 1.  The helpers of later layers take
 a validated CoverInvariants as given and check each divisor once.
 """
 
@@ -39,7 +44,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, groupby
-from operator import attrgetter, mul
+from operator import attrgetter
 
 from .errors import (ConsistencyError, DisconnectedCoverError,
                      InvalidCoverError, MalformedDataError, ResourceCapError,
@@ -157,8 +162,10 @@ class CoverSpec(_Value):
 
     @cached_property
     def site_orders(self) -> tuple[int, ...]:
-        return tuple(element_order(self.group, site.element)
-                     for site in self.sites)
+        """o(sigma) per site, computed once per element rank."""
+        orders = [element_order(self.group, site.element)
+                  for site in self.sites if not site.occurrence]
+        return tuple(orders[site.element_rank] for site in self.sites)
 
     @cached_property
     def fingerprint(self) -> str:
@@ -220,16 +227,21 @@ class CoverInvariants(_Value):
 
 def validate(spec: CoverSpec) -> CoverInvariants:
     """Check every cover invariant; compute (n, m, g, t, u) and the
-    packed tables from one pass over the dual group; prove the degree
+    packed tables once per distinct branch element, the sites of one
+    rank sharing its u column and its packed row; prove the degree
     identity for every divisor the tables accept (module docstring).
 
-    Raises MalformedDataError on duplicate branch values,
-    InvalidCoverError (reason "monodromy") when the branch elements do not
-    sum to the identity, ResourceCapError past MAX_GROUP_ORDER or
-    MAX_PACKED_BITS, and DisconnectedCoverError when more than one t_chi
-    is 0, i.e. they fail to generate the group.  A failed identity (t,
-    Riemann-Hurwitz, degree) raises ConsistencyError; none can fail once
-    monodromy closure holds."""
+    Raises MalformedDataError when spec is not a CoverSpec or on
+    duplicate branch values, InvalidCoverError (reason "monodromy") when
+    the branch elements do not sum to the identity, ResourceCapError
+    past MAX_GROUP_ORDER or MAX_PACKED_BITS (both checked before
+    dual_group runs), and DisconnectedCoverError when more than one
+    t_chi is 0, i.e. they fail to generate the group.  A failed identity
+    (t, Riemann-Hurwitz, degree) raises ConsistencyError; none can fail
+    once monodromy closure holds."""
+    if type(spec) is not CoverSpec:
+        raise MalformedDataError(
+            f"validate needs a CoverSpec, not {type(spec).__name__}")
     group = spec.group
     n = group.order
 
@@ -249,23 +261,37 @@ def validate(spec: CoverSpec) -> CoverInvariants:
             "monodromy",
             f"branch monodromies sum to {total} instead of the identity")
 
-    width = len(spec.sites).bit_length() + 1  # counts <= B: top bit free
-    bits = sum(spec.site_orders) * n * width
+    sites, orders = spec.sites, spec.site_orders
+    width = len(sites).bit_length() + 1  # counts <= B: top bit free
+    bits = sum(orders) * n * width
     for what, size, limit in (("group order", n, MAX_GROUP_ORDER),
                               ("packed table bits", bits, MAX_PACKED_BITS)):
         if size > limit:
             raise ResourceCapError(
                 limit, f"{what}: {size}, over the limit of {limit}")
 
-    weights = tuple(n // o for o in spec.site_orders)
-    rules = [(o, _pairing_coefficients(group, s.element, o))
-             for s, o in zip(spec.sites, spec.site_orders)]
+    # one rank per distinct element: its first site k, order o and the
+    # number of its sites; u_{chi,sigma} over the dual group in its
+    # lexicographic order, built one group factor at a time
+    firsts = [k for k, site in enumerate(sites) if not site.occurrence]
+    ranks = [(k, orders[k], end - k)
+             for k, end in zip(firsts, firsts[1:] + [len(sites)])]
+    columns, sums, ramification = [], [0] * n, 0
+    for k, o, count in ranks:
+        column = [0]
+        for m_l, c_l in zip(group.factor_orders, _pairing_coefficients(
+                group, sites[k].element, o)):
+            steps = [e * c_l for e in range(m_l)]
+            column = [(x + y) % o for x in column for y in steps]
+        columns.append(column)
+        scale = count * (n // o)
+        sums = [s + scale * x for s, x in zip(sums, column)]
+        ramification += scale * (o - 1)
+
+    chars = dual_group(group)
     t: dict[Character, int] = {}
-    u: dict[Character, tuple[int, ...]] = {}
-    for chi in dual_group(group):
-        u[chi] = tuple([sum(map(mul, chi.residues, c)) % o
-                        for o, c in rules])
-        t[chi], rest = divmod(sum(map(mul, u[chi], weights)), n)
+    for chi, total in zip(chars, sums):
+        t[chi], rest = divmod(total, n)
         if rest:
             raise ConsistencyError(
                 f"t for character {chi.residues} is non-integral despite "
@@ -278,25 +304,27 @@ def validate(spec: CoverSpec) -> CoverInvariants:
             f"inside a group of order {n}")
 
     g = sum(t.values()) - n + 1  # >= 0: t >= 1 at the n - 1 nontrivial chi
-    ramification = sum(w * (o - 1) for w, o in zip(weights, spec.site_orders))
     if 2 * (g + n - 1) != ramification:
         raise ConsistencyError(f"Riemann-Hurwitz fails: 2 sum t = "
                                f"{2 * (g + n - 1)} != {ramification}")
 
-    packed = []
-    for k, o in enumerate(spec.site_orders):
+    rows = []
+    for (k, o, _), column in zip(ranks, columns):
         starts = [0] * (o + 1)  # character c counts from weight o - u on
-        for c, row in enumerate(u.values()):
-            starts[o - row[k]] += 1 << (c * width)
-        packed.append(tuple(accumulate(starts[:o])))
+        for c, x in enumerate(column):
+            starts[o - x] += 1 << (c * width)
+        rows.append(tuple(accumulate(starts[:o])))
         # each field is 0 or 1 (a character's bit enters the running sum
         # once), so bit_count totals the fields: v n / o at weight v
-        if any(x.bit_count() != v * weights[k]
-               for v, x in enumerate(packed[k])):
+        if any(x.bit_count() != v * (n // o) for v, x in enumerate(rows[-1])):
             raise ConsistencyError(f"packed[{k}] miscounts the u values")
+    site_ranks = [site.element_rank for site in sites]
+    # with no sites, zip(*) yields no rows: the one character's row is ()
+    u = dict(zip(chars, zip(*[columns[r] for r in site_ranks]) if sites
+                 else [()] * n))
     return CoverInvariants(
         n=n, m=group.exponent, g=g, t=t, u=u,
-        packed=tuple(packed), packed_target=sum(
+        packed=tuple(rows[r] for r in site_ranks), packed_target=sum(
             tc << (c * width) for c, tc in enumerate(t.values())),
         packed_guard=sum(1 << (c * width + width - 1) for c in range(n)),
         cover_fingerprint=spec.fingerprint)

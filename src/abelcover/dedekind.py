@@ -105,5 +105,9 @@ def _phi_walk(d: int, h: int) -> list[int]:
 
 
 def phi_exact(key: PhiKey) -> Fraction:
-    """The exact rational value of phi_{h+dZ}(s)."""
+    """The exact rational value of phi_{h+dZ}(s); key must be a PhiKey,
+    otherwise MalformedDataError is raised."""
+    if type(key) is not PhiKey:
+        raise MalformedDataError(
+            f"phi_exact needs a PhiKey, not {type(key).__name__}")
     return Fraction(_phi_t(key.d, key.h, key.s), 4 * key.d)

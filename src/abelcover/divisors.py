@@ -100,8 +100,12 @@ def is_nonspecial(spec: CoverSpec, inv: CoverInvariants,
     """Decide the per-character counting condition.
 
     A divisor that meets it has degree g - 1, which validate proved for
-    the cover; it is not checked again here.
+    the cover; it is not checked again here.  A D that is not an
+    InvariantDivisor raises MalformedDataError.
     """
+    if type(D) is not InvariantDivisor:
+        raise MalformedDataError(f"is_nonspecial needs an InvariantDivisor, "
+                                 f"not {type(D).__name__}")
     _require_validated(spec, inv)
     _require_same_cover(spec, D)
     return _meets_counts(inv, D.beta)

@@ -56,13 +56,18 @@ MAX_TABLE_PAIRS = 2 ** 19  # exponent_table's limit: B <= 1024 sites
 @total_ordering
 class PairKey(_Value):
     """An unordered pair of site positions, stored with first < second;
-    pair keys sort by (first, second)."""
+    pair keys sort by (first, second).  Each position must be an int
+    (not a bool); nothing is converted."""
 
     __slots__ = ("first", "second")
     first: int
     second: int
 
     def __init__(self, first: int, second: int) -> None:
+        for x in (first, second):
+            if type(x) is not int:
+                raise MalformedDataError(f"pair position {x!r:.40} is not "
+                                         f"an int")
         if not 0 <= first < second:
             raise DomainError(
                 f"pair ({first}, {second}) is not an ordered pair "
@@ -119,7 +124,11 @@ def exponent_table(spec: CoverSpec, inv: CoverInvariants,
     a < b in ascending pair order, read from the integer rows of the
     module docstring.  More than MAX_TABLE_PAIRS pairs raises
     ResourceCapError, checked first; then D must be non-special,
-    otherwise DomainError is raised."""
+    otherwise DomainError is raised.  A D that is not an
+    InvariantDivisor raises MalformedDataError before either."""
+    if type(D) is not InvariantDivisor:
+        raise MalformedDataError(f"exponent_table needs an InvariantDivisor, "
+                                 f"not {type(D).__name__}")
     B = len(spec.sites)
     if (pairs := B * (B - 1) // 2) > MAX_TABLE_PAIRS:
         raise ResourceCapError(MAX_TABLE_PAIRS, f"table pairs: {pairs}, "

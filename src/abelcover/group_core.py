@@ -192,7 +192,7 @@ def element_order(group: AbelianGroup, s: GroupElement) -> int:
 def pairing_u(group: AbelianGroup, chi: Character, s: GroupElement) -> int:
     """The integer u with 0 <= u < o(s) and chi(s) = e(u / o(s)): the sum
     of e_l c_l mod o(s), by the rule of _pairing_coefficients that
-    validate applies to every site."""
+    validate applies once per distinct branch element."""
     o = element_order(group, s)
     if chi.group != group:
         raise MalformedDataError("character does not belong to this group")

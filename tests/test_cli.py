@@ -24,8 +24,9 @@ from hypothesis import given, settings, strategies as st
 
 import abelcover.divisors as divisors_module
 from abelcover import enumerate_orbits, exponent_table, validate
-from abelcover.cli import (build_parser, console_main, main,
+from abelcover.cli import (_parse_value, build_parser, console_main, main,
                            parse_cover_object)
+from abelcover.errors import ParseError
 from test_divisors import draw_noncyclic_cover
 from test_exponents import spoil_last_residue
 
@@ -247,6 +248,59 @@ class TestParsing:
             ("parse", "branch_points[0].lambda")
         assert "200002 characters" in error["detail"]
         assert len(captured.out.encode()) < 1024
+
+    # int() refuses more than 4300 digits from CPython 3.11 on, and
+    # Fraction(raw) reads its digits with int(), so both refuse alike
+    @pytest.mark.parametrize("raw, accepted", [
+        ("0", True), ("-0", True), ("007", True), ("-12", True),
+        ("3/4", True), ("-3/4", True), ("6/8", True), ("0/5", True),
+        ("1/0", False), ("3/-4", False), ("+3", True), (" 3", True),
+        ("3 /4", False), ("0.75", True), ("75e-2", True), ("١/٣", False),
+        ("7" * 4300, True),
+        ("7" * 4301, not hasattr(sys, "get_int_max_str_digits"))])
+    def test_value_matches_fraction_of_the_string(self, raw, accepted):
+        # p/q strings skip Fraction's regex; every value and every error
+        # stays what Fraction(raw) gives
+        if accepted:
+            value = _parse_value(raw, "lambda")
+            assert type(value) is Fraction and value == Fraction(raw)
+            return
+        with pytest.raises(ParseError) as info:
+            _parse_value(raw, "lambda")
+        assert type(info.value) is ParseError
+        assert info.value.path == "lambda"
+        assert str(info.value) == (f"cannot parse {raw[:40]!r} ({len(raw)} "
+                                   f"characters) as a rational")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-10 ** 30, 10 ** 30), st.integers(-10 ** 6, 10 ** 6))
+    def test_int_pairs_read_as_fraction_does(self, p, q):
+        for raw in (str(p), f"{p}/{q}"):
+            try:
+                expected = Fraction(raw)
+            except (ValueError, ZeroDivisionError):  # q < 0, or q = 0
+                with pytest.raises(ParseError):
+                    _parse_value(raw, "lambda")
+            else:
+                assert _parse_value(raw, "lambda") == expected
+
+    def test_lambda_spellings_give_identical_output(self, write_doc, capsys):
+        # one cover, its values spelled as p/q, decimals and exponents
+        spellings = [
+            ["0/1", "1/4", "2/4", "3/4", "-1", "5/2"],
+            ["0.0", "0.25", "0.5", "0.75", "-1.0", "2.5"],
+            ["0e0", "25e-2", "5E-1", "75e-2", "-1e0", "25e-1"]]
+        outputs = set()
+        for k, values in enumerate(spellings):
+            path = write_doc({"group": [2], "branch_points": [
+                {"element": [1], "lambda": v} for v in values]},
+                name=f"cover{k}.json")
+            codes_and_outs = (run(capsys, "validate", path),
+                              run(capsys, "exponents", "--divisor",
+                                  "[0,0,0,1,1,1]", path))
+            assert [code for code, _ in codes_and_outs] == [0, 0]
+            outputs.add(tuple(out for _, out in codes_and_outs))
+        assert len(outputs) == 1
 
 
 class TestCommandLine:

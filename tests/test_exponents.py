@@ -60,6 +60,19 @@ class TestPairKey:
         with pytest.raises(DomainError):
             PairKey(3, 1)
 
+    @pytest.mark.parametrize("first, second", [(0.5, 2), ("0", 1),
+                                               (0, 1.0), (False, True)])
+    def test_non_int_position_refused(self, first, second):
+        with pytest.raises(MalformedDataError, match="is not an int"):
+            PairKey(first, second)
+
+    def test_bool_pair_does_not_read_an_entry(self, hyperelliptic):
+        # False < True held, and the pair read the (0, 1) entry
+        spec, inv = hyperelliptic.spec, hyperelliptic.inv
+        D = make_divisor(spec, [0, 0, 0, 1, 1, 1])
+        with pytest.raises(MalformedDataError, match="is not an int"):
+            thomae_exponent(spec, inv, D, PairKey(False, True))
+
 
 class TestQDelta:
     def test_hyperelliptic_example(self, hyperelliptic):

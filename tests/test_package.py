@@ -183,6 +183,23 @@ def test_equality_is_class_exact():
         make_divisor(other, [0, 0, 1, 1])
 
 
+@pytest.mark.parametrize("call, expected", [
+    (lambda spec, inv, D: abelcover.validate("x"), "CoverSpec"),
+    (lambda spec, inv, D: abelcover.is_nonspecial(spec, inv, (0,) * 6),
+     "InvariantDivisor"),
+    (lambda spec, inv, D: abelcover.exponent_table(spec, inv, D.beta),
+     "InvariantDivisor"),
+    (lambda spec, inv, D: abelcover.phi_exact((3, 2, 0)), "PhiKey")])
+def test_whole_argument_of_the_wrong_type_refused(hyperelliptic, call,
+                                                  expected):
+    # each of these ended in an AttributeError on a field of the argument
+    spec, inv = hyperelliptic.spec, hyperelliptic.inv
+    D = make_divisor(spec, [0, 0, 0, 1, 1, 1])
+    with pytest.raises(abelcover.MalformedDataError,
+                       match=f"needs an? {expected}, not "):
+        call(spec, inv, D)
+
+
 def test_pair_keys_sort_by_first_then_second():
     keys = [PairKey(2, 3), PairKey(0, 5), PairKey(0, 1)]
     assert sorted(keys) == [PairKey(0, 1), PairKey(0, 5), PairKey(2, 3)]
