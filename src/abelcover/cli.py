@@ -40,6 +40,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
+from math import prod
 
 from .cover import CoverInvariants, CoverSpec, BranchPoint, validate
 from .dedekind import PhiKey, phi_exact
@@ -125,12 +126,11 @@ def parse_cover_object(raw) -> CoverSpec:
 
 
 def _is_int_list(raw) -> bool:
-    return isinstance(raw, list) and all(
-        isinstance(x, int) and not isinstance(x, bool) for x in raw)
+    return isinstance(raw, list) and all(type(x) is int for x in raw)
 
 
 def _parse_value(raw, where: str) -> Fraction:
-    if isinstance(raw, int) and not isinstance(raw, bool):
+    if type(raw) is int:
         return Fraction(raw)
     if isinstance(raw, float):
         raise ParseError(
@@ -229,9 +229,14 @@ def _select_divisor(spec: CoverSpec, inv: CoverInvariants,
             raise ParseError("divisor weights must be a list of integers",
                              path="--divisor")
         return make_divisor(spec, parsed)
-    if isinstance(parsed, int) and not isinstance(parsed, bool):
+    if type(parsed) is int:
+        # an index past the prod o_k weight vectors is refused before any
+        # search; as o_k >= 2, the first bit_length + 1 orders decide it
+        if not 0 <= parsed < prod(spec.site_orders[:parsed.bit_length() + 1]):
+            raise ParseError(f"divisor index {parsed} out of range [0, "
+                             f"prod of the site orders)", path="--divisor")
         betas, _ = _orbit_listing(spec, inv, cap)
-        if not 0 <= parsed < len(betas):
+        if parsed >= len(betas):
             raise ParseError(
                 f"divisor index {parsed} out of range; enumeration has "
                 f"{len(betas)} entries", path="--divisor")

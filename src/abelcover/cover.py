@@ -47,8 +47,8 @@ from itertools import accumulate, groupby
 from operator import attrgetter
 
 from .errors import (ConsistencyError, DisconnectedCoverError,
-                     InvalidCoverError, MalformedDataError, ResourceCapError,
-                     _Value)
+                     InvalidCoverError, MalformedDataError, _bounded,
+                     _rational, _typed, _Value)
 from .group_core import (AbelianGroup, Character, GroupElement,
                          _pairing_coefficients, dual_group, element_order)
 
@@ -71,23 +71,16 @@ MAX_PACKED_BITS = 2 ** 32
 
 class BranchPoint(_Value):
     """One branch point: a nontrivial monodromy element and a finite
-    rational branch value, given as an int (not a bool), which becomes
-    a Fraction, or as a Fraction, kept as it is.  A float, a str or any
-    other type is refused, not converted."""
+    rational branch value, an int made a Fraction or a Fraction kept as
+    it is (errors._rational: a bool, a float or a str is refused)."""
 
     __slots__ = ("element", "value")
     element: GroupElement
     value: Fraction
 
     def __init__(self, element: GroupElement, value: Fraction | int) -> None:
-        if type(element) is not GroupElement:
-            raise MalformedDataError(
-                f"branch element {element!r:.40} is not a GroupElement")
-        if type(value) is int:
-            value = Fraction(value)
-        elif type(value) is not Fraction:
-            raise MalformedDataError(f"a branch value must be an int or a "
-                                     f"Fraction, not {type(value).__name__}")
+        _typed(element, GroupElement, "branch element ")
+        value = _rational(value, "branch value ")
         if max(abs(value.numerator), value.denominator) >= _VALUE_LIMIT:
             raise MalformedDataError("a branch value's numerator and "
                                      "denominator need at most 4300 digits")
@@ -131,14 +124,10 @@ class CoverSpec(_Value):
 
     def __init__(self, group: AbelianGroup,
                  branch_points: Sequence[BranchPoint]) -> None:
-        if type(group) is not AbelianGroup:
-            raise MalformedDataError(
-                f"cover group {group!r:.40} is not an AbelianGroup")
+        _typed(group, AbelianGroup, "cover group ")
         branch_points = tuple(branch_points)
         for k, bp in enumerate(branch_points):
-            if type(bp) is not BranchPoint:
-                raise MalformedDataError(
-                    f"branch point {k} is not a BranchPoint")
+            _typed(bp, BranchPoint, f"branch point {k} = ")
             if bp.element.group != group:
                 raise MalformedDataError(
                     f"branch point {k} carries an element of a different group")
@@ -263,12 +252,8 @@ def validate(spec: CoverSpec) -> CoverInvariants:
 
     sites, orders = spec.sites, spec.site_orders
     width = len(sites).bit_length() + 1  # counts <= B: top bit free
-    bits = sum(orders) * n * width
-    for what, size, limit in (("group order", n, MAX_GROUP_ORDER),
-                              ("packed table bits", bits, MAX_PACKED_BITS)):
-        if size > limit:
-            raise ResourceCapError(
-                limit, f"{what}: {size}, over the limit of {limit}")
+    _bounded(n, MAX_GROUP_ORDER, "group order")
+    _bounded(sum(orders) * n * width, MAX_PACKED_BITS, "packed table bits")
 
     # one rank per distinct element: its first site k, order o and the
     # number of its sites; u_{chi,sigma} over the dual group in its

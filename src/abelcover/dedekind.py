@@ -31,7 +31,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import ConsistencyError, DomainError, MalformedDataError, _Value
+from .errors import (ConsistencyError, DomainError, MalformedDataError,
+                     _typed, _Value)
 
 __all__ = [
     "PhiKey",
@@ -50,11 +51,7 @@ class PhiKey(_Value):
     s: int
 
     def __init__(self, d: int, h: int, s: int) -> None:
-        for name, x in (("d", d), ("h", h), ("s", s)):
-            if type(x) is not int:
-                raise MalformedDataError(f"{name}={x!r} is not an int")
-        if d < 1:
-            raise DomainError(f"modulus d must be positive, got {d}")
+        _require_fields(d, h, s)
         if not 0 <= h < d:
             raise DomainError(f"h={h} is not normalized modulo d={d}")
         if not 0 <= s < d:
@@ -68,9 +65,16 @@ class PhiKey(_Value):
     @classmethod
     def of(cls, d: int, h: int, s: int) -> "PhiKey":
         """Normalize arbitrary integers h, s modulo d."""
-        if any(type(x) is not int for x in (d, h, s)) or d < 1:
-            cls(d, h, s)  # refused there, before True % 5 or h % 0 runs
+        _require_fields(d, h, s)  # before True % 5 or h % 0 runs
         return cls(d, h % d, s % d)
+
+
+def _require_fields(d: int, h: int, s: int) -> None:
+    """d, h and s are ints, and the modulus d is positive."""
+    for name, x in (("d=", d), ("h=", h), ("s=", s)):
+        _typed(x, int, name)
+    if d < 1:
+        raise DomainError(f"modulus d must be positive, got {d}")
 
 
 def _phi_t(d: int, h: int, s: int) -> int:

@@ -55,7 +55,7 @@ from operator import add, eq, getitem, mod
 from .cover import (CoverInvariants, CoverSpec, _require_character,
                     _require_validated)
 from .errors import (ConsistencyError, DomainError, MalformedDataError,
-                     ResourceCapError, _Value)
+                     ResourceCapError, _typed, _Value)
 from .group_core import Character
 
 __all__ = [
@@ -313,15 +313,13 @@ def orbit(spec: CoverSpec, inv: CoverInvariants,
 def _require_same_cover(spec: CoverSpec, D: InvariantDivisor) -> None:
     """D belongs to this cover, the weights are ints, and each weight
     is in [0, o(sigma))."""
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in D.beta):
-        raise MalformedDataError("divisor weights must be integers")
     if D.cover_fingerprint != spec.fingerprint:
         raise MalformedDataError(
             "divisor belongs to a different cover than the one given")
     if len(D.beta) != len(spec.sites):
         raise MalformedDataError("divisor length does not match the cover")
     for b, o in zip(D.beta, spec.site_orders):
-        if not 0 <= b < o:
+        if not 0 <= _typed(b, int, "divisor weight ") < o:
             raise MalformedDataError(f"weight {b} out of range [0, {o})")
 
 

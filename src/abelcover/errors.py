@@ -6,12 +6,13 @@ maps failures to exit codes: parse problems, invalid input data, and
 resource caps are distinct outcomes, while ConsistencyError marks an
 internal contradiction that should be unreachable on valid input.
 
-The module also holds _Value, the base of the value types of every
-other module.
+The module also holds _Value, the base of every value type, and
+_typed, _rational and _bounded, the three rules every entry check uses.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import attrgetter
 
 
@@ -78,6 +79,30 @@ class ParseError(AbelcoverError):
         self.column = column
         self.path = path
         super().__init__(message)
+
+
+def _typed(x, kind: type, what: str):
+    """x if type(x) is kind, else MalformedDataError; a bool is no int."""
+    if type(x) is not kind:
+        a = "an" if kind.__name__[0] in "AEIOUaeiou" else "a"
+        raise MalformedDataError(f"{what}{x!r:.40} is not {a} {kind.__name__}")
+    return x
+
+
+def _rational(x, what: str = "") -> Fraction:
+    """x as a Fraction: an int converted, a Fraction kept, else refused."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:
+        return Fraction(x)
+    raise MalformedDataError(f"{what}{x!r:.40} is not an int or a Fraction")
+
+
+def _bounded(size: int, limit: int, what: str) -> None:
+    """ResourceCapError(limit) when size is over limit."""
+    if size > limit:
+        raise ResourceCapError(
+            limit, f"{what}: {size}, over the limit of {limit}")
 
 
 class _Value:

@@ -40,7 +40,7 @@ from .dedekind import _phi_walk
 from .divisors import (InvariantDivisor, _expand, _require_nonspecial,
                        _slice_rows)
 from .errors import (ConsistencyError, DomainError, MalformedDataError,
-                     ResourceCapError, _Value)
+                     _bounded, _typed, _Value)
 from .group_core import intersection_data
 
 __all__ = [
@@ -65,9 +65,7 @@ class PairKey(_Value):
 
     def __init__(self, first: int, second: int) -> None:
         for x in (first, second):
-            if type(x) is not int:
-                raise MalformedDataError(f"pair position {x!r:.40} is not "
-                                         f"an int")
+            _typed(x, int, "pair position ")
         if not 0 <= first < second:
             raise DomainError(
                 f"pair ({first}, {second}) is not an ordered pair "
@@ -130,9 +128,7 @@ def exponent_table(spec: CoverSpec, inv: CoverInvariants,
         raise MalformedDataError(f"exponent_table needs an InvariantDivisor, "
                                  f"not {type(D).__name__}")
     B = len(spec.sites)
-    if (pairs := B * (B - 1) // 2) > MAX_TABLE_PAIRS:
-        raise ResourceCapError(MAX_TABLE_PAIRS, f"table pairs: {pairs}, "
-                               f"over the limit of {MAX_TABLE_PAIRS}")
+    _bounded(B * (B - 1) // 2, MAX_TABLE_PAIRS, "table pairs")
     _require_nonspecial(spec, inv, D)
     rep = min(_expand(spec, inv, [D.beta], row)[0]
               for row in _slice_rows(spec, inv, D.beta))

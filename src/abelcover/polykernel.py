@@ -45,8 +45,8 @@ from math import comb, lcm
 
 from .cover import (CoverInvariants, CoverSpec, _require_character,
                     _require_validated)
-from .errors import (ConsistencyError, DomainError, MalformedDataError,
-                     NoSolutionError, _Value)
+from .errors import (ConsistencyError, DomainError, NoSolutionError,
+                     _rational, _Value)
 from .group_core import Character
 
 __all__ = [
@@ -58,14 +58,6 @@ __all__ = [
 ]
 
 
-def _exact(c) -> Fraction:
-    """c as a Fraction; a float, a bool or any other type is refused."""
-    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-        raise MalformedDataError(
-            f"polynomial input {c!r} is not an int or a Fraction")
-    return Fraction(c)
-
-
 class UniPoly(_Value):
     """A univariate polynomial with exact rational coefficients, stored
     low degree first with trailing zeros trimmed.  The zero polynomial
@@ -75,7 +67,8 @@ class UniPoly(_Value):
     coeffs: tuple[Fraction, ...]
 
     def __init__(self, coeffs: Sequence) -> None:
-        cs = [c if type(c) is Fraction else _exact(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else _rational(c, "polynomial input ")
+              for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -96,7 +89,7 @@ class UniPoly(_Value):
 
     def __call__(self, x) -> Fraction:
         """The value at x, which must be an int or a Fraction."""
-        x, acc = _exact(x), Fraction(0)
+        x, acc = _rational(x, "polynomial input "), Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc

@@ -67,7 +67,7 @@ from abelcover import (AbelianGroup, Character, ConsistencyError,
 from abelcover.cover import _require_character
 from abelcover.divisors import _require_same_cover
 from abelcover.group_core import _require_membership
-from abelcover.polykernel import _exact
+from abelcover.errors import _rational as _exact
 
 
 @lru_cache(maxsize=None)

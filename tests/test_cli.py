@@ -724,6 +724,22 @@ class TestExponents:
         assert code == 1
         assert json.loads(out)["error"]["kind"] == "parse"
 
+    @pytest.mark.parametrize("index", ["-1", str(6 ** 12), "1" * 4000],
+                             ids=["negative", "6**12", "4000-digits"])
+    def test_impossible_index_refused_before_the_search(
+            self, write_doc, capsys, monkeypatch, index):
+        # the 6**12 weight vectors bound the listing; "-1" ran the whole
+        # search, expansion and sort of enumerate before it was refused
+        def no_search(*args):
+            raise AssertionError("the divisor search ran")
+        monkeypatch.setattr(divisors_module, "_search_slice", no_search)
+        path = write_doc({"group": [6], "branch_points": [
+            {"element": [1], "lambda": str(v)} for v in range(12)]})
+        code, out = run(capsys, "exponents", "--divisor", index, path)
+        error = json.loads(out)["error"]
+        assert (code, error["kind"], error["path"]) == (1, "parse",
+                                                        "--divisor")
+
     @pytest.mark.parametrize("selector", [
         '["a",0,0,0,0,0]', '[null,0,0,0,0,0]', '[1.7,0,0,0,0,0]',
         '[1.0,0,0,1,1,0]', '[true,0,0,1,1,0]', '[[0],0,0,1,1,1]'])

@@ -7,6 +7,7 @@ dataclasses, now from one base class."""
 from __future__ import annotations
 
 import copy
+import enum
 import json
 import os
 import pickle
@@ -198,6 +199,33 @@ def test_whole_argument_of_the_wrong_type_refused(hyperelliptic, call,
     with pytest.raises(abelcover.MalformedDataError,
                        match=f"needs an? {expected}, not "):
         call(spec, inv, D)
+
+
+class _Two(enum.IntEnum):
+    TWO = 2
+
+
+@pytest.mark.parametrize("value", [_Two.TWO, True, 2.0],
+                         ids=["IntEnum", "bool", "float"])
+@pytest.mark.parametrize("make", [
+    lambda x: AbelianGroup((x,)),
+    lambda x: AbelianGroup((3,)).element([x]),
+    lambda x: AbelianGroup((3,)).character([x]),
+    lambda x: PhiKey(5, x, 0),
+    lambda x: PairKey(0, x),
+    lambda x: make_divisor(_cover4(), [0, 0, x, 1]),
+    lambda x: BranchPoint(AbelianGroup((2,)).element([1]), x),
+    lambda x: UniPoly([Fraction(1), x]),
+    lambda x: UniPoly([Fraction(1)])(x)],
+    ids=["factor order", "element residue", "character residue",
+         "PhiKey field", "PairKey position", "divisor weight",
+         "branch value", "coefficient", "argument"])
+def test_one_type_rule_at_every_typed_entry(make, value):
+    # type(x) is int (or Fraction): an IntEnum member was refused as a
+    # residue but kept as a divisor weight and converted as a coefficient
+    with pytest.raises(abelcover.MalformedDataError,
+                       match=r" is not an int( or a Fraction)?$"):
+        make(value)
 
 
 def test_pair_keys_sort_by_first_then_second():
