@@ -40,6 +40,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import prod
 
 from .cover import CoverInvariants, CoverSpec, BranchPoint, validate
@@ -183,10 +184,11 @@ def _array(items: list[str], indent: int) -> str:
 
 
 def cmd_validate(args) -> int:
-    inv = validate(load_cover_document(args.path))
+    spec = load_cover_document(args.path)
+    inv = validate(spec)
     _emit({"n": inv.n, "m": inv.m, "g": inv.g,
-           "t": [{"character": list(chi.residues), "t": t}
-                 for chi, t in inv.t.items()]})
+           "t": [{"character": list(residues), "t": t} for residues, t in
+                 zip(product(*map(range, spec.group.factor_orders)), inv.t)]})
     return EXIT_OK
 
 
@@ -342,8 +344,7 @@ def cmd_selftest(args) -> int:
             table = exponent_table(spec, inv, D)
             even = even and all(v % 2 == 0 for v in table.entries.values())
             total = sum(table.entries.values())
-            homogeneity = 2 * inv.m * sum(
-                t * (t - 1) for t in inv.t.values())
+            homogeneity = 2 * inv.m * sum(t * (t - 1) for t in inv.t)
             homogeneous = homogeneous and total == homogeneity
         _check(name, "evenness", even)
         _check(name, "degree identity", homogeneous)

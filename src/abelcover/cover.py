@@ -24,7 +24,9 @@ g >= 0.
 
 validate is the only place where u_{chi,sigma} is computed for a cover,
 by the integer rule it shares with pairing_u; it keeps the table as
-CoverInvariants.u and packs the counting condition from it.  Sites are
+CoverInvariants.u and packs the counting condition from it.  t and u
+are tuples indexed by a character's rank c in dual_group order, so
+validate builds no Character; _character_rank gives a caller's c.  Sites are
 contiguous by element rank, and validate works once per rank, that is
 per distinct branch element: its order, its pairing coefficients, its
 u column over the dual group and its packed row, with the t and
@@ -50,7 +52,7 @@ from .errors import (ConsistencyError, DisconnectedCoverError,
                      InvalidCoverError, MalformedDataError, _bounded,
                      _rational, _typed, _Value)
 from .group_core import (AbelianGroup, Character, GroupElement,
-                         _pairing_coefficients, dual_group, element_order)
+                         _pairing_coefficients, element_order)
 
 __all__ = [
     "BranchPoint",
@@ -64,7 +66,7 @@ __all__ = [
 # of more than 4300 digits on every Python that has the limit
 _VALUE_LIMIT = 10 ** 4300
 
-# validate's limits, checked before dual_group lists the n characters
+# validate's limits, checked before any table of n entries is built
 MAX_GROUP_ORDER = 2 ** 16
 MAX_PACKED_BITS = 2 ** 32
 
@@ -168,11 +170,12 @@ class CoverSpec(_Value):
 
 class CoverInvariants(_Value):
     """Validated numeric invariants of a cover: group order n, exponent m,
-    genus g, the character integers t_chi (> 0 unless chi is trivial) and
-    the pairing table u with u[chi][k] = u_{chi,sigma} for the site at
-    canonical position k, both in dual-group order.  packed[k][v] has a
-    bit field per character, 1 where weight v >= o(sigma) - u[chi][k]
-    counts at site k; packed_target has t_chi there.
+    genus g, the character integers t[c] = t_chi (> 0 unless c = 0) and
+    the pairing table u[c][k] = u_{chi,sigma} for the site at canonical
+    position k, tuples indexed by the rank c of chi in dual_group order
+    (dict(zip(dual_group(group), t)) keys t by Character).  packed[k][v]
+    has a bit field per character, 1 where weight v >= o(sigma) - u[c][k]
+    counts at site k; packed_target has t[c] there.
     Fields are B.bit_length() + 1 bits wide: a count never exceeds B, so
     sums never carry between fields and the top bit of each is a free
     guard bit, set in packed_guard.  (x | packed_guard) - y keeps a
@@ -185,15 +188,15 @@ class CoverInvariants(_Value):
     n: int
     m: int
     g: int
-    t: dict[Character, int]
-    u: dict[Character, tuple[int, ...]]
+    t: tuple[int, ...]
+    u: tuple[tuple[int, ...], ...]
     packed: tuple[tuple[int, ...], ...]
     packed_target: int
     packed_guard: int
     cover_fingerprint: str
 
-    def __init__(self, n: int, m: int, g: int, t: dict[Character, int],
-                 u: dict[Character, tuple[int, ...]],
+    def __init__(self, n: int, m: int, g: int, t: tuple[int, ...],
+                 u: tuple[tuple[int, ...], ...],
                  packed: tuple[tuple[int, ...], ...], packed_target: int,
                  packed_guard: int, cover_fingerprint: str) -> None:
         self.n = n
@@ -223,8 +226,8 @@ def validate(spec: CoverSpec) -> CoverInvariants:
     Raises MalformedDataError when spec is not a CoverSpec or on
     duplicate branch values, InvalidCoverError (reason "monodromy") when
     the branch elements do not sum to the identity, ResourceCapError
-    past MAX_GROUP_ORDER or MAX_PACKED_BITS (both checked before
-    dual_group runs), and DisconnectedCoverError when more than one
+    past MAX_GROUP_ORDER or MAX_PACKED_BITS (both checked before any
+    table is built), and DisconnectedCoverError when more than one
     t_chi is 0, i.e. they fail to generate the group.  A failed identity
     (t, Riemann-Hurwitz, degree) raises ConsistencyError; none can fail
     once monodromy closure holds."""
@@ -273,22 +276,17 @@ def validate(spec: CoverSpec) -> CoverInvariants:
         sums = [s + scale * x for s, x in zip(sums, column)]
         ramification += scale * (o - 1)
 
-    chars = dual_group(group)
-    t: dict[Character, int] = {}
-    for chi, total in zip(chars, sums):
-        t[chi], rest = divmod(total, n)
-        if rest:
-            raise ConsistencyError(
-                f"t for character {chi.residues} is non-integral despite "
-                f"monodromy closure")
+    if any(total % n for total in sums):
+        raise ConsistencyError("t is non-integral despite monodromy closure")
+    t = tuple(total // n for total in sums)
 
-    blind = list(t.values()).count(0)  # n / |H|, H the generated subgroup
+    blind = t.count(0)  # n / |H|, H the generated subgroup
     if blind > 1:
         raise DisconnectedCoverError(
             f"branch elements generate a subgroup of order {n // blind} "
             f"inside a group of order {n}")
 
-    g = sum(t.values()) - n + 1  # >= 0: t >= 1 at the n - 1 nontrivial chi
+    g = sum(t) - n + 1  # >= 0: t >= 1 at the n - 1 nontrivial chi
     if 2 * (g + n - 1) != ramification:
         raise ConsistencyError(f"Riemann-Hurwitz fails: 2 sum t = "
                                f"{2 * (g + n - 1)} != {ramification}")
@@ -305,12 +303,11 @@ def validate(spec: CoverSpec) -> CoverInvariants:
             raise ConsistencyError(f"packed[{k}] miscounts the u values")
     site_ranks = [site.element_rank for site in sites]
     # with no sites, zip(*) yields no rows: the one character's row is ()
-    u = dict(zip(chars, zip(*[columns[r] for r in site_ranks]) if sites
-                 else [()] * n))
+    u = tuple(zip(*[columns[r] for r in site_ranks])) if sites else ((),) * n
     return CoverInvariants(
         n=n, m=group.exponent, g=g, t=t, u=u,
         packed=tuple(rows[r] for r in site_ranks), packed_target=sum(
-            tc << (c * width) for c, tc in enumerate(t.values())),
+            tc << (c * width) for c, tc in enumerate(t)),
         packed_guard=sum(1 << (c * width + width - 1) for c in range(n)),
         cover_fingerprint=spec.fingerprint)
 
@@ -322,7 +319,11 @@ def _require_validated(spec: CoverSpec, inv: CoverInvariants) -> None:
             "cover invariants belong to a different cover than the one given")
 
 
-def _require_character(inv: CoverInvariants, chi: Character) -> None:
-    """chi is a character of the group that inv was validated for."""
-    if chi not in inv.u:
+def _character_rank(spec: CoverSpec, chi: Character) -> int:
+    """chi's mixed-radix index into t and u; only a spec.group Character."""
+    if type(chi) is not Character or chi.group != spec.group:
         raise MalformedDataError("character does not belong to this group")
+    c = 0
+    for r, m in zip(chi.residues, spec.group.factor_orders):
+        c = c * m + r
+    return c

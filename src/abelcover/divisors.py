@@ -40,7 +40,7 @@ representative.  The listing is plain weight tuples and labels, finished
 and checked in full before it is returned, so that the CLI can write it
 record by record; enumerate_orbits wraps each row in an InvariantDivisor.
 
-The action reads u_{chi,sigma} from the table inv.u built by validate.
+The action reads u_{chi,sigma} from row c of inv.u, built by validate.
 The helpers take a validated CoverInvariants as given and check each
 divisor once: public functions check their input (weights too),
 internal steps do not.
@@ -52,7 +52,7 @@ from functools import partial
 from itertools import islice, product
 from operator import add, eq, getitem, mod
 
-from .cover import (CoverInvariants, CoverSpec, _require_character,
+from .cover import (CoverInvariants, CoverSpec, _character_rank,
                     _require_validated)
 from .errors import (ConsistencyError, DomainError, MalformedDataError,
                      ResourceCapError, _typed, _Value)
@@ -149,7 +149,7 @@ def _orbit_listing(spec: CoverSpec, inv: CoverInvariants,
     listing means an action that is not free or two orbits that share a
     member; the slice must hold |K_0| members of each orbit, and these
     must be the hits."""
-    trivial, *rows = inv.u.values()
+    trivial, *rows = inv.u
     if any(trivial):
         raise ConsistencyError("the first pairing row is not the trivial "
                                "character's")
@@ -186,7 +186,7 @@ def _slice_rows(spec: CoverSpec, inv: CoverInvariants,
     they number |K_0| = n / o_0, and at beta_0 = 0 they are K_0 itself,
     trivial row first.  An orbit's representative is its lex-min member;
     its beta_0 is 0, so it is the least of the members these rows give."""
-    return [row for row in inv.u.values()
+    return [row for row in inv.u
             if not any(map(mod, map(add, beta[:1], row), spec.site_orders))]
 
 
@@ -264,8 +264,7 @@ def chi_action(spec: CoverSpec, inv: CoverInvariants, D: InvariantDivisor,
     """The divisor chi . D.  Requires a non-special input and produces a
     non-special output."""
     _require_nonspecial(spec, inv, D)
-    _require_character(inv, chi)
-    [new] = _expand(spec, inv, [D.beta], inv.u[chi])
+    [new] = _expand(spec, inv, [D.beta], inv.u[_character_rank(spec, chi)])
     return InvariantDivisor(new, D.cover_fingerprint)
 
 
@@ -302,8 +301,7 @@ def orbit(spec: CoverSpec, inv: CoverInvariants,
     exactly n distinct members; a repeat is an internal error.
     """
     _require_nonspecial(spec, inv, D)
-    members = [_expand(spec, inv, [D.beta], row)[0]
-               for row in inv.u.values()]
+    members = [_expand(spec, inv, [D.beta], row)[0] for row in inv.u]
     if len(set(members)) != spec.group.order:
         raise ConsistencyError(
             "dual-group orbit has repeats; the action should be free")

@@ -43,7 +43,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import comb, lcm
 
-from .cover import (CoverInvariants, CoverSpec, _require_character,
+from .cover import (CoverInvariants, CoverSpec, _character_rank,
                     _require_validated)
 from .errors import (ConsistencyError, DomainError, NoSolutionError,
                      _rational, _Value)
@@ -216,12 +216,12 @@ def build_pchichi(spec: CoverSpec, inv: CoverInvariants,
     divided.
     """
     _require_validated(spec, inv)
-    _require_character(inv, chi)
-    if chi.is_trivial():
+    c = _character_rank(spec, chi)
+    if not c:
         raise DomainError("the construction needs a nontrivial character")
-    tchi, tbar = inv.t[chi], inv.t[chi.conjugate()]
+    tchi, tbar = inv.t[c], inv.t[_character_rank(spec, chi.conjugate())]
     active = [(site.value.numerator, site.value.denominator, u, o)
-              for site, u, o in zip(spec.sites, inv.u[chi], spec.site_orders)
+              for site, u, o in zip(spec.sites, inv.u[c], spec.site_orders)
               if u > 0]
     m = lcm(*(o for _, _, _, o in active))
     row0, row1 = [1], [0]

@@ -62,9 +62,9 @@ import mpmath
 from abelcover import (AbelianGroup, Character, ConsistencyError,
                        CoverInvariants, CoverSpec, DomainError, GroupElement,
                        InvariantDivisor, KernelSolution, MalformedDataError,
-                       PairKey, PhiKey, UniPoly, element_order,
+                       PairKey, PhiKey, UniPoly, dual_group, element_order,
                        intersection_data, is_nonspecial, orbit, phi_exact)
-from abelcover.cover import _require_character
+from abelcover.cover import _character_rank
 from abelcover.divisors import _require_same_cover
 from abelcover.group_core import _require_membership
 from abelcover.errors import _rational as _exact
@@ -166,19 +166,19 @@ def support_p(spec: CoverSpec, inv: CoverInvariants, D: InvariantDivisor,
     """Positions of the sites with beta >= o - u_{chi,sigma}, the root set
     of the support polynomial for chi; of size t_chi when D is
     non-special."""
-    _require_character(inv, chi)
+    row = inv.u[_character_rank(spec, chi)]
     return frozenset(
         k for k, (o, u, b) in
-        enumerate(zip(spec.site_orders, inv.u[chi], D.beta)) if b >= o - u)
+        enumerate(zip(spec.site_orders, row, D.beta)) if b >= o - u)
 
 
 def differential_basis_descriptor(
-        inv: CoverInvariants) -> list[tuple[Character, int]]:
+        spec: CoverSpec, inv: CoverInvariants) -> list[tuple[Character, int]]:
     """Basis markers (chi, k) for the holomorphic differentials z^k psi_chi:
     one for each nontrivial chi and each 0 <= k <= t_{conj(chi)} - 2, in
     dual-group order with k ascending; g of them in all."""
-    return [(chi, k) for chi in inv.t if not chi.is_trivial()
-            for k in range(inv.t[chi.conjugate()] - 1)]
+    return [(chi, k) for chi in dual_group(spec.group) if not chi.is_trivial()
+            for k in range(inv.t[_character_rank(spec, chi.conjugate())] - 1)]
 
 
 def relabel_equivalent(spec: CoverSpec, inv: CoverInvariants,
@@ -347,10 +347,10 @@ def packed_tables(spec: CoverSpec,
     i.e. v >= o - u[c][k]; fields are B.bit_length() + 1 bits wide."""
     width = len(spec.sites).bit_length() + 1
     packed = tuple(tuple(sum(1 << (c * width)
-                             for c, row in enumerate(inv.u.values())
+                             for c, row in enumerate(inv.u)
                              if v >= o - row[k]) for v in range(o))
                    for k, o in enumerate(spec.site_orders))
-    target = sum(tc << (c * width) for c, tc in enumerate(inv.t.values()))
+    target = sum(tc << (c * width) for c, tc in enumerate(inv.t))
     guard = sum(1 << (c * width + width - 1) for c in range(inv.n))
     return packed, target, guard
 
@@ -430,7 +430,8 @@ def kernel_pair(spec: CoverSpec, inv: CoverInvariants,
     over the sites with u > 0, and f_1 = sum (u/o) f_0/(z - lambda), each
     quotient a Fraction synthetic division with a zero remainder."""
     active = [(site.value, u, o) for site, u, o in
-              zip(spec.sites, inv.u[chi], spec.site_orders) if u > 0]
+              zip(spec.sites, inv.u[_character_rank(spec, chi)],
+                  spec.site_orders) if u > 0]
     f0 = poly_from_roots([value for value, _, _ in active])
     f1_coeffs = [Fraction(0)] * f0.degree
     for value, u, o in active:

@@ -547,6 +547,24 @@ class TestValidate:
         assert {tuple(row["character"]): row["t"]
                 for row in report["t"]} == {(0,): 0, (1,): 3}
 
+    @pytest.mark.parametrize("factors, elements, digest", [
+        ([4, 4], ([1, 0], [3, 0], [0, 1], [0, 3], [1, 1], [3, 3]),
+         "bc81f671b377f1f26dd18679b9b2a9c0428de7581bd9c9aad70e3253db2fb965"),
+        ([2, 3, 4], ([1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 2, 0], [0, 0, 1],
+                     [0, 0, 3]),
+         "5166b4027029598efa1970142d46f59ecc9bf011d21fdde06ac0a008fa032090"),
+    ], ids=["z4z4x6", "z2z3z4"])
+    def test_multi_factor_report_digest(self, write_doc, capsys, factors,
+                                        elements, digest):
+        # the t listing of a group with several factors names each
+        # character by its residues, in dual_group (lexicographic) order;
+        # the digests were recorded when t was a dict keyed by Character
+        document = {"group": factors, "branch_points": [
+            {"element": e, "lambda": str(k)} for k, e in enumerate(elements)]}
+        code, out = run(capsys, "validate", write_doc(document))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_monodromy_violation_exit_2(self, write_doc, capsys):
         doc = {"group": [3], "branch_points": [
             {"element": [1], "lambda": "0"},
@@ -569,8 +587,9 @@ class TestValidate:
         (65521, (1, 1, 65519), 2 ** 32),  # the packed bits, 3.9e10 here
     ], ids=["z10^30", "z1000003", "z65521"])
     def test_huge_cover_exit_3(self, write_doc, capsys, n, elements, cap):
-        # refused before dual_group lists the n characters, which would
-        # overflow at 10**30 and exhaust memory while packing Z_1000003
+        # refused before any table of n entries is built: listing the
+        # characters overflowed at 10**30, and packing Z_1000003 would
+        # exhaust memory
         doc = {"group": [n], "branch_points": [
             {"element": [e], "lambda": str(k)}
             for k, e in enumerate(elements)]}

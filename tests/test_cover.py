@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 import abelcover.cover as cover_module
 from abelcover import (AbelianGroup, BranchPoint, Character, ConsistencyError,
                        CoverSpec, DisconnectedCoverError, GroupElement,
-                       InvalidCoverError, MalformedDataError, dual_group,
-                       element_order, validate)
+                       InvalidCoverError, MalformedDataError, build_pchichi,
+                       chi_action, dual_group, element_order,
+                       enumerate_nonspecial, validate)
 from conftest import build_cover
 from oracles import (differential_basis_descriptor, generated_subgroup,
                      packed_tables)
@@ -165,24 +166,23 @@ class TestValidate:
     def test_hyperelliptic_invariants(self, hyperelliptic):
         inv = hyperelliptic.inv
         assert (inv.n, inv.m, inv.g) == (2, 2, 2)
-        chars = dual_group(hyperelliptic.spec.group)
-        assert [inv.t[c] for c in chars] == [0, 3]
+        assert inv.t == (0, 3)
 
     def test_battery_genera(self, battery):
         for cover in battery:
             assert cover.inv.g == cover.genus
 
     def test_t_tables(self, cyclic3, cyclic4, klein, cyclic6):
-        assert sorted(cyclic3.inv.t.values()) == [0, 1, 2]
-        assert sorted(cyclic4.inv.t.values()) == [0, 1, 2, 3]
-        assert sorted(klein.inv.t.values()) == [0, 2, 2, 2]
-        assert sorted(cyclic6.inv.t.values()) == [0, 1, 2, 3, 4, 5]
+        assert sorted(cyclic3.inv.t) == [0, 1, 2]
+        assert sorted(cyclic4.inv.t) == [0, 1, 2, 3]
+        assert sorted(klein.inv.t) == [0, 2, 2, 2]
+        assert sorted(cyclic6.inv.t) == [0, 1, 2, 3, 4, 5]
 
     def test_trivial_character_count_is_zero(self, battery):
         for cover in battery:
-            trivial = cover.spec.group.character(
-                [0] * len(cover.spec.group.factor_orders))
-            assert cover.inv.t[trivial] == 0
+            group = cover.spec.group
+            trivial = group.character([0] * len(group.factor_orders))
+            assert dict(zip(dual_group(group), cover.inv.t))[trivial] == 0
 
     def test_genus_matches_dimension_sum(self, battery, mixed4, sparse6):
         # Riemann-Hurwitz from orders computed here, beside the dimension
@@ -197,11 +197,12 @@ class TestValidate:
             ramification = sum(inv.n // o * (o - 1) for o in orders)
             assert ramification % 2 == 0
             assert inv.g == 1 - inv.n + ramification // 2
-            total = sum(max(inv.t[chi.conjugate()] - 1, 0)
+            t = dict(zip(dual_group(group), inv.t))
+            total = sum(max(t[chi.conjugate()] - 1, 0)
                         for chi in dual_group(group)
                         if not chi.is_trivial())
             assert total == inv.g
-            assert len(differential_basis_descriptor(inv)) == inv.g
+            assert len(differential_basis_descriptor(spec, inv)) == inv.g
 
     def test_genus_zero_cover(self):
         spec = build_cover([2], [([1], 0), ([1], 1)])
@@ -216,8 +217,8 @@ class TestValidate:
         for spec in specs + small_group_covers(24):
             inv = validate(spec)
             group = spec.group
-            assert list(inv.u) == dual_group(group) == list(inv.t)
-            for chi, row in inv.u.items():
+            assert len(inv.u) == len(inv.t) == group.order
+            for chi, row in zip(dual_group(group), inv.u):
                 assert row == tuple(pairing_u(group, chi, site.element)
                                     for site in spec.sites)
 
@@ -257,13 +258,14 @@ class TestValidate:
         for cover in list(battery) + [mixed4]:
             spec, inv = cover.spec, cover.inv
             group = spec.group
+            t = dict(zip(dual_group(group), inv.t))
             for chi in dual_group(group):
                 if chi.is_trivial():
                     continue
                 outside_kernel = sum(
                     1 for site in spec.sites
                     if pairing_u(group, chi, site.element) != 0)
-                assert inv.t[chi] + inv.t[chi.conjugate()] == outside_kernel
+                assert t[chi] + t[chi.conjugate()] == outside_kernel
 
     def test_ramification_weight_identity(self, battery, mixed4, sparse6):
         # the per-site half weights (o-1)/(2o) sum to (g+n-1)/n
@@ -275,7 +277,7 @@ class TestValidate:
     def test_mixed_orders(self, mixed4):
         inv = mixed4.inv
         assert inv.g == 5
-        assert sorted(inv.t.values()) == [0, 2, 3, 3]
+        assert sorted(inv.t) == [0, 2, 3, 3]
         assert mixed4.spec.site_orders == (4, 4, 2, 2, 4, 4)
 
     @settings(max_examples=40, deadline=None)
@@ -309,8 +311,9 @@ class TestValidate:
             return
         inv = validate(spec)
         assert inv.g >= 0
-        assert all(t >= 0 for t in inv.t.values())
-        assert sum(max(inv.t[chi.conjugate()] - 1, 0)
+        assert all(t >= 0 for t in inv.t)
+        t = dict(zip(dual_group(group), inv.t))
+        assert sum(max(t[chi.conjugate()] - 1, 0)
                    for chi in dual_group(group)
                    if not chi.is_trivial()) == inv.g
 
@@ -345,11 +348,12 @@ class TestPackedTables:
 class TestDifferentialBasis:
     def test_length_is_genus(self, battery):
         for cover in battery:
-            basis = differential_basis_descriptor(cover.inv)
+            basis = differential_basis_descriptor(cover.spec, cover.inv)
             assert len(basis) == cover.inv.g
 
     def test_hyperelliptic_basis(self, hyperelliptic):
-        basis = differential_basis_descriptor(hyperelliptic.inv)
+        basis = differential_basis_descriptor(hyperelliptic.spec,
+                                              hyperelliptic.inv)
         assert len(basis) == 2
         chis = {chi.residues for chi, _ in basis}
         assert chis == {(1,)}
@@ -357,7 +361,57 @@ class TestDifferentialBasis:
 
     def test_powers_below_conjugate_count(self, battery):
         for cover in battery:
-            inv = cover.inv
-            for chi, k in differential_basis_descriptor(inv):
+            t = dict(zip(dual_group(cover.spec.group), cover.inv.t))
+            for chi, k in differential_basis_descriptor(cover.spec,
+                                                        cover.inv):
                 assert not chi.is_trivial()
-                assert 0 <= k <= inv.t[chi.conjugate()] - 2
+                assert 0 <= k <= t[chi.conjugate()] - 2
+
+
+class TestCharacterRank:
+    """A character is its rank inside the library: validate builds none,
+    and _character_rank maps a caller's Character to its index."""
+
+    def test_validate_builds_no_character(self, klein10, monkeypatch):
+        # dual_group builds one Character per group element, so no call
+        # also means that validate never lists the dual group
+        calls = []
+        init = Character.__init__
+
+        def spy(self, *args):
+            calls.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Character, "__init__", spy)
+        unit = [[int(i == j) for j in range(8)] for i in range(8)]
+        z2_8 = build_cover([2] * 8, [(e, k) for k, e in enumerate(unit)]
+                           + [([1] * 8, 8)])
+        for spec in (klein10.spec, z2_8):
+            inv = validate(spec)
+            assert len(inv.t) == len(inv.u) == spec.group.order
+        assert calls == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_rank_is_the_dual_group_position(self, data):
+        factors = tuple(data.draw(st.lists(
+            st.integers(min_value=2, max_value=5), min_size=1, max_size=3)))
+        group = AbelianGroup(factors)
+        chi = group.character(data.draw(st.tuples(
+            *(st.integers(min_value=0, max_value=m - 1) for m in factors))))
+        rank = cover_module._character_rank(CoverSpec(group, ()), chi)
+        assert rank == dual_group(group).index(chi)
+
+    @pytest.mark.parametrize("call", [
+        lambda spec, inv, chi: chi_action(
+            spec, inv, enumerate_nonspecial(spec, inv)[0], chi),
+        build_pchichi], ids=["chi_action", "build_pchichi"])
+    @pytest.mark.parametrize("make", [
+        lambda group: [1], lambda group: (1,), lambda group: {},
+        lambda group: group.element([1])],
+        ids=["list", "tuple", "dict", "element"])
+    def test_wrongly_typed_character_refused(self, cyclic3, call, make):
+        # refused by type: a hash lookup raised TypeError on a list or a dict
+        spec, inv = cyclic3.spec, cyclic3.inv
+        with pytest.raises(MalformedDataError, match="does not belong"):
+            call(spec, inv, make(spec.group))

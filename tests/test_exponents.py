@@ -332,7 +332,7 @@ class TestExponentTable:
             spec, inv = cover.spec, cover.inv
             divisors = enumerate_nonspecial(spec, inv)
             sample = divisors[:: max(1, len(divisors) // 6)]
-            expected = 2 * inv.m * sum(t * (t - 1) for t in inv.t.values())
+            expected = 2 * inv.m * sum(t * (t - 1) for t in inv.t)
             for D in sample:
                 table = exponent_table(spec, inv, D)
                 assert sum(table.entries.values()) == expected
@@ -354,9 +354,8 @@ class TestExponentTable:
                      for b in range(B) if b != a),
                     Fraction(0))
                 rhs = sum(
-                    (Fraction((inv.t[chi] - 1)
-                              * pairing_u(group, chi, sigma), o_a)
-                     for chi in dual_group(group)),
+                    (Fraction((t - 1) * pairing_u(group, chi, sigma), o_a)
+                     for chi, t in zip(dual_group(group), inv.t)),
                     Fraction(0))
                 assert lhs == rhs
 

@@ -317,8 +317,9 @@ class TestBuildPchichi:
         spec = build_cover(*RATIONAL_COVERS[name])
         inv = validate(spec)
         built = 0
-        for chi in dual_group(spec.group):
-            t, tc = inv.t[chi], inv.t[chi.conjugate()]
+        ts = dict(zip(dual_group(spec.group), inv.t))
+        for chi in ts:
+            t, tc = ts[chi], ts[chi.conjugate()]
             if chi.is_trivial() or t < 1 or tc < 1:
                 continue
             solution = build_pchichi(spec, inv, chi)
@@ -332,14 +333,15 @@ class TestBuildPchichi:
     def test_battery_lead_relation(self, battery):
         for cover in battery:
             spec, inv = cover.spec, cover.inv
-            for chi in dual_group(spec.group):
-                if chi.is_trivial() or inv.t[chi] < 1:
+            ts = dict(zip(dual_group(spec.group), inv.t))
+            for chi in ts:
+                if chi.is_trivial() or ts[chi] < 1:
                     continue
-                if inv.t[chi.conjugate()] < 1:
+                if ts[chi.conjugate()] < 1:
                     continue
                 solution = build_pchichi(spec, inv, chi)
-                t = inv.t[chi]
-                tc = inv.t[chi.conjugate()]
+                t = ts[chi]
+                tc = ts[chi.conjugate()]
                 assert (solution.d, solution.e) == (t, tc)
                 f0, f1 = solution.polys[0], solution.polys[1]
                 assert f0.degree == t + tc
@@ -349,11 +351,11 @@ class TestBuildPchichi:
     def test_battery_solutions_match_recorded_digests(self, battery):
         for cover in battery:
             spec, inv = cover.spec, cover.inv
+            ts = dict(zip(dual_group(spec.group), inv.t))
             solutions = [
-                build_pchichi(spec, inv, chi)
-                for chi in dual_group(spec.group)
-                if not chi.is_trivial() and inv.t[chi] >= 1
-                and inv.t[chi.conjugate()] >= 1]
+                build_pchichi(spec, inv, chi) for chi in ts
+                if not chi.is_trivial() and ts[chi] >= 1
+                and ts[chi.conjugate()] >= 1]
             assert solutions_digest(solutions) == \
                 BATTERY_KERNEL_SHA256[cover.name], cover.name
 
@@ -392,12 +394,8 @@ class TestBuildPchichi:
         spec = build_cover([3], [([1], v) for v in range(6)])
         inv = validate(spec)
         chi = spec.group.character([1])
-        bar = chi.conjugate()
-        assert (inv.t[chi], inv.t[bar]) == (2, 4)
-        t = dict(inv.t)
-        t[chi] += dt
-        t[bar] += dtbar
+        assert inv.t == (0, 2, 4)  # ranks 0, 1 = chi, 2 = conj chi
         perturbed = copy.copy(inv)
-        perturbed.t = t
+        perturbed.t = (0, 2 + dt, 4 + dtbar)
         with pytest.raises(error, match=match):
             build_pchichi(spec, perturbed, chi)
