@@ -13,11 +13,11 @@ from .cover import (BranchPoint, BranchSite, CoverInvariants, CoverSpec,
 from .dedekind import PhiKey, phi_exact
 from .divisors import (DEFAULT_NODE_CAP, InvariantDivisor, chi_action,
                        enumerate_nonspecial, enumerate_orbits, is_nonspecial,
-                       make_divisor, negation_N, orbit)
+                       make_divisor, orbit)
 from .errors import (AbelcoverError, ConsistencyError, DisconnectedCoverError,
                      DomainError, InvalidCoverError, MalformedDataError,
                      NoSolutionError, ParseError, ResourceCapError)
-from .exponents import ExponentTable, PairKey, exponent_table, thomae_exponent
+from .exponents import ExponentTable, exponent_table, thomae_exponent
 from .group_core import (AbelianGroup, Character, GroupElement, dual_group,
                          element_order, intersection_data, pairing_u)
 from .polykernel import (KernelSolution, UniPoly, build_pchichi,
@@ -30,10 +30,9 @@ __all__ = [
     "element_order", "pairing_u", "dual_group", "intersection_data",
     "BranchPoint", "BranchSite", "CoverSpec", "CoverInvariants", "validate",
     "PhiKey", "phi_exact",
-    "InvariantDivisor", "DEFAULT_NODE_CAP",
-    "make_divisor", "is_nonspecial", "enumerate_nonspecial",
-    "enumerate_orbits", "chi_action", "negation_N", "orbit",
-    "PairKey", "ExponentTable", "thomae_exponent", "exponent_table",
+    "InvariantDivisor", "DEFAULT_NODE_CAP", "make_divisor", "is_nonspecial",
+    "enumerate_nonspecial", "enumerate_orbits", "chi_action", "orbit",
+    "ExponentTable", "thomae_exponent", "exponent_table",
     "UniPoly", "KernelSolution", "solve_polexist", "build_pchichi",
     "AbelcoverError", "MalformedDataError", "DomainError",
     "InvalidCoverError", "DisconnectedCoverError", "ConsistencyError",

@@ -42,11 +42,12 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import prod
+from operator import add, mod
 
 from .cover import CoverInvariants, CoverSpec, BranchPoint, validate
 from .dedekind import PhiKey, phi_exact
-from .divisors import (DEFAULT_NODE_CAP, InvariantDivisor, enumerate_orbits,
-                       make_divisor, negation_N, orbit, _orbit_listing)
+from .divisors import (DEFAULT_NODE_CAP, InvariantDivisor, make_divisor,
+                       _orbit_listing)
 from .errors import (AbelcoverError, ConsistencyError, DomainError,
                      MalformedDataError, ParseError, ResourceCapError)
 from .exponents import exponent_table
@@ -331,23 +332,22 @@ def cmd_selftest(args) -> int:
         spec = parse_cover_object(document)
         inv = validate(spec)
         _check(name, "genus", inv.g == g)
-        divisors, labels = enumerate_orbits(spec, inv)
-        _check(name, "count", len(divisors) == count)
-        seen = set(D.beta for D in divisors)
-        _check(name, "closure", all(m.beta in seen for D in divisors
-                                    for m in orbit(spec, inv, D)))
-        _check(name, "negation", all(negation_N(spec, inv, D).beta in seen
-                                     for D in divisors))
+        betas, labels = _orbit_listing(spec, inv, DEFAULT_NODE_CAP)
+        _check(name, "count", len(betas) == count)
+        seen, orders = set(betas), spec.site_orders
+        _check(name, "closure", all(
+            tuple(map(mod, map(add, beta, row), orders)) in seen
+            for beta in betas for row in inv.u))
+        _check(name, "negation", all(
+            tuple(o - 1 - b for o, b in zip(orders, beta)) in seen
+            for beta in betas))
         _check(name, "orbit count", len(set(labels)) == orbits)
-        even = homogeneous = True
-        for D in divisors[:2]:
-            table = exponent_table(spec, inv, D)
-            even = even and all(v % 2 == 0 for v in table.entries.values())
-            total = sum(table.entries.values())
-            homogeneity = 2 * inv.m * sum(t * (t - 1) for t in inv.t)
-            homogeneous = homogeneous and total == homogeneity
-        _check(name, "evenness", even)
-        _check(name, "degree identity", homogeneous)
+        tables = [exponent_table(spec, inv, InvariantDivisor(
+            beta, spec.fingerprint)).entries.values() for beta in betas[:2]]
+        _check(name, "evenness", all(v % 2 == 0 for e in tables for v in e))
+        homogeneity = 2 * inv.m * sum(t * (t - 1) for t in inv.t)
+        _check(name, "degree identity",
+               all(sum(e) == homogeneity for e in tables))
     sys.stdout.write("selftest ok\n")
     return EXIT_OK
 

@@ -314,6 +314,10 @@ def validate(spec: CoverSpec) -> CoverInvariants:
 
 def _require_validated(spec: CoverSpec, inv: CoverInvariants) -> None:
     """inv came from validate on spec or on the same canonical sites."""
+    if type(spec) is not CoverSpec or type(inv) is not CoverInvariants:
+        raise MalformedDataError(
+            f"needs a CoverSpec and its CoverInvariants, not "
+            f"{type(spec).__name__} and {type(inv).__name__}")
     if inv.cover_fingerprint != spec.fingerprint:
         raise MalformedDataError(
             "cover invariants belong to a different cover than the one given")

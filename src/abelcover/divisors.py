@@ -18,8 +18,8 @@ condition, enumerates all solutions, and implements the dual-group action
     beta -> beta + u            when beta < o - u,
     beta -> beta + u - o        otherwise,
 
-the negation involution beta -> o - 1 - beta and orbits under the
-action.
+and orbits under it.  The CLI selftest checks that the listing is also
+closed under the negation involution beta -> o - 1 - beta.
 
 The condition holds exactly when the packed ints inv.packed[k][beta_k]
 compiled by validate sum to inv.packed_target.  Enumeration searches the
@@ -65,7 +65,6 @@ __all__ = [
     "enumerate_nonspecial",
     "enumerate_orbits",
     "chi_action",
-    "negation_N",
     "orbit",
     "DEFAULT_NODE_CAP",
 ]
@@ -88,8 +87,9 @@ class InvariantDivisor(_Value):
 
 
 def make_divisor(spec: CoverSpec, beta) -> InvariantDivisor:
-    """Build a divisor for this cover, checking every weight range.  Each
-    weight must be an int (not a bool); nothing is converted."""
+    """Build a divisor for the CoverSpec spec, checking every weight
+    range.  Each weight must be an int (not a bool), unconverted."""
+    _typed(spec, CoverSpec, "cover ")
     D = InvariantDivisor(tuple(beta), spec.fingerprint)
     _require_same_cover(spec, D)
     return D
@@ -281,16 +281,6 @@ def _expand(spec: CoverSpec, inv: CoverInvariants, betas,
             "dual-group action left the non-special set; this contradicts "
             "its defining property")
     return members
-
-
-def negation_N(spec: CoverSpec, inv: CoverInvariants,
-               D: InvariantDivisor) -> InvariantDivisor:
-    """The negation involution, sitewise beta -> o - 1 - beta."""
-    _require_nonspecial(spec, inv, D)
-    new = tuple(o - 1 - b for o, b in zip(spec.site_orders, D.beta))
-    if not _meets_counts(inv, new):
-        raise ConsistencyError("negation left the non-special set")
-    return InvariantDivisor(new, D.cover_fingerprint)
 
 
 def orbit(spec: CoverSpec, inv: CoverInvariants,

@@ -24,18 +24,17 @@ module assembles.  It is built from one integer row per pair of element
 ranks r_a <= r_b, E[s] = m n (2 T(d,h,s) + T(d,h,0) + d (o_a-1)(o_b-1)) /
 (d o_a o_b) with T = 4d phi walked along the shift law by
 dedekind._phi_walk, so a row costs O(d), and checked to be an even
-integer for every s < d as it is built.  Only exponent_table reads
-these rows, a pair at E[(beta_b - h beta_a) mod d] under the plain key
-(a, b) with a < b (no key cache); thomae_exponent returns one entry of
-the table.  The orbit sum q_e and the character average gamma, by
-definition and in closed form, are oracles in tests/oracles.py.
+integer for every s < d as it is built.  A pair reads its row at
+E[(beta_b - h beta_a) mod d]: exponent_table does so for every pair,
+keyed (a, b) with a < b (no key cache), and thomae_exponent, given the
+two positions, builds the one row of its pair and no table.  The orbit
+sum q_e and the character average gamma, by definition and in closed
+form, are oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
 
-from functools import total_ordering
-
-from .cover import CoverInvariants, CoverSpec
+from .cover import CoverInvariants, CoverSpec, _require_validated
 from .dedekind import _phi_walk
 from .divisors import (InvariantDivisor, _expand, _require_nonspecial,
                        _slice_rows)
@@ -44,39 +43,12 @@ from .errors import (ConsistencyError, DomainError, MalformedDataError,
 from .group_core import intersection_data
 
 __all__ = [
-    "PairKey",
     "ExponentTable",
     "thomae_exponent",
     "exponent_table",
 ]
 
 MAX_TABLE_PAIRS = 2 ** 19  # exponent_table's limit: B <= 1024 sites
-
-
-@total_ordering
-class PairKey(_Value):
-    """An unordered pair of site positions, stored with first < second;
-    pair keys sort by (first, second).  Each position must be an int
-    (not a bool); nothing is converted."""
-
-    __slots__ = ("first", "second")
-    first: int
-    second: int
-
-    def __init__(self, first: int, second: int) -> None:
-        for x in (first, second):
-            _typed(x, int, "pair position ")
-        if not 0 <= first < second:
-            raise DomainError(
-                f"pair ({first}, {second}) is not an ordered pair "
-                f"of distinct nonnegative positions")
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
-
-    def __lt__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.first, self.second) < (other.first, other.second)
 
 
 class ExponentTable(_Value):
@@ -106,14 +78,22 @@ class ExponentTable(_Value):
 
 
 def thomae_exponent(spec: CoverSpec, inv: CoverInvariants,
-                    D: InvariantDivisor, pair: PairKey) -> int:
+                    D: InvariantDivisor, a: int, b: int) -> int:
     """The exponent of (lambda_a - lambda_b), 4m (2 q_e + n gamma): the
-    pair's entry of exponent_table, which checks D first."""
-    entries = exponent_table(spec, inv, D).entries
-    if (key := (pair.first, pair.second)) not in entries:  # first < second
-        raise MalformedDataError(f"site position {pair.second} out of "
-                                 f"range for {len(spec.sites)} sites")
-    return entries[key]
+    (a, b) entry of exponent_table, read from the pair's one row.  Checked
+    in turn: int positions (not bools), 0 <= a < b (else DomainError), D
+    non-special (DomainError), b a site position (MalformedDataError)."""
+    for x in (a, b):
+        _typed(x, int, "pair position ")
+    if not 0 <= a < b:
+        raise DomainError(f"pair ({a}, {b}) is not an ordered pair "
+                          f"of distinct nonnegative positions")
+    _require_nonspecial(spec, inv, D)
+    if b >= len(spec.sites):
+        raise MalformedDataError(f"site position {b} out of range "
+                                 f"for {len(spec.sites)} sites")
+    row, d, h = _exponent_row(spec, inv, a, b)
+    return row[(D.beta[b] - h * D.beta[a]) % d]
 
 
 def exponent_table(spec: CoverSpec, inv: CoverInvariants,
@@ -123,10 +103,12 @@ def exponent_table(spec: CoverSpec, inv: CoverInvariants,
     module docstring.  More than MAX_TABLE_PAIRS pairs raises
     ResourceCapError, checked first; then D must be non-special,
     otherwise DomainError is raised.  A D that is not an
-    InvariantDivisor raises MalformedDataError before either."""
+    InvariantDivisor, or a spec and inv not a CoverSpec and its
+    CoverInvariants, raises MalformedDataError before either."""
     if type(D) is not InvariantDivisor:
         raise MalformedDataError(f"exponent_table needs an InvariantDivisor, "
                                  f"not {type(D).__name__}")
+    _require_validated(spec, inv)
     B = len(spec.sites)
     _bounded(B * (B - 1) // 2, MAX_TABLE_PAIRS, "table pairs")
     _require_nonspecial(spec, inv, D)

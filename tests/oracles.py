@@ -34,9 +34,11 @@ beside the tests that use them, to cross-check it:
     proves once per cover; support_p, the root set of the support
     polynomial; differential_basis_descriptor, the (chi, k) markers of a
     basis of holomorphic differentials, which checks that the counts t
-    give g of them; relabel_equivalent, a blockwise site permutation
-    carrying one divisor's weights to another's, under which the two
-    exponent tables must agree;
+    give g of them; negation_N, the involution beta -> o - 1 - beta on
+    InvariantDivisors (the CLI selftest checks the listing's closure
+    under it on weight tuples); relabel_equivalent, a blockwise site
+    permutation carrying one divisor's weights to another's, under which
+    the two exponent tables must agree;
   * assembly_by_z_power and assembly_w_degree, the kernel assembly
     S(z, w) expanded in Fraction arithmetic, which checks the degree
     bound that solve_polexist verifies on integer rows;
@@ -62,7 +64,7 @@ import mpmath
 from abelcover import (AbelianGroup, Character, ConsistencyError,
                        CoverInvariants, CoverSpec, DomainError, GroupElement,
                        InvariantDivisor, KernelSolution, MalformedDataError,
-                       PairKey, PhiKey, UniPoly, dual_group, element_order,
+                       PhiKey, UniPoly, dual_group, element_order,
                        intersection_data, is_nonspecial, orbit, phi_exact)
 from abelcover.cover import _character_rank
 from abelcover.divisors import _require_same_cover
@@ -181,6 +183,20 @@ def differential_basis_descriptor(
             for k in range(inv.t[_character_rank(spec, chi.conjugate())] - 1)]
 
 
+def negation_N(spec: CoverSpec, inv: CoverInvariants,
+               D: InvariantDivisor) -> InvariantDivisor:
+    """The negation involution, sitewise beta -> o - 1 - beta, of a
+    non-special D; the image must be non-special too."""
+    if not is_nonspecial(spec, inv, D):
+        raise DomainError("negation is defined for non-special divisors")
+    new = InvariantDivisor(tuple(o - 1 - b for o, b in
+                                 zip(spec.site_orders, D.beta)),
+                           D.cover_fingerprint)
+    if not is_nonspecial(spec, inv, new):
+        raise ConsistencyError("negation left the non-special set")
+    return new
+
+
 def relabel_equivalent(spec: CoverSpec, inv: CoverInvariants,
                        D1: InvariantDivisor,
                        D2: InvariantDivisor) -> tuple[int, ...] | None:
@@ -278,7 +294,7 @@ def gamma_closed_form(group: AbelianGroup, s: GroupElement,
 
 
 def thomae_exponent_closed_form(spec: CoverSpec, inv: CoverInvariants,
-                                D: InvariantDivisor, pair: PairKey) -> int:
+                                D: InvariantDivisor, a: int, b: int) -> int:
     """The exponent of (lambda_a - lambda_b):  4m (2 q_e + n gamma).
 
     Assembled in exact rational arithmetic and only then converted; a
@@ -287,7 +303,6 @@ def thomae_exponent_closed_form(spec: CoverSpec, inv: CoverInvariants,
     """
     if not is_nonspecial(spec, inv, D):
         raise DomainError("exponents are defined for non-special divisors")
-    a, b = pair.first, pair.second
     value = 4 * inv.m * (
         2 * q_e_closed_form(spec, inv, D, a, b)
         + inv.n * gamma_closed_form(spec.group, spec.sites[a].element,

@@ -22,11 +22,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import abelcover.cli as cli_module
 import abelcover.divisors as divisors_module
 from abelcover import enumerate_orbits, exponent_table, validate
 from abelcover.cli import (_parse_value, build_parser, console_main, main,
                            parse_cover_object)
-from abelcover.errors import ParseError
+from abelcover.errors import ConsistencyError, ParseError
 from test_divisors import draw_noncyclic_cover
 from test_exponents import spoil_last_residue
 
@@ -1169,10 +1170,36 @@ class TestParserReuse:
 
 
 class TestSelftest:
+    # the selftest's stdout, 22 lines, pinned byte for byte
+    OUTPUT_SHA256 = ("854e0f3e1d231f2d421f9be72e44465e"
+                     "5cee3382fe5ebca2eb81cb44cd44b746")
+
     def test_selftest_passes(self, capsys):
         code, out = run(capsys, "selftest")
         assert code == 0
         assert out.rstrip().endswith("selftest ok")
+
+    def test_output_digest(self, capsys):
+        code, out = run(capsys, "selftest")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.OUTPUT_SHA256
+
+    def test_listing_missing_a_divisor_fails_closure(self, capsys,
+                                                     monkeypatch):
+        # the first divisor is replaced by a copy of the second, so the
+        # count still holds and the closure check must find the gap
+        listing = cli_module._orbit_listing
+
+        def short(spec, inv, cap):
+            betas, labels = listing(spec, inv, cap)
+            return betas[1:2] + betas[1:], labels
+
+        monkeypatch.setattr(cli_module, "_orbit_listing", short)
+        with pytest.raises(ConsistencyError,
+                           match="hyperelliptic-g2: closure check failed"):
+            cli_module.cmd_selftest(None)
+        assert capsys.readouterr().out == \
+            "ok hyperelliptic-g2: genus\nok hyperelliptic-g2: count\n"
 
     def test_runs_without_mpmath(self):
         """The library needs nothing outside the standard library: with

@@ -18,10 +18,10 @@ from abelcover import (AbelianGroup, ConsistencyError, DisconnectedCoverError,
                        DomainError, InvariantDivisor, MalformedDataError,
                        ResourceCapError, chi_action, dual_group,
                        enumerate_nonspecial, enumerate_orbits, exponent_table,
-                       is_nonspecial, make_divisor, negation_N, orbit,
+                       is_nonspecial, make_divisor, orbit,
                        pairing_u, validate)
 from conftest import Cover, build_cover
-from oracles import _centered, degree, support_p
+from oracles import _centered, degree, negation_N, support_p
 
 
 def brute_force_nonspecial(cover):

@@ -12,7 +12,7 @@ import pytest
 
 import abelcover.exponents as exponents_module
 from abelcover import (AbelianGroup, ConsistencyError, DomainError,
-                       MalformedDataError, PairKey, ResourceCapError,
+                       MalformedDataError, ResourceCapError,
                        dual_group, enumerate_nonspecial, exponent_table,
                        make_divisor, orbit, pairing_u, thomae_exponent,
                        validate)
@@ -52,26 +52,35 @@ def spoil_last_residue(monkeypatch):
 
 
 class TestPairKey:
-    def test_equal_positions_rejected(self):
-        with pytest.raises(DomainError):
-            PairKey(2, 2)
+    """The pair key of thomae_exponent: two plain site positions a < b."""
 
-    def test_unordered_direct_construction_rejected(self):
-        with pytest.raises(DomainError):
-            PairKey(3, 1)
+    def test_equal_positions_rejected(self, hyperelliptic):
+        spec, inv = hyperelliptic.spec, hyperelliptic.inv
+        D = make_divisor(spec, [0, 0, 0, 1, 1, 1])
+        with pytest.raises(DomainError, match="not an ordered pair"):
+            thomae_exponent(spec, inv, D, 2, 2)
+
+    def test_unordered_direct_construction_rejected(self, hyperelliptic):
+        spec, inv = hyperelliptic.spec, hyperelliptic.inv
+        D = make_divisor(spec, [0, 0, 0, 1, 1, 1])
+        for a, b in ((3, 1), (-1, 2)):
+            with pytest.raises(DomainError, match="not an ordered pair"):
+                thomae_exponent(spec, inv, D, a, b)
 
     @pytest.mark.parametrize("first, second", [(0.5, 2), ("0", 1),
                                                (0, 1.0), (False, True)])
-    def test_non_int_position_refused(self, first, second):
-        with pytest.raises(MalformedDataError, match="is not an int"):
-            PairKey(first, second)
-
-    def test_bool_pair_does_not_read_an_entry(self, hyperelliptic):
-        # False < True held, and the pair read the (0, 1) entry
+    def test_non_int_position_refused(self, hyperelliptic, first, second):
         spec, inv = hyperelliptic.spec, hyperelliptic.inv
         D = make_divisor(spec, [0, 0, 0, 1, 1, 1])
         with pytest.raises(MalformedDataError, match="is not an int"):
-            thomae_exponent(spec, inv, D, PairKey(False, True))
+            thomae_exponent(spec, inv, D, first, second)
+
+    def test_bool_pair_does_not_read_an_entry(self, hyperelliptic):
+        # False < True holds, and such a pair would read the (0, 1) entry
+        spec, inv = hyperelliptic.spec, hyperelliptic.inv
+        D = make_divisor(spec, [0, 0, 0, 1, 1, 1])
+        with pytest.raises(MalformedDataError, match="is not an int"):
+            thomae_exponent(spec, inv, D, False, True)
 
 
 class TestQDelta:
@@ -208,28 +217,27 @@ class TestThomaeExponent:
     def test_hyperelliptic_pairs(self, hyperelliptic):
         spec, inv = hyperelliptic.spec, hyperelliptic.inv
         D = make_divisor(spec, [0, 0, 0, 1, 1, 1])
-        assert thomae_exponent(spec, inv, D, PairKey(3, 4)) == 4
-        assert thomae_exponent(spec, inv, D, PairKey(0, 1)) == 4
-        assert thomae_exponent(spec, inv, D, PairKey(0, 3)) == 0
+        assert thomae_exponent(spec, inv, D, 3, 4) == 4
+        assert thomae_exponent(spec, inv, D, 0, 1) == 4
+        assert thomae_exponent(spec, inv, D, 0, 3) == 0
 
     def test_cyclic3_pairs(self, cyclic3):
         spec, inv = cyclic3.spec, cyclic3.inv
         D = make_divisor(spec, [2, 1, 0])
         for a in range(3):
             for b in range(a + 1, 3):
-                assert thomae_exponent(spec, inv, D, PairKey(a, b)) == 4
+                assert thomae_exponent(spec, inv, D, a, b) == 4
 
     def test_genus_zero_cover(self):
         spec = build_cover([2], [([1], 0), ([1], 1)])
         inv = validate(spec)
         D = make_divisor(spec, [1, 0])
-        assert thomae_exponent(spec, inv, D, PairKey(0, 1)) == 0
+        assert thomae_exponent(spec, inv, D, 0, 1) == 0
 
     def test_requires_nonspecial(self, hyperelliptic):
         spec, inv = hyperelliptic.spec, hyperelliptic.inv
         with pytest.raises(DomainError):
-            thomae_exponent(spec, inv, make_divisor(spec, [1] * 6),
-                            PairKey(0, 1))
+            thomae_exponent(spec, inv, make_divisor(spec, [1] * 6), 0, 1)
         with pytest.raises(DomainError):
             exponent_table(spec, inv, make_divisor(spec, [1] * 6))
 
@@ -238,18 +246,17 @@ class TestThomaeExponent:
         spec, inv = hyperelliptic.spec, hyperelliptic.inv
         D = make_divisor(spec, [0, 0, 0, 1, 1, 1])
         with pytest.raises(MalformedDataError):
-            thomae_exponent(spec, inv, D, PairKey(0, 6))
+            thomae_exponent(spec, inv, D, 0, 6)
         foreign = make_divisor(cyclic3.spec, [2, 1, 0])
         with pytest.raises(MalformedDataError):
-            thomae_exponent(spec, inv, foreign, PairKey(0, 1))
+            thomae_exponent(spec, inv, foreign, 0, 1)
 
     def test_special_divisor_refused_before_position(self, hyperelliptic):
-        # the table checks D before the pair is looked up, so a special
-        # divisor with an out-of-range pair is a DomainError
+        # D is checked before the site position, so a special divisor
+        # with an out-of-range pair is a DomainError
         spec, inv = hyperelliptic.spec, hyperelliptic.inv
         with pytest.raises(DomainError):
-            thomae_exponent(spec, inv, make_divisor(spec, [1] * 6),
-                            PairKey(0, 6))
+            thomae_exponent(spec, inv, make_divisor(spec, [1] * 6), 0, 6)
 
     def test_matches_closed_form_on_battery(self, battery, z5h2):
         # the integer rows, read through thomae_exponent, against the
@@ -259,10 +266,10 @@ class TestThomaeExponent:
             spec, inv = cover.spec, cover.inv
             B = len(spec.sites)
             for D in enumerate_nonspecial(spec, inv):
-                for pair in (PairKey(a, b) for a in range(B)
-                             for b in range(a + 1, B)):
-                    assert thomae_exponent(spec, inv, D, pair) == \
-                        thomae_exponent_closed_form(spec, inv, D, pair)
+                for a in range(B):
+                    for b in range(a + 1, B):
+                        assert thomae_exponent(spec, inv, D, a, b) == \
+                            thomae_exponent_closed_form(spec, inv, D, a, b)
 
     def test_equals_table_entry_on_battery(self, battery, z5h2):
         # the lookup contract on every divisor: each pair reads its table
@@ -274,10 +281,39 @@ class TestThomaeExponent:
             for D in enumerate_nonspecial(spec, inv):
                 table = exponent_table(spec, inv, D)
                 for (a, b), value in table.entries.items():
-                    assert thomae_exponent(spec, inv, D,
-                                           PairKey(a, b)) == value
+                    assert thomae_exponent(spec, inv, D, a, b) == value
                 with pytest.raises(MalformedDataError):
-                    thomae_exponent(spec, inv, D, PairKey(0, B))
+                    thomae_exponent(spec, inv, D, 0, B)
+
+    def test_reads_one_row_and_builds_no_table(self, cyclic6, monkeypatch):
+        spec, inv = cyclic6.spec, cyclic6.inv
+        D = enumerate_nonspecial(spec, inv)[7]
+        expected = exponent_table(spec, inv, D).entries[1, 4]
+        row, calls = exponents_module._exponent_row, []
+
+        def spy(*args):
+            calls.append(args[2:])
+            return row(*args)
+
+        def refuse(*args):
+            raise AssertionError("thomae_exponent built a table")
+
+        monkeypatch.setattr(exponents_module, "_exponent_row", spy)
+        monkeypatch.setattr(exponents_module, "exponent_table", refuse)
+        assert thomae_exponent(spec, inv, D, 1, 4) == expected
+        assert calls == [(1, 4)]
+
+    def test_no_pair_bound(self):
+        # Z2 with 1 500 sites has 1 124 250 pairs, over the table's bound,
+        # yet one entry needs one row; a hyperelliptic pair on the same
+        # side of D reads 4, across it 0
+        spec = build_cover([2], [([1], v) for v in range(1500)])
+        inv = validate(spec)
+        D = make_divisor(spec, [0] * 750 + [1] * 750)
+        with pytest.raises(ResourceCapError):
+            exponent_table(spec, inv, D)
+        assert thomae_exponent(spec, inv, D, 0, 1) == 4
+        assert thomae_exponent(spec, inv, D, 0, 1499) == 0
 
 
 class TestExponentTable:
@@ -368,7 +404,7 @@ class TestExponentTable:
             B = len(spec.sites)
             for D in enumerate_nonspecial(spec, inv):
                 expected = {(a, b): thomae_exponent_closed_form(
-                    spec, inv, D, PairKey(a, b))
+                    spec, inv, D, a, b)
                     for a in range(B) for b in range(a + 1, B)}
                 assert exponent_table(spec, inv, D).entries == expected
 
@@ -497,8 +533,8 @@ class TestRelabelEquivalent:
                 t1 = exponent_table(spec, inv, D1)
                 t2 = exponent_table(spec, inv, D2)
                 for (a, b), value in t1.entries.items():
-                    image = PairKey(*sorted((perm[a], perm[b])))
-                    assert t2.entries[image.first, image.second] == value
+                    image = tuple(sorted((perm[a], perm[b])))
+                    assert t2.entries[image] == value
                 matched += 1
                 if matched >= 4:
                     break

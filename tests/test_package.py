@@ -1,8 +1,9 @@
 """The package surface: every exported name resolves, the README's
-library tour runs and gives the values its comments state, its cover
-document is a valid cover, the import stays light, and the value types
-keep the equality, hashing, immutability and reprs they had as
-dataclasses, now from one base class."""
+library tour runs and gives the values its comments state, its Public
+API list is abelcover.__all__, its cover document is a valid cover,
+the import stays light, and the value types keep the equality,
+hashing, immutability and reprs they had as dataclasses, now from one
+base class."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import json
 import os
 import pickle
 import pkgutil
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,7 +23,7 @@ import pytest
 
 import abelcover
 from abelcover import (AbelianGroup, BranchPoint, CoverInvariants, CoverSpec,
-                       ExponentTable, KernelSolution, PairKey, PhiKey, UniPoly,
+                       ExponentTable, KernelSolution, PhiKey, UniPoly,
                        make_divisor, validate)
 from abelcover.cli import main
 from abelcover.errors import _Value
@@ -96,6 +98,12 @@ def _cover4() -> CoverSpec:
     return build_cover([2], [([1], v) for v in range(4)])
 
 
+def _cover4_divisor():
+    """spec, inv and a non-special divisor of _cover4()."""
+    spec = _cover4()
+    return spec, validate(spec), make_divisor(spec, [0, 0, 1, 1])
+
+
 # each builder gives a new, equal instance on every call, then one field
 # and the repr the type printed when it was a dataclass
 VALUE_TYPES = [
@@ -121,7 +129,6 @@ VALUE_TYPES = [
     (lambda: make_divisor(_cover4(), [0, 0, 1, 1]), "beta",
      "InvariantDivisor(beta=(0, 0, 1, 1), "
      "cover_fingerprint='c35538e37d47b0ca')"),
-    (lambda: PairKey(1, 4), "first", "PairKey(first=1, second=4)"),
     (lambda: ExponentTable({(0, 1): 4}, 8, 16, "f:orbit[0, 1]"), "entries",
      "ExponentTable(entries={(0, 1): 4}, detC_exponent=8, "
      "theta_exponent=16, divisor_fingerprint='f:orbit[0, 1]')"),
@@ -178,7 +185,6 @@ def test_equality_is_class_exact():
     element, character = group.element([1, 3]), group.character([1, 3])
     assert element != character and character != element
     assert element != (group, (1, 3))
-    assert PairKey(0, 1) != (0, 1)
     other = build_cover([2], [([1], v) for v in range(1, 5)])
     assert make_divisor(_cover4(), [0, 0, 1, 1]) != \
         make_divisor(other, [0, 0, 1, 1])
@@ -201,6 +207,39 @@ def test_whole_argument_of_the_wrong_type_refused(hyperelliptic, call,
         call(spec, inv, D)
 
 
+@pytest.mark.parametrize("call", [
+    lambda spec, inv, D: abelcover.is_nonspecial(spec, "x", D),
+    lambda spec, inv, D: abelcover.is_nonspecial("x", inv, D),
+    lambda spec, inv, D: abelcover.exponent_table(None, inv, D),
+    lambda spec, inv, D: abelcover.exponent_table(spec, None, D),
+    lambda spec, inv, D: abelcover.enumerate_orbits(spec, "x"),
+    lambda spec, inv, D: abelcover.build_pchichi(
+        spec, "x", spec.group.character([1])),
+    lambda spec, inv, D: abelcover.make_divisor("x", [0] * 6),
+    lambda spec, inv, D: abelcover.thomae_exponent(spec, inv, D, (0, 1), 2)],
+    ids=["is_nonspecial inv", "is_nonspecial spec", "exponent_table spec",
+         "exponent_table inv", "enumerate_orbits inv", "build_pchichi inv",
+         "make_divisor spec", "thomae_exponent pair"])
+def test_wrongly_typed_cover_refused(hyperelliptic, call):
+    # each but the last ended in an AttributeError on a field of the
+    # argument; the last gives a pair (0, 1) where position a belongs.
+    # A (spec, inv) pair is checked in one place, cover._require_validated
+    spec, inv = hyperelliptic.spec, hyperelliptic.inv
+    D = make_divisor(spec, [0, 0, 0, 1, 1, 1])
+    with pytest.raises(abelcover.MalformedDataError,
+                       match=r"needs a CoverSpec|is not an? "):
+        call(spec, inv, D)
+
+
+def test_readme_public_api_is_all():
+    # every name in the README's Public API section, and only those, is
+    # exported
+    text = README.read_text()
+    section = text[text.index("## Public API"):]
+    section = section[:section.index("\n## ")]
+    assert set(re.findall(r"`(\w+)`", section)) == set(abelcover.__all__)
+
+
 class _Two(enum.IntEnum):
     TWO = 2
 
@@ -212,13 +251,13 @@ class _Two(enum.IntEnum):
     lambda x: AbelianGroup((3,)).element([x]),
     lambda x: AbelianGroup((3,)).character([x]),
     lambda x: PhiKey(5, x, 0),
-    lambda x: PairKey(0, x),
+    lambda x: abelcover.thomae_exponent(*_cover4_divisor(), 0, x),
     lambda x: make_divisor(_cover4(), [0, 0, x, 1]),
     lambda x: BranchPoint(AbelianGroup((2,)).element([1]), x),
     lambda x: UniPoly([Fraction(1), x]),
     lambda x: UniPoly([Fraction(1)])(x)],
     ids=["factor order", "element residue", "character residue",
-         "PhiKey field", "PairKey position", "divisor weight",
+         "PhiKey field", "pair position", "divisor weight",
          "branch value", "coefficient", "argument"])
 def test_one_type_rule_at_every_typed_entry(make, value):
     # type(x) is int (or Fraction): an IntEnum member was refused as a
@@ -226,12 +265,3 @@ def test_one_type_rule_at_every_typed_entry(make, value):
     with pytest.raises(abelcover.MalformedDataError,
                        match=r" is not an int( or a Fraction)?$"):
         make(value)
-
-
-def test_pair_keys_sort_by_first_then_second():
-    keys = [PairKey(2, 3), PairKey(0, 5), PairKey(0, 1)]
-    assert sorted(keys) == [PairKey(0, 1), PairKey(0, 5), PairKey(2, 3)]
-    assert PairKey(0, 1) < PairKey(0, 2) <= PairKey(0, 2) < PairKey(1, 2)
-    assert PairKey(1, 2) > PairKey(0, 9) >= PairKey(0, 9)
-    with pytest.raises(TypeError):
-        PairKey(0, 1) < (0, 2)
