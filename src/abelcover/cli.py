@@ -53,7 +53,7 @@ from .errors import (AbelcoverError, ConsistencyError, DomainError,
 from .exponents import exponent_table
 from .group_core import AbelianGroup
 
-__all__ = ["main", "console_main", "load_cover_document", "SELFTEST_DOCUMENTS"]
+__all__ = ["main", "console_main", "load_cover_document"]
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -295,41 +295,20 @@ def cmd_dedekind(args) -> int:
     return EXIT_OK
 
 
-SELFTEST_DOCUMENTS: dict[str, dict] = {
-    "hyperelliptic-g2": {
-        "group": [2],
-        "branch_points": [
-            {"element": [1], "lambda": str(v)} for v in range(6)],
-    },
-    "cyclic3-g1": {
-        "group": [3],
-        "branch_points": [
-            {"element": [1], "lambda": str(v)} for v in range(3)],
-    },
-    "klein-g3": {
-        "group": [2, 2],
-        "branch_points": [
-            {"element": [1, 0], "lambda": "0"},
-            {"element": [1, 0], "lambda": "1"},
-            {"element": [0, 1], "lambda": "2"},
-            {"element": [0, 1], "lambda": "3"},
-            {"element": [1, 1], "lambda": "4"},
-            {"element": [1, 1], "lambda": "5"},
-        ],
-    },
-}
-
-_SELFTEST_EXPECTED = {
-    "hyperelliptic-g2": (2, 20, 10),
-    "cyclic3-g1": (1, 6, 2),
-    "klein-g3": (3, 8, 2),
+# name: (group, branch elements, (g, divisors, orbits)); the k-th branch
+# point lies at lambda str(k)
+_SELFTEST = {
+    "hyperelliptic-g2": ([2], [[1]] * 6, (2, 20, 10)),
+    "cyclic3-g1": ([3], [[1]] * 3, (1, 6, 2)),
+    "klein-g3": ([2, 2], [[1, 0], [1, 0], [0, 1], [0, 1], [1, 1], [1, 1]],
+                 (3, 8, 2)),
 }
 
 
 def cmd_selftest(args) -> int:
-    for name, document in SELFTEST_DOCUMENTS.items():
-        g, count, orbits = _SELFTEST_EXPECTED[name]
-        spec = parse_cover_object(document)
+    for name, (group, elements, (g, count, orbits)) in _SELFTEST.items():
+        spec = parse_cover_object({"group": group, "branch_points": [
+            {"element": e, "lambda": str(k)} for k, e in enumerate(elements)]})
         inv = validate(spec)
         _check(name, "genus", inv.g == g)
         betas, labels = _orbit_listing(spec, inv, DEFAULT_NODE_CAP)

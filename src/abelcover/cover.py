@@ -50,8 +50,8 @@ from operator import attrgetter
 
 from .errors import (ConsistencyError, DisconnectedCoverError,
                      InvalidCoverError, MalformedDataError, _bounded,
-                     _rational, _typed, _Value)
-from .group_core import (AbelianGroup, Character, GroupElement,
+                     _rational, _sequence, _typed, _Value)
+from .group_core import (AbelianGroup, Character, GroupElement, _member,
                          _pairing_coefficients, element_order)
 
 __all__ = [
@@ -127,7 +127,7 @@ class CoverSpec(_Value):
     def __init__(self, group: AbelianGroup,
                  branch_points: Sequence[BranchPoint]) -> None:
         _typed(group, AbelianGroup, "cover group ")
-        branch_points = tuple(branch_points)
+        branch_points = _sequence(branch_points, "branch points ")
         for k, bp in enumerate(branch_points):
             _typed(bp, BranchPoint, f"branch point {k} = ")
             if bp.element.group != group:
@@ -231,10 +231,7 @@ def validate(spec: CoverSpec) -> CoverInvariants:
     t_chi is 0, i.e. they fail to generate the group.  A failed identity
     (t, Riemann-Hurwitz, degree) raises ConsistencyError; none can fail
     once monodromy closure holds."""
-    if type(spec) is not CoverSpec:
-        raise MalformedDataError(
-            f"validate needs a CoverSpec, not {type(spec).__name__}")
-    group = spec.group
+    group = _typed(spec, CoverSpec, "cover ").group
     n = group.order
 
     # a Fraction is in lowest terms, so its ratio names its value, and
@@ -313,11 +310,11 @@ def validate(spec: CoverSpec) -> CoverInvariants:
 
 
 def _require_validated(spec: CoverSpec, inv: CoverInvariants) -> None:
-    """inv came from validate on spec or on the same canonical sites."""
-    if type(spec) is not CoverSpec or type(inv) is not CoverInvariants:
-        raise MalformedDataError(
-            f"needs a CoverSpec and its CoverInvariants, not "
-            f"{type(spec).__name__} and {type(inv).__name__}")
+    """spec is a CoverSpec and inv a CoverInvariants, each by the type
+    rule, and inv came from validate on spec or on the same canonical
+    sites; else MalformedDataError."""
+    _typed(spec, CoverSpec, "cover ")
+    _typed(inv, CoverInvariants, "cover invariants ")
     if inv.cover_fingerprint != spec.fingerprint:
         raise MalformedDataError(
             "cover invariants belong to a different cover than the one given")
@@ -325,8 +322,7 @@ def _require_validated(spec: CoverSpec, inv: CoverInvariants) -> None:
 
 def _character_rank(spec: CoverSpec, chi: Character) -> int:
     """chi's mixed-radix index into t and u; only a spec.group Character."""
-    if type(chi) is not Character or chi.group != spec.group:
-        raise MalformedDataError("character does not belong to this group")
+    _member(spec.group, chi, Character)
     c = 0
     for r, m in zip(chi.residues, spec.group.factor_orders):
         c = c * m + r

@@ -31,8 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import (ConsistencyError, DomainError, MalformedDataError,
-                     _typed, _Value)
+from .errors import ConsistencyError, DomainError, _typed, _Value
 
 __all__ = [
     "PhiKey",
@@ -111,7 +110,5 @@ def _phi_walk(d: int, h: int) -> list[int]:
 def phi_exact(key: PhiKey) -> Fraction:
     """The exact rational value of phi_{h+dZ}(s); key must be a PhiKey,
     otherwise MalformedDataError is raised."""
-    if type(key) is not PhiKey:
-        raise MalformedDataError(
-            f"phi_exact needs a PhiKey, not {type(key).__name__}")
+    _typed(key, PhiKey, "key ")
     return Fraction(_phi_t(key.d, key.h, key.s), 4 * key.d)

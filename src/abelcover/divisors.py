@@ -55,7 +55,7 @@ from operator import add, eq, getitem, mod
 from .cover import (CoverInvariants, CoverSpec, _character_rank,
                     _require_validated)
 from .errors import (ConsistencyError, DomainError, MalformedDataError,
-                     ResourceCapError, _typed, _Value)
+                     ResourceCapError, _sequence, _typed, _Value)
 from .group_core import Character
 
 __all__ = [
@@ -90,7 +90,7 @@ def make_divisor(spec: CoverSpec, beta) -> InvariantDivisor:
     """Build a divisor for the CoverSpec spec, checking every weight
     range.  Each weight must be an int (not a bool), unconverted."""
     _typed(spec, CoverSpec, "cover ")
-    D = InvariantDivisor(tuple(beta), spec.fingerprint)
+    D = InvariantDivisor(_sequence(beta, "divisor weights "), spec.fingerprint)
     _require_same_cover(spec, D)
     return D
 
@@ -103,9 +103,7 @@ def is_nonspecial(spec: CoverSpec, inv: CoverInvariants,
     the cover; it is not checked again here.  A D that is not an
     InvariantDivisor raises MalformedDataError.
     """
-    if type(D) is not InvariantDivisor:
-        raise MalformedDataError(f"is_nonspecial needs an InvariantDivisor, "
-                                 f"not {type(D).__name__}")
+    _typed(D, InvariantDivisor, "divisor ")
     _require_validated(spec, inv)
     _require_same_cover(spec, D)
     return _meets_counts(inv, D.beta)
@@ -127,8 +125,9 @@ def enumerate_orbits(spec: CoverSpec, inv: CoverInvariants, *,
                      ) -> tuple[list[InvariantDivisor], list[int]]:
     """All non-special divisors in lex order (maybe none) and the orbit
     label of each, by first appearance: _orbit_listing with each weight
-    vector wrapped in an InvariantDivisor."""
+    vector wrapped in an InvariantDivisor; cap must be an int."""
     _require_validated(spec, inv)
+    _typed(cap, int, "node cap ")
     betas, labels = _orbit_listing(spec, inv, cap)
     return [InvariantDivisor(b, spec.fingerprint) for b in betas], labels
 

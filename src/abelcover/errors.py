@@ -7,13 +7,20 @@ resource caps are distinct outcomes, while ConsistencyError marks an
 internal contradiction that should be unreachable on valid input.
 
 The module also holds _Value, the base of every value type, and
-_typed, _rational and _bounded, the three rules every entry check uses.
+_typed, _sequence, _rational and _bounded, the four rules every entry
+check uses.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import attrgetter
+
+__all__ = [
+    "AbelcoverError", "MalformedDataError", "DomainError",
+    "InvalidCoverError", "DisconnectedCoverError", "ConsistencyError",
+    "ResourceCapError", "NoSolutionError", "ParseError",
+]
 
 
 class AbelcoverError(Exception):
@@ -84,9 +91,19 @@ class ParseError(AbelcoverError):
 def _typed(x, kind: type, what: str):
     """x if type(x) is kind, else MalformedDataError; a bool is no int."""
     if type(x) is not kind:
-        a = "an" if kind.__name__[0] in "AEIOUaeiou" else "a"
+        a = "an" if kind.__name__[0] in "AEIOaeio" else "a"  # "a UniPoly"
         raise MalformedDataError(f"{what}{x!r:.40} is not {a} {kind.__name__}")
     return x
+
+
+def _sequence(x, what: str) -> tuple:
+    """tuple(x), or MalformedDataError when x is not iterable."""
+    try:
+        iter(x)
+    except TypeError:
+        raise MalformedDataError(
+            f"{what}{x!r:.40} is not a sequence") from None
+    return tuple(x)
 
 
 def _rational(x, what: str = "") -> Fraction:

@@ -100,14 +100,10 @@ def exponent_table(spec: CoverSpec, inv: CoverInvariants,
                    D: InvariantDivisor) -> ExponentTable:
     """The full table over unordered site pairs, keyed by (a, b) with
     a < b in ascending pair order, read from the integer rows of the
-    module docstring.  More than MAX_TABLE_PAIRS pairs raises
-    ResourceCapError, checked first; then D must be non-special,
-    otherwise DomainError is raised.  A D that is not an
-    InvariantDivisor, or a spec and inv not a CoverSpec and its
-    CoverInvariants, raises MalformedDataError before either."""
-    if type(D) is not InvariantDivisor:
-        raise MalformedDataError(f"exponent_table needs an InvariantDivisor, "
-                                 f"not {type(D).__name__}")
+    module docstring.  Checked in turn: spec and inv a CoverSpec and its
+    CoverInvariants (MalformedDataError), at most MAX_TABLE_PAIRS pairs
+    (ResourceCapError), then D, by is_nonspecial: an InvariantDivisor of
+    this cover (MalformedDataError) that is non-special (DomainError)."""
     _require_validated(spec, inv)
     B = len(spec.sites)
     _bounded(B * (B - 1) // 2, MAX_TABLE_PAIRS, "table pairs")

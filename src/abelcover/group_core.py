@@ -26,7 +26,7 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import (ConsistencyError, DomainError, MalformedDataError,
-                     _typed, _Value)
+                     _sequence, _typed, _Value)
 
 __all__ = [
     "AbelianGroup",
@@ -50,7 +50,7 @@ class AbelianGroup(_Value):
     factor_orders: tuple[int, ...]
 
     def __init__(self, factor_orders: Sequence[int]) -> None:
-        orders = tuple(factor_orders)
+        orders = _sequence(factor_orders, "cyclic factor orders ")
         for m in orders:
             if _typed(m, int, "cyclic factor order ") < 2:
                 raise MalformedDataError(
@@ -69,10 +69,10 @@ class AbelianGroup(_Value):
         return lcm(*self.factor_orders) if self.factor_orders else 1
 
     def element(self, residues: Sequence[int]) -> "GroupElement":
-        return GroupElement(self, tuple(residues))
+        return GroupElement(self, residues)
 
     def character(self, residues: Sequence[int]) -> "Character":
-        return Character(self, tuple(residues))
+        return Character(self, residues)
 
     def elements(self) -> Iterator["GroupElement"]:
         """All n elements in lexicographic residue order."""
@@ -86,17 +86,20 @@ class AbelianGroup(_Value):
             f"Z{m}" for m in self.factor_orders)
 
 
-def _check_residues(group: AbelianGroup, residues: tuple[int, ...],
-                    kind: str) -> None:
+def _check_residues(group: AbelianGroup, residues: Sequence[int],
+                    kind: str) -> tuple[int, ...]:
+    """The residues as a tuple, each an int in range for its factor."""
     _typed(group, AbelianGroup, f"{kind} group ")
+    residues = _sequence(residues, f"{kind} residues ")
     if len(residues) != len(group.factor_orders):
         raise MalformedDataError(
             f"{kind} has {len(residues)} residues for a group with "
             f"{len(group.factor_orders)} factors")
+    what = f"{kind} residue "
     for r, m in zip(residues, group.factor_orders):
-        if not 0 <= _typed(r, int, f"{kind} residue ") < m:
-            raise MalformedDataError(
-                f"{kind} residue {r} out of range [0, {m})")
+        if not 0 <= _typed(r, int, what) < m:
+            raise MalformedDataError(f"{what}{r} out of range [0, {m})")
+    return residues
 
 
 class GroupElement(_Value):
@@ -109,8 +112,7 @@ class GroupElement(_Value):
     residues: tuple[int, ...]
 
     def __init__(self, group: AbelianGroup, residues: Sequence[int]) -> None:
-        residues = tuple(residues)
-        _check_residues(group, residues, "element")
+        residues = _check_residues(group, residues, "element")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "residues", residues)
 
@@ -155,8 +157,7 @@ class Character(_Value):
     residues: tuple[int, ...]
 
     def __init__(self, group: AbelianGroup, residues: Sequence[int]) -> None:
-        residues = tuple(residues)
-        _check_residues(group, residues, "character")
+        residues = _check_residues(group, residues, "character")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "residues", residues)
 
@@ -175,7 +176,7 @@ def element_order(group: AbelianGroup, s: GroupElement) -> int:
     Computed factorwise: o(s) = lcm_l(m_l / gcd(m_l, d_l)).  Divides the
     group exponent.
     """
-    _require_membership(group, s)
+    _member(group, s, GroupElement)
     factors = [m // gcd(m, r)
                for m, r in zip(group.factor_orders, s.residues)]
     return lcm(*factors) if factors else 1
@@ -188,8 +189,7 @@ def pairing_u(group: AbelianGroup, chi: Character, s: GroupElement) -> int:
     of e_l c_l mod o(s), by the rule of _pairing_coefficients that
     validate applies once per distinct branch element."""
     o = element_order(group, s)
-    if chi.group != group:
-        raise MalformedDataError("character does not belong to this group")
+    _member(group, chi, Character)
     return sum(map(mul, chi.residues, _pairing_coefficients(group, s, o))) % o
 
 
@@ -207,6 +207,7 @@ def _pairing_coefficients(group: AbelianGroup, s: GroupElement,
 def dual_group(group: AbelianGroup) -> list[Character]:
     """All n characters, the trivial one first, then lexicographic order
     on residue vectors."""
+    _typed(group, AbelianGroup, "group ")
     return [Character(group, residues) for residues in
             product(*(range(m) for m in group.factor_orders))]
 
@@ -245,6 +246,9 @@ def intersection_data(group: AbelianGroup, s: GroupElement,
         "no discrete log found; the intersection is not cyclic as expected")
 
 
-def _require_membership(group: AbelianGroup, x: GroupElement) -> None:
-    if x.group != group:
-        raise MalformedDataError("element does not belong to this group")
+def _member(group: AbelianGroup, x, kind: type) -> None:
+    """x is a kind (GroupElement or Character) of group, else
+    MalformedDataError; the one membership rule of the library."""
+    if type(x) is not kind or x.group != group:
+        what = "character" if kind is Character else "element"
+        raise MalformedDataError(f"{what} does not belong to this group")

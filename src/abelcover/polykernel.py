@@ -46,14 +46,13 @@ from math import comb, lcm
 from .cover import (CoverInvariants, CoverSpec, _character_rank,
                     _require_validated)
 from .errors import (ConsistencyError, DomainError, NoSolutionError,
-                     _rational, _Value)
+                     _rational, _typed, _Value)
 from .group_core import Character
 
 __all__ = [
     "UniPoly",
     "KernelSolution",
     "solve_polexist",
-    "solve_level",
     "build_pchichi",
 ]
 
@@ -75,7 +74,7 @@ class UniPoly(_Value):
 
     @classmethod
     def monomial(cls, c, k: int) -> "UniPoly":
-        if type(k) is not int or k < 0:
+        if _typed(k, int, "monomial degree ") < 0:
             raise DomainError(f"monomial degree must be an int >= 0, got {k!r}")
         return cls((Fraction(0),) * k + (c,))
 
@@ -153,7 +152,8 @@ def _expand(rows: Sequence[Sequence[int]]) -> list[list[int]]:
 def solve_polexist(f0: UniPoly, f1: UniPoly, d: int, e: int) -> KernelSolution:
     """Construct the canonical f_2, ..., f_d for the given f_0, f_1.
 
-    Preconditions: d >= 1, e >= 1, deg f_0 = d+e, deg f_1 = d+e-1.
+    Preconditions: d >= 1, e >= 1, deg f_0 = d+e, deg f_1 = d+e-1, with
+    f_0 and f_1 UniPolys and d and e ints by the type rule.
     Raises NoSolutionError when lead(f_1) differs from d * lead(f_0); the
     level-0 system leaves no other choice.  The returned solution sets
     every free coefficient to zero and is verified by full expansion.
@@ -161,11 +161,13 @@ def solve_polexist(f0: UniPoly, f1: UniPoly, d: int, e: int) -> KernelSolution:
     lcm of the denominators in f_0 and f_1; each new coefficient becomes
     a Fraction once, at the end.
     """
+    for name, x in (("d=", d), ("e=", e)):
+        _typed(x, int, name)
     if d < 1 or e < 1:
         raise DomainError(f"need d >= 1 and e >= 1, got d={d}, e={e}")
     n = d + e
     for name, f, want in (("f0", f0, n), ("f1", f1, n - 1)):
-        if f.degree != want:
+        if _typed(f, UniPoly, f"{name} ").degree != want:
             raise DomainError(
                 f"{name} must have degree {want}, got {f.degree}")
     scale = lcm(*(c.denominator for f in (f0, f1) for c in f.coeffs))

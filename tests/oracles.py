@@ -68,7 +68,7 @@ from abelcover import (AbelianGroup, Character, ConsistencyError,
                        intersection_data, is_nonspecial, orbit, phi_exact)
 from abelcover.cover import _character_rank
 from abelcover.divisors import _require_same_cover
-from abelcover.group_core import _require_membership
+from abelcover.group_core import _member
 from abelcover.errors import _rational as _exact
 
 
@@ -271,8 +271,8 @@ def gamma(group: AbelianGroup, s: GroupElement,
     sum_l e_l d_l / m_l mod 1 = (sum_l e_l d_l (m/m_l) mod m) / m."""
     if s.is_identity() or r.is_identity():
         raise DomainError("gamma requires nontrivial elements")
-    _require_membership(group, s)
-    _require_membership(group, r)
+    _member(group, s, GroupElement)
+    _member(group, r, GroupElement)
     m = group.exponent
     ws, wr = ([x * (m // f) for x, f in zip(e.residues, group.factor_orders)]
               for e in (s, r))
@@ -321,7 +321,7 @@ def pairing_u_definition(group: AbelianGroup, chi: Character,
     fraction arithmetic and then scaled by o(s); the result is an integer
     because chi(s) is an o(s)-th root of unity.
     """
-    _require_membership(group, s)
+    _member(group, s, GroupElement)
     if chi.group != group:
         raise MalformedDataError("character does not belong to this group")
     total = sum(

@@ -196,15 +196,43 @@ def test_equality_is_class_exact():
      "InvariantDivisor"),
     (lambda spec, inv, D: abelcover.exponent_table(spec, inv, D.beta),
      "InvariantDivisor"),
-    (lambda spec, inv, D: abelcover.phi_exact((3, 2, 0)), "PhiKey")])
+    (lambda spec, inv, D: abelcover.phi_exact((3, 2, 0)), "PhiKey"),
+    pytest.param(lambda spec, inv, D: abelcover.thomae_exponent(
+        spec, inv, D.beta, 0, 1), "InvariantDivisor", id="thomae_exponent D"),
+    pytest.param(lambda spec, inv, D: abelcover.orbit(spec, inv, D.beta),
+                 "InvariantDivisor", id="orbit D"),
+    pytest.param(lambda spec, inv, D: abelcover.chi_action(
+        spec, inv, D.beta, spec.group.character([1])), "InvariantDivisor",
+        id="chi_action D"),
+    pytest.param(lambda spec, inv, D: abelcover.dual_group([4]),
+                 "AbelianGroup", id="dual_group group"),
+    pytest.param(lambda spec, inv, D: abelcover.solve_polexist(
+        [1, 0, 1], UniPoly([1]), 1, 1), "UniPoly", id="solve_polexist f0"),
+    pytest.param(lambda spec, inv, D: abelcover.solve_polexist(
+        UniPoly([1, 0, 1]), [0, 1], 1, 1), "UniPoly", id="solve_polexist f1"),
+    pytest.param(lambda spec, inv, D: AbelianGroup(5), "sequence",
+                 id="AbelianGroup orders"),
+    pytest.param(lambda spec, inv, D: spec.group.element(1), "sequence",
+                 id="element residues"),
+    pytest.param(lambda spec, inv, D: abelcover.GroupElement(spec.group, None),
+                 "sequence", id="GroupElement residues"),
+    pytest.param(lambda spec, inv, D: abelcover.Character(spec.group, None),
+                 "sequence", id="Character residues"),
+    pytest.param(lambda spec, inv, D: CoverSpec(spec.group, None),
+                 "sequence", id="CoverSpec points"),
+    pytest.param(lambda spec, inv, D: make_divisor(spec, 5), "sequence",
+                 id="make_divisor weights")])
 def test_whole_argument_of_the_wrong_type_refused(hyperelliptic, call,
                                                   expected):
-    # each of these ended in an AttributeError on a field of the argument
+    # each of these ended in an AttributeError or a TypeError, and a
+    # tuple D given to thomae_exponent, orbit or chi_action was reported
+    # as is_nonspecial's argument
     spec, inv = hyperelliptic.spec, hyperelliptic.inv
     D = make_divisor(spec, [0, 0, 0, 1, 1, 1])
     with pytest.raises(abelcover.MalformedDataError,
-                       match=f"needs an? {expected}, not "):
+                       match=f"is not an? {expected}$") as info:
         call(spec, inv, D)
+    assert "is_nonspecial" not in str(info.value)
 
 
 @pytest.mark.parametrize("call", [
@@ -216,18 +244,30 @@ def test_whole_argument_of_the_wrong_type_refused(hyperelliptic, call,
     lambda spec, inv, D: abelcover.build_pchichi(
         spec, "x", spec.group.character([1])),
     lambda spec, inv, D: abelcover.make_divisor("x", [0] * 6),
-    lambda spec, inv, D: abelcover.thomae_exponent(spec, inv, D, (0, 1), 2)],
+    lambda spec, inv, D: abelcover.thomae_exponent(spec, inv, D, (0, 1), 2),
+    lambda spec, inv, D: abelcover.element_order(spec.group, [1]),
+    lambda spec, inv, D: abelcover.element_order(
+        spec.group, spec.group.character([1])),
+    lambda spec, inv, D: abelcover.intersection_data(
+        spec.group, spec.group.character([1]), spec.group.element([1])),
+    lambda spec, inv, D: abelcover.pairing_u(
+        spec.group, spec.group.element([1]), spec.group.element([1]))],
     ids=["is_nonspecial inv", "is_nonspecial spec", "exponent_table spec",
          "exponent_table inv", "enumerate_orbits inv", "build_pchichi inv",
-         "make_divisor spec", "thomae_exponent pair"])
+         "make_divisor spec", "thomae_exponent pair", "element_order list",
+         "element_order character", "intersection_data character",
+         "pairing_u element"])
 def test_wrongly_typed_cover_refused(hyperelliptic, call):
-    # each but the last ended in an AttributeError on a field of the
-    # argument; the last gives a pair (0, 1) where position a belongs.
-    # A (spec, inv) pair is checked in one place, cover._require_validated
+    # the first seven ended in an AttributeError on a field of the
+    # argument; the eighth gives a pair (0, 1) where position a belongs;
+    # the last four gave a list, a Character or a GroupElement where the
+    # other kind belongs, and all but the list were accepted.  A (spec,
+    # inv) pair is checked in one place, cover._require_validated, and
+    # membership in one, group_core._member
     spec, inv = hyperelliptic.spec, hyperelliptic.inv
     D = make_divisor(spec, [0, 0, 0, 1, 1, 1])
     with pytest.raises(abelcover.MalformedDataError,
-                       match=r"needs a CoverSpec|is not an? "):
+                       match=r"is not an? |does not belong to this group$"):
         call(spec, inv, D)
 
 
@@ -255,10 +295,19 @@ class _Two(enum.IntEnum):
     lambda x: make_divisor(_cover4(), [0, 0, x, 1]),
     lambda x: BranchPoint(AbelianGroup((2,)).element([1]), x),
     lambda x: UniPoly([Fraction(1), x]),
-    lambda x: UniPoly([Fraction(1)])(x)],
+    lambda x: UniPoly([Fraction(1)])(x),
+    lambda x: UniPoly.monomial(5, x),
+    lambda x: abelcover.solve_polexist(UniPoly([1, 0, 1]), UniPoly([1]),
+                                       x, 1),
+    lambda x: abelcover.solve_polexist(UniPoly([1, 0, 1]), UniPoly([1]),
+                                       1, x),
+    lambda x: abelcover.enumerate_orbits(*_cover4_divisor()[:2], cap=x),
+    lambda x: abelcover.enumerate_nonspecial(*_cover4_divisor()[:2], cap=x)],
     ids=["factor order", "element residue", "character residue",
          "PhiKey field", "pair position", "divisor weight",
-         "branch value", "coefficient", "argument"])
+         "branch value", "coefficient", "argument", "monomial degree",
+         "kernel d", "kernel e", "enumerate_orbits cap",
+         "enumerate_nonspecial cap"])
 def test_one_type_rule_at_every_typed_entry(make, value):
     # type(x) is int (or Fraction): an IntEnum member was refused as a
     # residue but kept as a divisor weight and converted as a coefficient

@@ -47,7 +47,8 @@ class TestUniPoly:
 
     @pytest.mark.parametrize("k", [-1, -2, 1.0, True, "2", None])
     def test_monomial_bad_degree_rejected(self, k):
-        with pytest.raises(DomainError):
+        error = DomainError if type(k) is int else MalformedDataError
+        with pytest.raises(error):
             UniPoly.monomial(5, k)
 
     def test_from_roots(self):
