@@ -24,7 +24,8 @@ plus a newline, keys in the order documented per verb, one array item
 per line.  The enumerate listing and the exponents table (they can be
 large) are written with format strings in that layout, smaller payloads
 by json.dumps itself.  The listing is written record by record from the
-weight tuples once every check has passed, so an error still prints as
+code strings of divisors._orbit_listing, each rendered by one
+str.translate, once every check has passed, so an error still prints as
 one JSON object and no record is held.  The table is written pair by
 pair the same way, once exponent_table has checked every row; each
 lambda is rendered once, as "%s": str(Fraction) is an optional -, ASCII
@@ -47,7 +48,7 @@ from operator import add, mod
 from .cover import CoverInvariants, CoverSpec, BranchPoint, validate
 from .dedekind import PhiKey, phi_exact
 from .divisors import (DEFAULT_NODE_CAP, InvariantDivisor, make_divisor,
-                       _orbit_listing)
+                       _decode, _orbit_listing, _weights)
 from .errors import (AbelcoverError, ConsistencyError, DomainError,
                      MalformedDataError, ParseError, ResourceCapError)
 from .exponents import exponent_table
@@ -198,24 +199,28 @@ def cmd_enumerate(args) -> int:
     inv = validate(spec)
     # every check has passed once the listing is back: no error can
     # follow the first byte written
-    betas, labels = _orbit_listing(spec, inv, args.cap)
-    rows = enumerate(zip(labels, betas))
+    codes, labels = _orbit_listing(spec, inv, args.cap)
     if args.csv:
         _write_csv(["index", "orbit", "p"]
                    + [f"beta_{k}" for k in range(len(spec.sites))],
-                   ([i, k, 1, *beta] for i, (k, beta) in rows))
+                   ([i, k, 1, *beta] for i, (k, beta) in
+                    enumerate(zip(labels, _decode(spec, codes)))))
         return EXIT_OK
-    # each record starts with its separator from the one before
-    beta = _array(["        %d"] * len(spec.sites), 6)
+    # each record starts with its separator from the one before; a code
+    # string renders as its weights, each after ",\n" and the indent, and
+    # the first "," is cut; with no sites the beta array is []
+    render = [",\n        %d" % w for w in _weights(spec)]
+    beta = "[%s\n      ]" if spec.sites else "[]%s"
     record = ('%s    {\n      "index": %d,\n      "orbit": %d,\n'
               '      "p": 1,\n      "beta": ' + beta + '\n    }')
     out = sys.stdout
-    out.write(f'{{\n  "count": {len(betas)},\n'
-              f'  "orbit_count": {len(betas) // inv.n},\n'
-              f'  "empty": {"false" if betas else "true"},\n  "divisors": [')
-    out.writelines(record % (",\n" if i else "\n", i, k, *beta)
-                   for i, (k, beta) in rows)
-    out.write("\n  ]\n}\n" if betas else "]\n}\n")
+    out.write(f'{{\n  "count": {len(codes)},\n'
+              f'  "orbit_count": {len(codes) // inv.n},\n'
+              f'  "empty": {"false" if codes else "true"},\n  "divisors": [')
+    out.writelines(record % (",\n" if i else "\n", i, k,
+                             b.translate(render)[1:])
+                   for i, (k, b) in enumerate(zip(labels, codes)))
+    out.write("\n  ]\n}\n" if codes else "]\n}\n")
     return EXIT_OK
 
 
@@ -238,12 +243,13 @@ def _select_divisor(spec: CoverSpec, inv: CoverInvariants,
         if not 0 <= parsed < prod(spec.site_orders[:parsed.bit_length() + 1]):
             raise ParseError(f"divisor index {parsed} out of range [0, "
                              f"prod of the site orders)", path="--divisor")
-        betas, _ = _orbit_listing(spec, inv, cap)
-        if parsed >= len(betas):
+        codes, _ = _orbit_listing(spec, inv, cap)
+        if parsed >= len(codes):
             raise ParseError(
                 f"divisor index {parsed} out of range; enumeration has "
-                f"{len(betas)} entries", path="--divisor")
-        return InvariantDivisor(betas[parsed], spec.fingerprint)
+                f"{len(codes)} entries", path="--divisor")
+        [beta] = _decode(spec, [codes[parsed]])
+        return InvariantDivisor(beta, spec.fingerprint)
     raise ParseError(f"cannot parse divisor selector {text!r}",
                      path="--divisor")
 
@@ -311,7 +317,8 @@ def cmd_selftest(args) -> int:
             {"element": e, "lambda": str(k)} for k, e in enumerate(elements)]})
         inv = validate(spec)
         _check(name, "genus", inv.g == g)
-        betas, labels = _orbit_listing(spec, inv, DEFAULT_NODE_CAP)
+        codes, labels = _orbit_listing(spec, inv, DEFAULT_NODE_CAP)
+        betas = list(_decode(spec, codes))
         _check(name, "count", len(betas) == count)
         seen, orders = set(betas), spec.site_orders
         _check(name, "closure", all(

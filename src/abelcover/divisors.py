@@ -32,13 +32,26 @@ tried plus one per table lookup.  Each orbit is listed from its
 representative, its lex-min member: the hits that every nontrivial
 character of K_0 = {chi : u_{chi,0} = 0} moves up in lex order, every
 hit when K_0 is trivial.  The representatives, already proved
-non-special by the search, are expanded on int tuples by each of the
-other n - 1 characters in one call per character, each member checked by
-the packed sum, and the n members per orbit are sorted once into
-lexicographic order by canonical site, orbit i being the i-th
-representative.  The listing is plain weight tuples and labels, finished
-and checked in full before it is returned, so that the CLI can write it
-record by record; enumerate_orbits wraps each row in an InvariantDivisor.
+non-special by the search, are expanded by each of the other n - 1
+characters in one call per character, each member checked by the packed
+sum, and the n members per orbit are sorted once into lexicographic
+order by canonical site, orbit i being the i-th representative.
+
+The search and the listing carry a weight vector as a str with one code
+point per site (_letters): weight v at a site is the code base + v,
+base the sum of the orders of the distinct elements of lower rank.
+Sites are sorted by rank, so a position has the same base in every
+vector, and lex order of the strings is lex order of the weights: sort
+and the repeat check compare strings in C, not tuples of ints.  A
+character acts by one str.translate, with a table over the codes the
+search found only, never over the whole alphabet of Sigma_R codes,
+Sigma_R the sum over distinct elements of o(sigma); validate's
+MAX_PACKED_BITS keeps Sigma_R below 0x110000 (_letters).  The listing
+is plain code strings and labels, finished and checked in full before
+it is returned, so that the CLI can write it record by record,
+rendering each string by one str.translate; enumerate_orbits decodes
+each into an InvariantDivisor of int weights.  chi_action, orbit and
+exponent_table act on one divisor at a time, on int tuples (_expand).
 
 The action reads u_{chi,sigma} from row c of inv.u, built by validate.
 The helpers take a validated CoverInvariants as given and check each
@@ -70,6 +83,9 @@ __all__ = [
 ]
 
 DEFAULT_NODE_CAP = 100_000_000
+
+_LEFT_THE_SET = ("dual-group action left the non-special set; this "
+                 "contradicts its defining property")
 
 
 class InvariantDivisor(_Value):
@@ -128,50 +144,66 @@ def enumerate_orbits(spec: CoverSpec, inv: CoverInvariants, *,
     vector wrapped in an InvariantDivisor; cap must be an int."""
     _require_validated(spec, inv)
     _typed(cap, int, "node cap ")
-    betas, labels = _orbit_listing(spec, inv, cap)
-    return [InvariantDivisor(b, spec.fingerprint) for b in betas], labels
+    codes, labels = _orbit_listing(spec, inv, cap)
+    return [InvariantDivisor(beta, spec.fingerprint)
+            for beta in _decode(spec, codes)], labels
 
 
 def _orbit_listing(spec: CoverSpec, inv: CoverInvariants,
-                   cap: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The non-special weight vectors in lex order and the orbit label of
-    each, by first appearance.  An orbit first appears at its
-    representative (_slice_rows), which lies in the slice beta_0 = 0 and
-    is less than its other members there, the hit moved by each
-    nontrivial row of K_0 = {chi : u_{chi,0} = 0}.  So orbit i is the
-    i-th hit that every such row moves up; when site 0 generates the
-    group K_0 is trivial and every hit is one, at no cost per hit.  The
-    representatives, already proved non-special by the search, are
-    expanded by each other row in one _expand call per row, every member
-    checked, and the orbits * n members are sorted once through an index
-    list, member j having label j % orbits.  A repeat in the sorted
-    listing means an action that is not free or two orbits that share a
-    member; the slice must hold |K_0| members of each orbit, and these
-    must be the hits."""
+                   cap: int) -> tuple[list[str], list[int]]:
+    """The non-special weight vectors in lex order, as code strings
+    (_letters), and the orbit label of each, by first appearance.  An
+    orbit first appears at its representative (_slice_rows), which lies
+    in the slice beta_0 = 0 and is less than its other members there, the
+    hit moved by each nontrivial row of K_0 = {chi : u_{chi,0} = 0}.  So
+    orbit i is the i-th hit that every such row moves up; when site 0
+    generates the group K_0 is trivial and every hit is one, at no cost
+    per hit.  The representatives, already proved non-special by the
+    search, are expanded by each other row in one _expand_codes call per
+    row, every member checked, and the orbits * n members are sorted once
+    through an index list, member j having label j % orbits.  A repeat in
+    the sorted listing means an action that is not free or two orbits
+    that share a member; the slice must hold |K_0| members of each orbit,
+    and these must be the hits."""
     trivial, *rows = inv.u
     if any(trivial):
         raise ConsistencyError("the first pairing row is not the trivial "
                                "character's")
     hits = _search_slice(spec, inv, cap)
+    letters = _letters(spec)
+    # each code the hits use, once, with its first site k and its weight v
+    used = set("".join(hits))
+    homes = [(ord(c), k, v) for k, site in enumerate(spec.sites)
+             if not site.occurrence
+             for v, c in enumerate(letters[k]) if c in used]
+    orders = spec.site_orders
+
+    def act(row: tuple[int, ...]) -> dict[int, str]:
+        """The action by chi's pairing row on the used codes, a
+        str.translate table; no table spans the whole alphabet."""
+        return {c: letters[k][(v + row[k]) % orders[k]] for c, k, v in homes}
+
+    flat = [x for k, site in enumerate(spec.sites) if not site.occurrence
+            for x in inv.packed[k]]  # the packed int of each code
     keep = _slice_rows(spec, inv, (0,))[1:]  # K_0 but its trivial row
     reps = hits
     for row in keep:  # the bare action: K_0 maps hits to hits
-        reps = [h for h in reps if h < tuple(map(mod, map(add, h, row),
-                                                  spec.site_orders))]
+        table = act(row)
+        reps = [h for h in reps if h < h.translate(table)]
     orbits = len(reps)
     members = reps.copy()
     for row in rows:
-        members += _expand(spec, inv, reps, row)
+        members += _expand_codes(inv, flat, reps, act(row))
     order = sorted(range(len(members)), key=members.__getitem__)
     betas = list(map(members.__getitem__, order))
     if any(map(eq, betas, islice(betas, 1, None))):
         raise ConsistencyError("an orbit repeats a member or two orbits "
                                "share one, yet the action is free")
-    # the slice beta_0 = 0 comes first in lex order: its members must be
-    # the hits, |K_0| per orbit
+    # the slice beta_0 = 0 (code 0 at site 0) comes first in lex order:
+    # its members must be the hits, |K_0| per orbit
     k = len(hits)
     if (k != orbits * (len(keep) + 1) or betas[:k] != hits
-            or any(not b[0] for b in betas[k:k + 1])):
+            or any(b[0] == "\0" for b in betas[k:k + 1])):
         raise ConsistencyError("the slice search missed an orbit member")
     ids = list(range(orbits))  # one int per orbit, shared by its labels
     return betas, [ids[j % orbits] for j in order]
@@ -190,17 +222,18 @@ def _slice_rows(spec: CoverSpec, inv: CoverInvariants,
 
 
 def _search_slice(spec: CoverSpec, inv: CoverInvariants,
-                  cap: int) -> list[tuple[int, ...]]:
-    """The non-special weight vectors with beta_0 = 0, in lex order.
+                  cap: int) -> list[str]:
+    """The non-special weight vectors with beta_0 = 0, as code strings
+    (_letters) in lex order.
 
     The last s sites form the suffix, s the largest value <= B - 1 whose
     weight tails number at most sum(o_k), so the suffix table never holds
     more entries than the packed tables do.  The table maps each tail's
     packed sum to its tails, in lex order.  Backtracking over the prefix
     sites 0..B-s-1 is one loop over a stack of entries (k, sum of the
-    prefix before site k, weight chosen at site k - 1), never a prefix
-    copy: a pop writes that weight into the shared prefix, whose first
-    k - 1 entries LIFO order keeps valid, and pushes the weights that
+    prefix before site k, code chosen at site k - 1), never a prefix
+    copy: a pop writes that code into the shared prefix, whose first
+    k - 1 entries LIFO order keeps valid, and pushes the codes that
     survive at k in reverse, so hits come out in lex order.  It reads
     only inv.packed, inv.packed_target and inv.packed_guard; a weight
     dies once some field overshoots its target or can no longer reach it
@@ -214,48 +247,82 @@ def _search_slice(spec: CoverSpec, inv: CoverInvariants,
     packed, target, guard = inv.packed, inv.packed_target, inv.packed_guard
     B = len(packed)
     if not B:
-        return [()]
+        return [""]
     orders = spec.site_orders
+    letters = _letters(spec)
     # s: the suffix length, by the size rule above
     s, size, bound = 0, 1, sum(orders)
     while s < B - 1 and size * orders[B - 1 - s] <= bound:
         s += 1
         size *= orders[B - s]
     last = B - s - 1
-    table: dict[int, list[tuple[int, ...]]] = {}
+    table: dict[int, list[str]] = {}
     for tail in product(*map(range, orders[last + 1:])):
-        table.setdefault(sum(map(getitem, packed[last + 1:], tail)),
-                         []).append(tail)
+        table.setdefault(sum(map(getitem, packed[last + 1:], tail)), []
+                         ).append("".join(map(getitem, letters[last + 1:],
+                                                 tail)))
     # reach[k]: the most each field can gain from the sites >= k; the top
     # weight of a site counts for every character any weight there does
     reach = [0] * (B + 1)
     for k in range(B - 1, -1, -1):
         reach[k] = reach[k + 1] + packed[k][-1]
     ceiling = target | guard
-    beta = [0] * (last + 1)
-    found: list[tuple[int, ...]] = []
+    prefix = [""] * (last + 1)
+    found: list[str] = []
     nodes = 0
-    stack = [(0, 0, 0)]
+    stack = [(0, 0, "")]
     while stack:
-        # at k = 0 this writes beta[-1], which the lookup loop rewrites
-        k, acc, beta[k - 1] = stack.pop()
+        # at k = 0 this writes prefix[-1], which the lookup loop rewrites
+        k, acc, prefix[k - 1] = stack.pop()
         row = packed[k] if k else packed[0][:1]
         rest = reach[k + 1]
-        live = [(v, now) for v, now in enumerate(map(acc.__add__, row))
+        live = [(c, now) for c, now in zip(letters[k], map(acc.__add__, row))
                 if (ceiling - now) & guard == guard and
                 (((now + rest) | guard) - target) & guard == guard]
         nodes += len(row) if k < last else len(row) + len(live)
         if nodes > cap:
             raise ResourceCapError(cap)
         if k < last:
-            stack += [(k + 1, now, v) for v, now in reversed(live)]
+            stack += [(k + 1, now, c) for c, now in reversed(live)]
             continue
-        for beta[k], now in live:
+        for prefix[k], now in live:
             tails = table.get(target - now)
             if tails:
-                head = tuple(beta)
+                head = "".join(prefix)
                 found.extend([head + tail for tail in tails])
     return found
+
+
+def _letters(spec: CoverSpec) -> list[str]:
+    """letters[k][v], the code of weight v at site k: one code point, base
+    + v, base the sum of the orders of the distinct elements of lower
+    rank.  The sites are sorted by rank, so a position has the same base
+    in every weight vector, and lex order of the code strings is lex
+    order of the weight vectors.  The codes number Sigma_R, the sum over
+    distinct elements of o(sigma): Sigma_R < n**2, and Sigma_R <= sum(o_k)
+    allows at most 2**32 / (n * width) by validate's MAX_PACKED_BITS, with
+    width >= 2 the field width.  So Sigma_R >= 0x110000 would need
+    n > 1055 and then width <= 3, B <= 3 and Sigma_R <= 3n < 6000: every
+    code is a valid code point."""
+    letters, base = [], 0
+    for site, o in zip(spec.sites, spec.site_orders):
+        if not site.occurrence:
+            run = "".join(map(chr, range(base, base + o)))
+            base += o
+        letters.append(run)
+    return letters
+
+
+def _weights(spec: CoverSpec) -> list[int]:
+    """weights[c], the weight that code c stands for (_letters)."""
+    return [v for site, o in zip(spec.sites, spec.site_orders)
+            if not site.occurrence for v in range(o)]
+
+
+def _decode(spec: CoverSpec, codes):
+    """An iterator over the weight tuple of each code string."""
+    weight = _weights(spec).__getitem__
+    return (tuple(map(weight, map(ord, b))) for b in codes)
 
 
 def chi_action(spec: CoverSpec, inv: CoverInvariants, D: InvariantDivisor,
@@ -276,9 +343,20 @@ def _expand(spec: CoverSpec, inv: CoverInvariants, betas,
     members = [tuple(map(mod, map(add, beta, row), orders))
                for beta in betas]
     if not all(map(partial(_meets_counts, inv), members)):
-        raise ConsistencyError(
-            "dual-group action left the non-special set; this contradicts "
-            "its defining property")
+        raise ConsistencyError(_LEFT_THE_SET)
+    return members
+
+
+def _expand_codes(inv: CoverInvariants, flat: list[int], codes: list[str],
+                  table: dict[int, str]) -> list[str]:
+    """_expand on code strings: chi . beta for each string given, in
+    order, one str.translate by chi's table; each result is checked by
+    the packed sum, flat[c] the packed int of code c."""
+    members = [b.translate(table) for b in codes]
+    target = inv.packed_target
+    if any(sum(map(flat.__getitem__, map(ord, m))) != target
+           for m in members):
+        raise ConsistencyError(_LEFT_THE_SET)
     return members
 
 

@@ -182,15 +182,26 @@ def element_order(group: AbelianGroup, s: GroupElement) -> int:
     return lcm(*factors) if factors else 1
 
 
-# no library caller; perfbench reads its cache_info() until ROADMAP item 1
-@lru_cache(maxsize=None)
 def pairing_u(group: AbelianGroup, chi: Character, s: GroupElement) -> int:
     """The integer u with 0 <= u < o(s) and chi(s) = e(u / o(s)): the sum
     of e_l c_l mod o(s), by the rule of _pairing_coefficients that
-    validate applies once per distinct branch element."""
-    o = element_order(group, s)
+    validate applies once per distinct branch element.  The arguments
+    are checked before the cache hashes them, so an unhashable one is
+    refused as MalformedDataError like any other."""
+    _member(group, s, GroupElement)
     _member(group, chi, Character)
+    return _pairing_u(group, chi, s)
+
+
+# no library caller; perfbench reads its counters through
+# pairing_u.cache_info() until ROADMAP item 1
+@lru_cache(maxsize=None)
+def _pairing_u(group: AbelianGroup, chi: Character, s: GroupElement) -> int:
+    o = element_order(group, s)
     return sum(map(mul, chi.residues, _pairing_coefficients(group, s, o))) % o
+
+
+pairing_u.cache_info = _pairing_u.cache_info
 
 
 def _pairing_coefficients(group: AbelianGroup, s: GroupElement,
@@ -208,8 +219,8 @@ def dual_group(group: AbelianGroup) -> list[Character]:
     """All n characters, the trivial one first, then lexicographic order
     on residue vectors."""
     _typed(group, AbelianGroup, "group ")
-    return [Character(group, residues) for residues in
-            product(*(range(m) for m in group.factor_orders))]
+    return [_built(Character, group, residues) for residues in
+            product(*map(range, group.factor_orders))]
 
 
 # value-keyed, spanning covers: 0.9 us a call, 9-12 us uncached (2-core x86)
@@ -244,6 +255,15 @@ def intersection_data(group: AbelianGroup, s: GroupElement,
             return d, h
     raise ConsistencyError(
         "no discrete log found; the intersection is not cyclic as expected")
+
+
+def _built(kind: type, group: AbelianGroup, residues: tuple[int, ...]):
+    """A kind (GroupElement or Character) of group without the entry
+    check, for a residue tuple in range by construction."""
+    x = object.__new__(kind)
+    object.__setattr__(x, "group", group)
+    object.__setattr__(x, "residues", residues)
+    return x
 
 
 def _member(group: AbelianGroup, x, kind: type) -> None:

@@ -690,8 +690,8 @@ class TestEnumerate:
     def test_broken_orbit_prints_only_the_error(self, write_doc, capsys,
                                                 monkeypatch):
         # every check runs before the first byte of the listing
-        monkeypatch.setattr(divisors_module, "_expand",
-                            lambda spec, inv, betas, row: list(betas))
+        monkeypatch.setattr(divisors_module, "_expand_codes",
+                            lambda inv, flat, codes, table: list(codes))
         code, out = run(capsys, "enumerate", write_doc(HYPERELLIPTIC))
         assert code == 2
         assert json.loads(out) == {"error": {
@@ -1186,13 +1186,15 @@ class TestSelftest:
 
     def test_listing_missing_a_divisor_fails_closure(self, capsys,
                                                      monkeypatch):
-        # the first divisor is replaced by a copy of the second, so the
-        # count still holds and the closure check must find the gap
+        # the first code string is replaced by a copy of the second, so
+        # the count still holds and the closure check, on the decoded
+        # weights, must find the gap
         listing = cli_module._orbit_listing
 
         def short(spec, inv, cap):
-            betas, labels = listing(spec, inv, cap)
-            return betas[1:2] + betas[1:], labels
+            codes, labels = listing(spec, inv, cap)
+            assert all(type(b) is str for b in codes)
+            return codes[1:2] + codes[1:], labels
 
         monkeypatch.setattr(cli_module, "_orbit_listing", short)
         with pytest.raises(ConsistencyError,

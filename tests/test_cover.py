@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import abelcover.cover as cover_module
+import abelcover.group_core as group_core
 from abelcover import (AbelianGroup, BranchPoint, Character, ConsistencyError,
                        CoverSpec, DisconnectedCoverError, GroupElement,
                        InvalidCoverError, MalformedDataError, build_pchichi,
@@ -373,16 +374,22 @@ class TestCharacterRank:
     and _character_rank maps a caller's Character to its index."""
 
     def test_validate_builds_no_character(self, klein10, monkeypatch):
-        # dual_group builds one Character per group element, so no call
-        # also means that validate never lists the dual group
+        # dual_group builds one Character per group element through
+        # group_core._built, so no call also means that validate never
+        # lists the dual group
         calls = []
-        init = Character.__init__
+        init, built = Character.__init__, group_core._built
 
         def spy(self, *args):
             calls.append(args)
             init(self, *args)
 
+        def built_spy(kind, *args):
+            calls.append(args)
+            return built(kind, *args)
+
         monkeypatch.setattr(Character, "__init__", spy)
+        monkeypatch.setattr(group_core, "_built", built_spy)
         unit = [[int(i == j) for j in range(8)] for i in range(8)]
         z2_8 = build_cover([2] * 8, [(e, k) for k, e in enumerate(unit)]
                            + [([1] * 8, 8)])

@@ -9,6 +9,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import factorial
+from operator import getitem
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -45,6 +46,11 @@ def brute_force_nonspecial(cover):
         if ok:
             out.append(beta)
     return sorted(out)
+
+
+def encode(spec, beta) -> str:
+    """The code string of a weight vector, as the listing carries it."""
+    return "".join(map(getitem, divisors_module._letters(spec), beta))
 
 
 def reference_orbit_labels(cover):
@@ -380,10 +386,34 @@ class TestOrbitLabels:
         assert ([D.beta for D in divisors], labels) == \
             reference_orbit_labels(cover)
 
-    def test_corrupted_pairing_row_is_caught(self, hyperelliptic):
-        spec, inv = hyperelliptic.spec, hyperelliptic.inv
+    def test_codes_past_255_match_the_brute_force_slice(self):
+        # Z_257 with elements (1, 1, 255): the codes run to 2 * 257 - 1, so
+        # each code string is stored 2 bytes per character
+        spec = build_cover([257], [([1], 0), ([1], 1), ([255], 2)])
+        inv = validate(spec)
+        codes, _ = divisors_module._orbit_listing(spec, inv, 10**6)
+        assert max(map(ord, "".join(codes))) > 255
+        # every orbit meets the slice beta_0 = 0, so its hits expanded by
+        # orbit() are the whole listing
+        least = {}
+        for beta in product([0], range(257), range(257)):
+            D = make_divisor(spec, beta)
+            if is_nonspecial(spec, inv, D):
+                members = [m.beta for m in orbit(spec, inv, D)]
+                least.update(dict.fromkeys(members, min(members)))
+        betas = sorted(least)
+        ids: dict[tuple[int, ...], int] = {}
+        labels = [ids.setdefault(least[beta], len(ids)) for beta in betas]
+        assert len(betas) == 514
+        divisors, got = enumerate_orbits(spec, inv)
+        assert ([D.beta for D in divisors], got) == (betas, labels)
+
+    def test_corrupted_pairing_row_is_caught(self, mixed4):
+        # the listing acts on codes, reading a row once per element rank:
+        # row 1 carries the two sites of the element 2 by 0, not by 3
+        spec, inv = mixed4.spec, mixed4.inv
         bad = copy.copy(inv)
-        bad.u = (inv.u[0], inv.u[1][:-1] + (0,))
+        bad.u = (inv.u[0], inv.u[1][:4] + (0, 0), *inv.u[2:])
         with pytest.raises(ConsistencyError, match="non-special set"):
             enumerate_orbits(spec, bad)
 
@@ -413,8 +443,8 @@ class TestOrbitLabels:
         # K_0 is trivial on this cover, so every slice hit is a
         # representative and the broken action reaches only the expansion
         spec, inv = hyperelliptic.spec, hyperelliptic.inv
-        monkeypatch.setattr(divisors_module, "_expand",
-                            lambda spec, inv, betas, row: list(betas))
+        monkeypatch.setattr(divisors_module, "_expand_codes",
+                            lambda inv, flat, codes, table: list(codes))
         with pytest.raises(ConsistencyError, match="repeats"):
             enumerate_orbits(spec, inv)
 
@@ -422,12 +452,11 @@ class TestOrbitLabels:
                                            monkeypatch):
         # every representative expands to the orbit of the first one
         spec, inv = hyperelliptic.spec, hyperelliptic.inv
-        first = enumerate_nonspecial(spec, inv)[0]
-        expand = divisors_module._expand
-        monkeypatch.setattr(divisors_module, "_expand",
-                            lambda spec, inv, betas, row:
-                            expand(spec, inv, [first.beta] * len(betas),
-                                   row))
+        first = encode(spec, enumerate_nonspecial(spec, inv)[0].beta)
+        expand = divisors_module._expand_codes
+        monkeypatch.setattr(divisors_module, "_expand_codes",
+                            lambda inv, flat, codes, table:
+                            expand(inv, flat, [first] * len(codes), table))
         with pytest.raises(ConsistencyError, match="two"):
             enumerate_orbits(spec, inv)
 
@@ -452,7 +481,8 @@ class TestOrbitLabels:
         for D, label in zip(divisors, labels):
             if D.beta[0] == 0:
                 slice_members.setdefault(label, []).append(D.beta)
-        drop = {slice_members[0][0], slice_members[1][1]}
+        drop = {encode(klein.spec, slice_members[0][0]),
+                encode(klein.spec, slice_members[1][1])}
         search = divisors_module._search_slice
         monkeypatch.setattr(divisors_module, "_search_slice",
                             lambda spec, inv, cap:

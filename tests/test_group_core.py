@@ -6,13 +6,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from abelcover import (AbelianGroup, DomainError, MalformedDataError,
-                       dual_group, element_order, intersection_data,
-                       pairing_u)
+from abelcover import (AbelianGroup, Character, DomainError,
+                       MalformedDataError, dual_group, element_order,
+                       intersection_data, pairing_u)
 from oracles import cyclic_subgroup, pairing_u_definition
 from test_exponents import all_small_factorizations
 
@@ -138,6 +139,18 @@ class TestPairing:
             with pytest.raises(MalformedDataError, match="does not belong"):
                 intersection_data(z2, z2.element([1]), foreign)
 
+    def test_unhashable_argument_refused_before_the_cache(self):
+        # the cache hashed the arguments before any check ran, so a list
+        # raised TypeError: unhashable type: 'list'
+        g = AbelianGroup((2,))
+        before = pairing_u.cache_info()
+        for args in ((g, [1], g.element([1])), (g, g.character([1]), [1]),
+                     ([2], g.character([1]), g.element([1]))):
+            with pytest.raises(MalformedDataError, match="does not belong"):
+                pairing_u(*args)
+        after = pairing_u.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
     def test_orthogonal_pair_gives_zero(self):
         # chi = (1,1) annihilates s = (1,2) in Z2 x Z4: the angle sum is
         # 1/2 + 2/4, an integer, so u = 0.
@@ -231,6 +244,17 @@ class TestDualGroup:
         chars = dual_group(g)
         assert len(chars) == 6
         assert len(set(chars)) == 6
+
+    def test_equals_the_checked_characters(self):
+        # dual_group builds its characters without the entry check
+        g = AbelianGroup((2, 3, 4))
+        chars = dual_group(g)
+        checked = [Character(g, r) for r in product(range(2), range(3),
+                                                    range(4))]
+        assert chars == checked
+        assert [hash(c) for c in chars] == [hash(c) for c in checked]
+        assert all(type(c) is Character and type(c.residues) is tuple
+                   and c.group is g for c in chars)
 
     def test_trivial_first_then_lex(self):
         g = AbelianGroup((2, 2))

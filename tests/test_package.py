@@ -191,12 +191,14 @@ def test_equality_is_class_exact():
 
 
 @pytest.mark.parametrize("call, expected", [
-    (lambda spec, inv, D: abelcover.validate("x"), "CoverSpec"),
-    (lambda spec, inv, D: abelcover.is_nonspecial(spec, inv, (0,) * 6),
-     "InvariantDivisor"),
-    (lambda spec, inv, D: abelcover.exponent_table(spec, inv, D.beta),
-     "InvariantDivisor"),
-    (lambda spec, inv, D: abelcover.phi_exact((3, 2, 0)), "PhiKey"),
+    pytest.param(lambda spec, inv, D: abelcover.validate("x"), "CoverSpec",
+                 id="validate spec"),
+    pytest.param(lambda spec, inv, D: abelcover.is_nonspecial(
+        spec, inv, (0,) * 6), "InvariantDivisor", id="is_nonspecial D"),
+    pytest.param(lambda spec, inv, D: abelcover.exponent_table(
+        spec, inv, D.beta), "InvariantDivisor", id="exponent_table D"),
+    pytest.param(lambda spec, inv, D: abelcover.phi_exact((3, 2, 0)),
+                 "PhiKey", id="phi_exact key"),
     pytest.param(lambda spec, inv, D: abelcover.thomae_exponent(
         spec, inv, D.beta, 0, 1), "InvariantDivisor", id="thomae_exponent D"),
     pytest.param(lambda spec, inv, D: abelcover.orbit(spec, inv, D.beta),
