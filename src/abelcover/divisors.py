@@ -140,8 +140,9 @@ def enumerate_orbits(spec: CoverSpec, inv: CoverInvariants, *,
                      cap: int = DEFAULT_NODE_CAP
                      ) -> tuple[list[InvariantDivisor], list[int]]:
     """All non-special divisors in lex order (maybe none) and the orbit
-    label of each, by first appearance: _orbit_listing with each weight
-    vector wrapped in an InvariantDivisor; cap must be an int."""
+    label of each, by first appearance: _orbit_listing with each code
+    string decoded and wrapped in an InvariantDivisor; cap must be an
+    int."""
     _require_validated(spec, inv)
     _typed(cap, int, "node cap ")
     codes, labels = _orbit_listing(spec, inv, cap)
@@ -299,8 +300,9 @@ def _letters(spec: CoverSpec) -> list[str]:
     rank.  The sites are sorted by rank, so a position has the same base
     in every weight vector, and lex order of the code strings is lex
     order of the weight vectors.  The codes number Sigma_R, the sum over
-    distinct elements of o(sigma): Sigma_R < n**2, and Sigma_R <= sum(o_k)
-    allows at most 2**32 / (n * width) by validate's MAX_PACKED_BITS, with
+    distinct elements of o(sigma): Sigma_R < n**2 (at most n - 1
+    elements, each of order at most n), and Sigma_R <= sum(o_k) allows
+    at most 2**32 / (n * width) by validate's MAX_PACKED_BITS, with
     width >= 2 the field width.  So Sigma_R >= 0x110000 would need
     n > 1055 and then width <= 3, B <= 3 and Sigma_R <= 3n < 6000: every
     code is a valid code point."""
