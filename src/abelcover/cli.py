@@ -29,7 +29,10 @@ str.translate, once every check has passed, so an error still prints as
 one JSON object and no record is held.  The table is written pair by
 pair the same way, once exponent_table has checked every row; each
 lambda is rendered once, as "%s": str(Fraction) is an optional -, ASCII
-digits and at most one /, none of which JSON escapes.
+digits and at most one /, none of which JSON escapes.  CSV is written
+the same way, with no csv module: a listing record "%d,%d,1%s" ends in
+its code string translated through ",%d" per code, a table row is
+"%d,%d,%d,%d,%s,%s,%d", and no int or str(Fraction) field needs quotes.
 """
 
 from __future__ import annotations
@@ -43,12 +46,11 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import prod
-from operator import add, mod
 
 from .cover import CoverInvariants, CoverSpec, BranchPoint, validate
 from .dedekind import PhiKey, phi_exact
 from .divisors import (DEFAULT_NODE_CAP, InvariantDivisor, make_divisor,
-                       _decode, _orbit_listing, _weights)
+                       _act, _decode, _orbit_listing, _weights)
 from .errors import (AbelcoverError, ConsistencyError, DomainError,
                      MalformedDataError, ParseError, ResourceCapError)
 from .exponents import exponent_table
@@ -169,14 +171,6 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _write_csv(header: list[str], rows) -> None:
-    """Write the header and rows to stdout as CSV, one line each."""
-    import csv  # only the --csv outputs need it: kept out of start-up
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
 def _array(items: list[str], indent: int) -> str:
     """json.dumps(indent=2) of a list whose items are already rendered
     one per line at indent + 2 spaces; the closing bracket is at indent."""
@@ -200,20 +194,21 @@ def cmd_enumerate(args) -> int:
     # every check has passed once the listing is back: no error can
     # follow the first byte written
     codes, labels = _orbit_listing(spec, inv, args.cap)
-    if args.csv:
-        _write_csv(["index", "orbit", "p"]
-                   + [f"beta_{k}" for k in range(len(spec.sites))],
-                   ([i, k, 1, *beta] for i, (k, beta) in
-                    enumerate(zip(labels, _decode(spec, codes)))))
+    weights, out = _weights(spec), sys.stdout
+    if args.csv:  # the code string renders as ",w" per site
+        render = [",%d" % w for w in weights]
+        out.write(",".join(["index", "orbit", "p"] + [
+            f"beta_{k}" for k in range(len(spec.sites))]) + "\n")
+        out.writelines("%d,%d,1%s\n" % (i, k, b.translate(render))
+                       for i, (k, b) in enumerate(zip(labels, codes)))
         return EXIT_OK
     # each record starts with its separator from the one before; a code
     # string renders as its weights, each after ",\n" and the indent, and
     # the first "," is cut; with no sites the beta array is []
-    render = [",\n        %d" % w for w in _weights(spec)]
+    render = [",\n        %d" % w for w in weights]
     beta = "[%s\n      ]" if spec.sites else "[]%s"
     record = ('%s    {\n      "index": %d,\n      "orbit": %d,\n'
               '      "p": 1,\n      "beta": ' + beta + '\n    }')
-    out = sys.stdout
     out.write(f'{{\n  "count": {len(codes)},\n'
               f'  "orbit_count": {len(codes) // inv.n},\n'
               f'  "empty": {"false" if codes else "true"},\n  "divisors": [')
@@ -269,9 +264,10 @@ def cmd_exponents(args) -> int:
     lambdas = [str(s.value) for s in spec.sites]
     rows = ((*ranks[a], *ranks[b], lambdas[a], lambdas[b], value)
             for (a, b), value in table.entries.items())
-    if args.csv:
-        _write_csv(["sigma_rank", "j", "rho_rank", "i",
-                    "lambda_a", "lambda_b", "exponent"], rows)
+    out = sys.stdout
+    if args.csv:  # no field needs quoting (module docstring)
+        out.write("sigma_rank,j,rho_rank,i,lambda_a,lambda_b,exponent\n")
+        out.writelines("%d,%d,%d,%d,%s,%s,%d\n" % row for row in rows)
         return EXIT_OK
     # each pair starts with its separator from the one before; "%s" is
     # json.dumps here: JSON escapes no character of str(Fraction)
@@ -279,7 +275,6 @@ def cmd_exponents(args) -> int:
             '      "rho_rank": %d,\n      "i": %d,\n'
             '      "lambda_a": "%s",\n      "lambda_b": "%s",\n'
             '      "exponent": %d\n    }')
-    out = sys.stdout
     out.write(f'{{\n  "theta_exponent": {table.theta_exponent},\n'
               f'  "detC_exponent": {table.detC_exponent},\n'
               '  "divisor": {\n    "p": 1,\n    "beta": '
@@ -321,9 +316,8 @@ def cmd_selftest(args) -> int:
         betas = list(_decode(spec, codes))
         _check(name, "count", len(betas) == count)
         seen, orders = set(betas), spec.site_orders
-        _check(name, "closure", all(
-            tuple(map(mod, map(add, beta, row), orders)) in seen
-            for beta in betas for row in inv.u))
+        _check(name, "closure", all(_act(spec, inv, beta, row) in seen
+                                    for beta in betas for row in inv.u))
         _check(name, "negation", all(
             tuple(o - 1 - b for o, b in zip(orders, beta)) in seen
             for beta in betas))

@@ -26,17 +26,19 @@ validate is the only place where u_{chi,sigma} is computed for a cover,
 by the integer rule it shares with pairing_u; it keeps the table as
 CoverInvariants.u and packs the counting condition from it.  t and u
 are tuples indexed by a character's rank c in dual_group order, so
-validate builds no Character; _character_rank gives a caller's c.  Sites are
-contiguous by element rank, and validate works once per rank, that is
-per distinct branch element: its order, its pairing coefficients, its
-u column over the dual group and its packed row, with the t and
-Riemann-Hurwitz sums weighted by the rank's site count.  The sites of
-one rank share that column and that packed row.  It proves the degree
-identity once per cover: u_{chi,sigma} takes each value in [0, o) n/o
-times as chi runs over the dual group, so the fields of packed[k][v]
-total v n/o, and sum_chi t_chi = g - 1 + n; any beta that meets
-packed_target has degree g - 1.  The helpers of later layers take
-a validated CoverInvariants as given and check each divisor once.
+validate builds no Character; _character_rank gives a caller's c.
+Sites are contiguous by element rank; CoverSpec._runs gives each rank's
+first site, order and site count, which site_orders, validate and the
+listing read.  validate works once per rank, that is per distinct
+branch element: its pairing coefficients, its u column over the dual
+group and its packed row, with the t and Riemann-Hurwitz sums weighted
+by the rank's site count.  The sites of one rank share that column and
+that packed row.  It proves the degree identity once per cover:
+u_{chi,sigma} takes each value in [0, o) n/o times as chi runs over the
+dual group, so the fields of packed[k][v] total v n/o, and
+sum_chi t_chi = g - 1 + n; any beta that meets packed_target has degree
+g - 1.  The helpers of later layers take a validated CoverInvariants as
+given and check each divisor once.
 """
 
 from __future__ import annotations
@@ -152,11 +154,18 @@ class CoverSpec(_Value):
             for j, bp in enumerate(run))
 
     @cached_property
+    def _runs(self) -> tuple[tuple[int, int, int], ...]:
+        """(first site k, o(sigma), site count) per element rank: the one
+        walk over the ranks that every per-rank table reads."""
+        sites = self.sites
+        firsts = [k for k, site in enumerate(sites) if not site.occurrence]
+        return tuple((k, element_order(self.group, sites[k].element), end - k)
+                     for k, end in zip(firsts, firsts[1:] + [len(sites)]))
+
+    @cached_property
     def site_orders(self) -> tuple[int, ...]:
         """o(sigma) per site, computed once per element rank."""
-        orders = [element_order(self.group, site.element)
-                  for site in self.sites if not site.occurrence]
-        return tuple(orders[site.element_rank] for site in self.sites)
+        return tuple(o for _, o, count in self._runs for _ in range(count))
 
     @cached_property
     def fingerprint(self) -> str:
@@ -168,7 +177,7 @@ class CoverSpec(_Value):
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-class CoverInvariants(_Value):
+class CoverInvariants(_Value, mutable=True):
     """Validated numeric invariants of a cover: group order n, exponent m,
     genus g, the character integers t[c] = t_chi (> 0 unless c = 0) and
     the pairing table u[c][k] = u_{chi,sigma} for the site at canonical
@@ -208,10 +217,6 @@ class CoverInvariants(_Value):
         self.packed_target = packed_target
         self.packed_guard = packed_guard
         self.cover_fingerprint = cover_fingerprint
-
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"CoverInvariants(n={self.n!r}, m={self.m!r}, g={self.g!r})"
@@ -255,14 +260,9 @@ def validate(spec: CoverSpec) -> CoverInvariants:
     _bounded(n, MAX_GROUP_ORDER, "group order")
     _bounded(sum(orders) * n * width, MAX_PACKED_BITS, "packed table bits")
 
-    # one rank per distinct element: its first site k, order o and the
-    # number of its sites; u_{chi,sigma} over the dual group in its
-    # lexicographic order, built one group factor at a time
-    firsts = [k for k, site in enumerate(sites) if not site.occurrence]
-    ranks = [(k, orders[k], end - k)
-             for k, end in zip(firsts, firsts[1:] + [len(sites)])]
+    # per rank, u_{chi,sigma} over the dual group, one factor at a time
     columns, sums, ramification = [], [0] * n, 0
-    for k, o, count in ranks:
+    for k, o, count in spec._runs:
         column = [0]
         for m_l, c_l in zip(group.factor_orders, _pairing_coefficients(
                 group, sites[k].element, o)):
@@ -289,7 +289,7 @@ def validate(spec: CoverSpec) -> CoverInvariants:
                                f"{2 * (g + n - 1)} != {ramification}")
 
     rows = []
-    for (k, o, _), column in zip(ranks, columns):
+    for (k, o, _), column in zip(spec._runs, columns):
         starts = [0] * (o + 1)  # character c counts from weight o - u on
         for c, x in enumerate(column):
             starts[o - x] += 1 << (c * width)

@@ -38,20 +38,21 @@ sum, and the n members per orbit are sorted once into lexicographic
 order by canonical site, orbit i being the i-th representative.
 
 The search and the listing carry a weight vector as a str with one code
-point per site (_letters): weight v at a site is the code base + v,
-base the sum of the orders of the distinct elements of lower rank.
-Sites are sorted by rank, so a position has the same base in every
-vector, and lex order of the strings is lex order of the weights: sort
-and the repeat check compare strings in C, not tuples of ints.  A
-character acts by one str.translate, with a table over the codes the
-search found only, never over the whole alphabet of Sigma_R codes,
-Sigma_R the sum over distinct elements of o(sigma); validate's
-MAX_PACKED_BITS keeps Sigma_R below 0x110000 (_letters).  The listing
-is plain code strings and labels, finished and checked in full before
-it is returned, so that the CLI can write it record by record,
-rendering each string by one str.translate; enumerate_orbits decodes
-each into an InvariantDivisor of int weights.  chi_action, orbit and
-exponent_table act on one divisor at a time, on int tuples (_expand).
+point per site (_letters, built once per listing and handed to the
+search): weight v at a site is the code base + v, base the sum of the
+orders of the distinct elements of lower rank.  Sites are sorted by
+rank, so a position has the same base in every vector, and lex order of
+the strings is lex order of the weights: sort and the repeat check
+compare strings in C, not tuples of ints.  A character acts by one
+str.translate, with a table over the codes the search found only, never
+over the whole alphabet of Sigma_R codes, Sigma_R the sum over distinct
+elements of o(sigma); validate's MAX_PACKED_BITS keeps Sigma_R below
+0x110000 (_letters).  The listing is plain code strings and labels,
+finished and checked in full before it is returned, so that the CLI can
+write it record by record, rendering each string by one str.translate;
+enumerate_orbits decodes each into an InvariantDivisor of int weights.
+chi_action, orbit and exponent_table act on one divisor at a time, on an
+int tuple, by the one checked action _act.
 
 The action reads u_{chi,sigma} from row c of inv.u, built by validate.
 The helpers take a validated CoverInvariants as given and check each
@@ -61,7 +62,6 @@ internal steps do not.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import islice, product
 from operator import add, eq, getitem, mod
 
@@ -170,12 +170,11 @@ def _orbit_listing(spec: CoverSpec, inv: CoverInvariants,
     if any(trivial):
         raise ConsistencyError("the first pairing row is not the trivial "
                                "character's")
-    hits = _search_slice(spec, inv, cap)
     letters = _letters(spec)
+    hits = _search_slice(spec, inv, cap, letters)
     # each code the hits use, once, with its first site k and its weight v
     used = set("".join(hits))
-    homes = [(ord(c), k, v) for k, site in enumerate(spec.sites)
-             if not site.occurrence
+    homes = [(ord(c), k, v) for k, _, _ in spec._runs
              for v, c in enumerate(letters[k]) if c in used]
     orders = spec.site_orders
 
@@ -184,8 +183,7 @@ def _orbit_listing(spec: CoverSpec, inv: CoverInvariants,
         str.translate table; no table spans the whole alphabet."""
         return {c: letters[k][(v + row[k]) % orders[k]] for c, k, v in homes}
 
-    flat = [x for k, site in enumerate(spec.sites) if not site.occurrence
-            for x in inv.packed[k]]  # the packed int of each code
+    flat = [x for k, _, _ in spec._runs for x in inv.packed[k]]  # per code
     keep = _slice_rows(spec, inv, (0,))[1:]  # K_0 but its trivial row
     reps = hits
     for row in keep:  # the bare action: K_0 maps hits to hits
@@ -222,10 +220,10 @@ def _slice_rows(spec: CoverSpec, inv: CoverInvariants,
             if not any(map(mod, map(add, beta[:1], row), spec.site_orders))]
 
 
-def _search_slice(spec: CoverSpec, inv: CoverInvariants,
-                  cap: int) -> list[str]:
+def _search_slice(spec: CoverSpec, inv: CoverInvariants, cap: int,
+                  letters: list[str]) -> list[str]:
     """The non-special weight vectors with beta_0 = 0, as code strings
-    (_letters) in lex order.
+    in lex order, letters the listing's alphabet (_letters).
 
     The last s sites form the suffix, s the largest value <= B - 1 whose
     weight tails number at most sum(o_k), so the suffix table never holds
@@ -250,7 +248,6 @@ def _search_slice(spec: CoverSpec, inv: CoverInvariants,
     if not B:
         return [""]
     orders = spec.site_orders
-    letters = _letters(spec)
     # s: the suffix length, by the size rule above
     s, size, bound = 0, 1, sum(orders)
     while s < B - 1 and size * orders[B - 1 - s] <= bound:
@@ -307,18 +304,15 @@ def _letters(spec: CoverSpec) -> list[str]:
     n > 1055 and then width <= 3, B <= 3 and Sigma_R <= 3n < 6000: every
     code is a valid code point."""
     letters, base = [], 0
-    for site, o in zip(spec.sites, spec.site_orders):
-        if not site.occurrence:
-            run = "".join(map(chr, range(base, base + o)))
-            base += o
-        letters.append(run)
+    for _, o, count in spec._runs:
+        letters += ["".join(map(chr, range(base, base + o)))] * count
+        base += o
     return letters
 
 
 def _weights(spec: CoverSpec) -> list[int]:
     """weights[c], the weight that code c stands for (_letters)."""
-    return [v for site, o in zip(spec.sites, spec.site_orders)
-            if not site.occurrence for v in range(o)]
+    return [v for _, o, _ in spec._runs for v in range(o)]
 
 
 def _decode(spec: CoverSpec, codes):
@@ -332,26 +326,23 @@ def chi_action(spec: CoverSpec, inv: CoverInvariants, D: InvariantDivisor,
     """The divisor chi . D.  Requires a non-special input and produces a
     non-special output."""
     _require_nonspecial(spec, inv, D)
-    [new] = _expand(spec, inv, [D.beta], inv.u[_character_rank(spec, chi)])
+    new = _act(spec, inv, D.beta, inv.u[_character_rank(spec, chi)])
     return InvariantDivisor(new, D.cover_fingerprint)
 
 
-def _expand(spec: CoverSpec, inv: CoverInvariants, betas,
-            row: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """chi . beta, sitewise beta + u mod o, for chi's pairing row u and
-    each non-special weight vector beta given, in order; each result is
-    checked."""
-    orders = spec.site_orders
-    members = [tuple(map(mod, map(add, beta, row), orders))
-               for beta in betas]
-    if not all(map(partial(_meets_counts, inv), members)):
+def _act(spec: CoverSpec, inv: CoverInvariants, beta: tuple[int, ...],
+         row: tuple[int, ...]) -> tuple[int, ...]:
+    """chi . beta, sitewise beta + u mod o, for chi's pairing row u and a
+    non-special weight vector beta; the result is checked."""
+    member = tuple(map(mod, map(add, beta, row), spec.site_orders))
+    if not _meets_counts(inv, member):
         raise ConsistencyError(_LEFT_THE_SET)
-    return members
+    return member
 
 
 def _expand_codes(inv: CoverInvariants, flat: list[int], codes: list[str],
                   table: dict[int, str]) -> list[str]:
-    """_expand on code strings: chi . beta for each string given, in
+    """_act on code strings: chi . beta for each string given, in
     order, one str.translate by chi's table; each result is checked by
     the packed sum, flat[c] the packed int of code c."""
     members = [b.translate(table) for b in codes]
@@ -370,7 +361,7 @@ def orbit(spec: CoverSpec, inv: CoverInvariants,
     exactly n distinct members; a repeat is an internal error.
     """
     _require_nonspecial(spec, inv, D)
-    members = [_expand(spec, inv, [D.beta], row)[0] for row in inv.u]
+    members = [_act(spec, inv, D.beta, row) for row in inv.u]
     if len(set(members)) != spec.group.order:
         raise ConsistencyError(
             "dual-group orbit has repeats; the action should be free")

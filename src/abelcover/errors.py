@@ -130,13 +130,13 @@ class _Value:
     GroupElement never equals a Character), __hash__ of the fields, the
     repr Name(field=value, ...), __reduce__ as (class, fields) for copy
     and pickle, and __setattr__ and __delattr__ that raise
-    AttributeError; a mutable subclass restores object's two and sets
-    __hash__ = None.  __eq__ and __hash__ are closures over one
+    AttributeError; class C(_Value, mutable=True) gets object's two and
+    __hash__ = None instead.  __eq__ and __hash__ are closures over one
     attrgetter, made once per class, so no call looks the getter up."""
 
     __slots__ = ()
 
-    def __init_subclass__(cls) -> None:
+    def __init_subclass__(cls, mutable: bool = False) -> None:
         super().__init_subclass__()
         cls._names = tuple(n for n in cls.__slots__ if n != "__dict__")
         fields = attrgetter(*cls._names)  # one name: the bare value
@@ -149,9 +149,10 @@ class _Value:
         def __hash__(self) -> int:
             return hash(fields(self))
 
-        cls.__eq__ = __eq__
-        if "__hash__" not in cls.__dict__:
-            cls.__hash__ = __hash__
+        cls.__eq__, cls.__hash__ = __eq__, (None if mutable else __hash__)
+        if mutable:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
 
     def __repr__(self) -> str:
         return "%s(%s)" % (type(self).__name__, ", ".join(

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from .cover import CoverInvariants, CoverSpec, _require_validated
 from .dedekind import _phi_walk
-from .divisors import (InvariantDivisor, _expand, _require_nonspecial,
+from .divisors import (InvariantDivisor, _act, _require_nonspecial,
                        _slice_rows)
 from .errors import (ConsistencyError, DomainError, MalformedDataError,
                      _bounded, _typed, _Value)
@@ -51,7 +51,7 @@ __all__ = [
 MAX_TABLE_PAIRS = 2 ** 19  # exponent_table's limit: B <= 1024 sites
 
 
-class ExponentTable(_Value):
+class ExponentTable(_Value, mutable=True):
     """The assembled table: one even integer per site pair (a, b), a < b,
     in ascending pair order, the det C exponent 4m, the theta exponent
     8m, and a fingerprint naming the source divisor orbit.  The fields
@@ -71,10 +71,6 @@ class ExponentTable(_Value):
         self.detC_exponent = detC_exponent
         self.theta_exponent = theta_exponent
         self.divisor_fingerprint = divisor_fingerprint
-
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
 
 def thomae_exponent(spec: CoverSpec, inv: CoverInvariants,
@@ -108,7 +104,7 @@ def exponent_table(spec: CoverSpec, inv: CoverInvariants,
     B = len(spec.sites)
     _bounded(B * (B - 1) // 2, MAX_TABLE_PAIRS, "table pairs")
     _require_nonspecial(spec, inv, D)
-    rep = min(_expand(spec, inv, [D.beta], row)[0]
+    rep = min(_act(spec, inv, D.beta, row)
               for row in _slice_rows(spec, inv, D.beta))
     beta, ranks = D.beta, [site.element_rank for site in spec.sites]
     rows, entries = {}, {}

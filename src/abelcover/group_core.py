@@ -15,6 +15,11 @@ banned from this module; everything is integer arithmetic.
 The factor list is kept exactly as given.  No normalization to invariant
 factors is performed, so Z_2 x Z_4 and Z_4 x Z_2 are distinct (isomorphic)
 presentations and inputs match their fibered-product descriptions.
+
+The GroupElement and Character constructors check a caller's residues.
+A value this module generates (elements(), s + r, -s, k * s,
+conjugate(), dual_group) has residues reduced mod the factor orders,
+in range by construction, and _built makes it without that check.
 """
 
 from __future__ import annotations
@@ -77,7 +82,7 @@ class AbelianGroup(_Value):
     def elements(self) -> Iterator["GroupElement"]:
         """All n elements in lexicographic residue order."""
         for residues in product(*(range(m) for m in self.factor_orders)):
-            yield GroupElement(self, residues)
+            yield _built(GroupElement, self, residues)
 
     def __repr__(self) -> str:
         if not self.factor_orders:
@@ -124,19 +129,19 @@ class GroupElement(_Value):
             return NotImplemented
         if other.group != self.group:
             raise MalformedDataError("cannot add elements of different groups")
-        return GroupElement(self.group, tuple(
+        return _built(GroupElement, self.group, tuple(
             (a + b) % m for a, b, m in
             zip(self.residues, other.residues, self.group.factor_orders)))
 
     def __neg__(self) -> "GroupElement":
-        return GroupElement(self.group, tuple(
+        return _built(GroupElement, self.group, tuple(
             (-r) % m for r, m in
             zip(self.residues, self.group.factor_orders)))
 
     def __mul__(self, k: int) -> "GroupElement":
         if type(k) is not int:
             return NotImplemented
-        return GroupElement(self.group, tuple(
+        return _built(GroupElement, self.group, tuple(
             (r * k) % m for r, m in
             zip(self.residues, self.group.factor_orders)))
 
@@ -165,7 +170,7 @@ class Character(_Value):
         return all(r == 0 for r in self.residues)
 
     def conjugate(self) -> "Character":
-        return Character(self.group, tuple(
+        return _built(Character, self.group, tuple(
             (-r) % m for r, m in
             zip(self.residues, self.group.factor_orders)))
 

@@ -1033,6 +1033,76 @@ class TestWriterOracle:
         assert checked > 0
 
 
+# Z6 with elements (1, 1, 2, 3, 4, 1): lambdas in every text form the
+# parser reads, signed, decimal, exponent and fraction
+Z6_MIXED = {"group": [6], "branch_points": [
+    {"element": [e], "lambda": v} for e, v in zip(
+        (1, 1, 2, 3, 4, 1), ("-3/4", "0.25", "-7", "1e-3", "22/7", "-0.5"))]}
+
+
+def csv_text(header, rows) -> str:
+    """The bytes csv.writer gives for the header and rows, one line each."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+class TestCsvWriterOracle:
+    """The enumerate and exponents CSV writers, format strings with no
+    csv module, reproduce csv.writer on the library's rows byte for
+    byte: no field of either needs quoting."""
+
+    DOCUMENTS = {"z6-mixed": Z6_MIXED, "signed-lambdas": SIGNED_LAMBDAS,
+                 "no-sites": NO_SITES, "long-lambdas": LONG_LAMBDAS,
+                 "empty": EMPTY_ENUMERATION}
+
+    @pytest.fixture(params=TestWriterOracle.COVERS + list(DOCUMENTS))
+    def document(self, request):
+        if request.param in self.DOCUMENTS:
+            return self.DOCUMENTS[request.param]
+        return cover_document(request.getfixturevalue(request.param).spec)
+
+    def test_listing_and_tables(self, write_doc, capsys, document):
+        path = write_doc(document)
+        spec = parse_cover_object(document)
+        inv = validate(spec)
+        divisors, labels = enumerate_orbits(spec, inv)
+        code, out = run(capsys, "enumerate", "--csv", path)
+        assert code == 0
+        assert out == csv_text(
+            ["index", "orbit", "p"]
+            + [f"beta_{k}" for k in range(len(spec.sites))],
+            ([i, label, 1, *D.beta]
+             for i, (D, label) in enumerate(zip(divisors, labels))))
+        sites = spec.sites
+        for index, D in enumerate(divisors[:4]):
+            code, out = run(capsys, "exponents", "--csv", "--divisor",
+                            str(index), path)
+            assert code == 0
+            assert out == csv_text(
+                ["sigma_rank", "j", "rho_rank", "i",
+                 "lambda_a", "lambda_b", "exponent"],
+                ([sites[a].element_rank, sites[a].occurrence,
+                  sites[b].element_rank, sites[b].occurrence,
+                  sites[a].value, sites[b].value, value]
+                 for (a, b), value in
+                 exponent_table(spec, inv, D).entries.items()))
+
+    @pytest.mark.parametrize("argv, lines, digest", [
+        (["enumerate", "--csv"], 37,
+         "0f33a111a7ee3dbcdb09e1282a03749f57ed0619ea34d21803b3c21a488d6578"),
+        (["exponents", "--csv", "--divisor", "3"], 16,
+         "8dad08c8cb52e93ce25111a33d0bf1d3678df452b2533862d1be3df19ec64ebd"),
+    ], ids=["enumerate", "exponents"])
+    def test_recorded_digest(self, write_doc, capsys, argv, lines, digest):
+        # recorded when both writers still went through csv.writer
+        code, out = run(capsys, *argv, write_doc(Z6_MIXED))
+        assert (code, out.count("\n")) == (0, lines)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestErrorPayloads:
     """Small payloads still go through json.dumps(indent=2); their bytes
     are pinned here."""

@@ -45,7 +45,8 @@ class TestSpecConstruction:
     def test_wrong_group_element_rejected(self):
         g = AbelianGroup((2,))
         other = AbelianGroup((3,))
-        with pytest.raises(MalformedDataError):
+        with pytest.raises(MalformedDataError, match="^branch point 0 "
+                           "carries an element of a different group$"):
             CoverSpec(g, (BranchPoint(other.element([1]), Fraction(0)),))
 
     def test_site_order_sorts_by_element_then_occurrence(self):

@@ -81,9 +81,9 @@ def assert_representatives(cover):
     first: dict[int, tuple[int, ...]] = {}
     for D, label in zip(divisors, labels):
         first.setdefault(label, D.beta)
-    expand, slice_rows = divisors_module._expand, divisors_module._slice_rows
+    act, slice_rows = divisors_module._act, divisors_module._slice_rows
     reps = [D.beta for D in divisors
-            if D.beta == min(expand(spec, inv, [D.beta], row)[0]
+            if D.beta == min(act(spec, inv, D.beta, row)
                              for row in slice_rows(spec, inv, D.beta))]
     assert reps == [first[i] for i in range(len(first))]
     for D, label in zip(divisors, labels):
@@ -386,6 +386,22 @@ class TestOrbitLabels:
         assert ([D.beta for D in divisors], labels) == \
             reference_orbit_labels(cover)
 
+    def test_alphabet_built_once_per_listing(self, battery, mixed4,
+                                             monkeypatch):
+        # _orbit_listing hands its one alphabet to _search_slice
+        calls = []
+        letters = divisors_module._letters
+
+        def spy(spec):
+            calls.append(spec)
+            return letters(spec)
+
+        monkeypatch.setattr(divisors_module, "_letters", spy)
+        for cover in (*battery, mixed4):
+            calls.clear()
+            enumerate_orbits(cover.spec, cover.inv)
+            assert calls == [cover.spec]
+
     def test_codes_past_255_match_the_brute_force_slice(self):
         # Z_257 with elements (1, 1, 255): the codes run to 2 * 257 - 1, so
         # each code string is stored 2 bytes per character
@@ -466,8 +482,8 @@ class TestOrbitLabels:
         # expanded but the slice one hit short
         search = divisors_module._search_slice
         monkeypatch.setattr(divisors_module, "_search_slice",
-                            lambda spec, inv, cap:
-                            search(spec, inv, cap)[:-1])
+                            lambda spec, inv, cap, letters:
+                            search(spec, inv, cap, letters)[:-1])
         with pytest.raises(ConsistencyError, match="missed"):
             enumerate_orbits(klein.spec, klein.inv)
 
@@ -485,8 +501,8 @@ class TestOrbitLabels:
                 encode(klein.spec, slice_members[1][1])}
         search = divisors_module._search_slice
         monkeypatch.setattr(divisors_module, "_search_slice",
-                            lambda spec, inv, cap:
-                            [h for h in search(spec, inv, cap)
+                            lambda spec, inv, cap, letters:
+                            [h for h in search(spec, inv, cap, letters)
                              if h not in drop])
         with pytest.raises(ConsistencyError, match="missed"):
             enumerate_orbits(klein.spec, klein.inv)

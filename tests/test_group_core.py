@@ -7,11 +7,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
+from operator import add, neg
 
 import pytest
 from hypothesis import given, strategies as st
 
-from abelcover import (AbelianGroup, Character, DomainError,
+import abelcover.group_core as group_core
+from abelcover import (AbelianGroup, Character, DomainError, GroupElement,
                        MalformedDataError, dual_group, element_order,
                        intersection_data, pairing_u)
 from oracles import cyclic_subgroup, pairing_u_definition
@@ -48,6 +50,11 @@ class TestAbelianGroup:
             g.element([5])
         with pytest.raises(MalformedDataError):
             g.element([-1])
+        # generated values skip this check; the public constructors keep it
+        for kind in (GroupElement, Character):
+            for residues in [(3,), (-1,)]:
+                with pytest.raises(MalformedDataError, match="out of range"):
+                    kind(g, residues)
 
     @pytest.mark.parametrize("bad", [2.9, "4", Fraction(4), True])
     def test_non_int_factor_order_rejected(self, bad):
@@ -88,8 +95,52 @@ class TestAbelianGroup:
     def test_cross_group_addition_rejected(self):
         a = AbelianGroup((2,)).element([1])
         b = AbelianGroup((4,)).element([1])
-        with pytest.raises(MalformedDataError):
+        with pytest.raises(MalformedDataError,
+                           match="^cannot add elements of different groups$"):
             a + b
+
+    @pytest.mark.parametrize("factors", [(2, 4), (6,)], ids=["Z2xZ4", "Z6"])
+    def test_generated_values_skip_the_entry_check(self, factors,
+                                                   monkeypatch):
+        # elements(), s + r, -s, k * s and chi.conjugate() reduce their
+        # residues mod the factor orders, so they build through _built and
+        # equal what the checked constructors give for the same residues
+        g = AbelianGroup(factors)
+        vectors = list(product(*map(range, factors)))
+
+        def reduced(residues):
+            return tuple(r % m for r, m in zip(residues, factors))
+
+        characters = [Character(g, v) for v in vectors]
+
+        def no_check(*args):
+            raise AssertionError("a generated value was checked")
+
+        monkeypatch.setattr(group_core, "_check_residues", no_check)
+        elements = list(g.elements())
+        sums = [(s, r, s + r) for s in elements for r in elements]
+        negatives = [(s, -s) for s in elements]
+        multiples = [(s, k, k * s, s * k) for s in elements
+                     for k in range(-7, 8)]
+        conjugates = [(chi, chi.conjugate()) for chi in characters]
+        monkeypatch.undo()
+
+        def checked(residues):
+            return GroupElement(g, reduced(residues))
+
+        assert elements == [GroupElement(g, v) for v in vectors]
+        assert all(x == checked(map(add, s.residues, r.residues))
+                   for s, r, x in sums)
+        assert all(x == checked(map(neg, s.residues)) for s, x in negatives)
+        assert all(x == y == checked(r * k for r in s.residues)
+                   for s, k, x, y in multiples)
+        assert all(x == Character(g, reduced(map(neg, chi.residues)))
+                   for chi, x in conjugates)
+        values = [x for row in (sums, negatives, multiples, conjugates)
+                  for *_, x in row] + elements
+        assert all(type(x.residues) is tuple and x.group is g
+                   and hash(x) == hash(type(x)(g, x.residues))
+                   for x in values)
 
 
 class TestElementOrder:
