@@ -263,11 +263,8 @@ def validate(spec: CoverSpec) -> CoverInvariants:
     # per rank, u_{chi,sigma} over the dual group, one factor at a time
     columns, sums, ramification = [], [0] * n, 0
     for k, o, count in spec._runs:
-        column = [0]
-        for m_l, c_l in zip(group.factor_orders, _pairing_coefficients(
-                group, sites[k].element, o)):
-            steps = [e * c_l for e in range(m_l)]
-            column = [(x + y) % o for x in column for y in steps]
+        column = _column(group.factor_orders, _pairing_coefficients(
+            group, sites[k].element, o), o)
         columns.append(column)
         scale = count * (n // o)
         sums = [s + scale * x for s, x in zip(sums, column)]
@@ -307,6 +304,17 @@ def validate(spec: CoverSpec) -> CoverInvariants:
             tc << (c * width) for c, tc in enumerate(t)),
         packed_guard=sum(1 << (c * width + width - 1) for c in range(n)),
         cover_fingerprint=spec.fingerprint)
+
+
+def _column(orders: tuple[int, ...], coefficients, o: int) -> list[int]:
+    """chi -> sum_l e_l c_l mod o over the dual group in rank order, c the
+    coefficients, one factor at a time: a rank's u column, from which
+    validate builds u and which the listing's closure proof rebuilds."""
+    column = [0]
+    for m_l, c_l in zip(orders, coefficients):
+        steps = [e * c_l for e in range(m_l)]
+        column = [(x + y) % o for x in column for y in steps]
+    return column
 
 
 def _require_validated(spec: CoverSpec, inv: CoverInvariants) -> None:

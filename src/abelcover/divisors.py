@@ -33,9 +33,18 @@ representative, its lex-min member: the hits that every nontrivial
 character of K_0 = {chi : u_{chi,0} = 0} moves up in lex order, every
 hit when K_0 is trivial.  The representatives, already proved
 non-special by the search, are expanded by each of the other n - 1
-characters in one call per character, each member checked by the packed
-sum, and the n members per orbit are sorted once into lexicographic
-order by canonical site, orbit i being the i-th representative.
+characters in one call per character, and the n members per orbit are
+sorted once into lexicographic order by canonical site, orbit i being
+the i-th representative.  No member is checked on its own: with
+N_psi(beta) the count on the left for psi, the carries at each site sum to
+
+    N_chi(beta) + N_psi(chi . beta) = C(chi, psi) + N_{chi psi}(beta),
+    C(chi, psi) = #{ sites with u_{chi,sigma} + u_{psi,sigma} >= o(sigma) },
+
+so chi keeps the non-special set exactly when C(chi, psi) = t_chi +
+t_psi - t_{chi psi} for every psi.  The listing proves that once, from
+inv.u and inv.t in O(n R) steps, R the distinct branch elements, when
+the search found a hit (_prove_closure).
 
 The search and the listing carry a weight vector as a str with one code
 point per site (_letters, built once per listing and handed to the
@@ -65,7 +74,7 @@ from __future__ import annotations
 from itertools import islice, product
 from operator import add, eq, getitem, mod
 
-from .cover import (CoverInvariants, CoverSpec, _character_rank,
+from .cover import (CoverInvariants, CoverSpec, _character_rank, _column,
                     _require_validated)
 from .errors import (ConsistencyError, DomainError, MalformedDataError,
                      ResourceCapError, _sequence, _typed, _Value)
@@ -161,11 +170,12 @@ def _orbit_listing(spec: CoverSpec, inv: CoverInvariants,
     generates the group K_0 is trivial and every hit is one, at no cost
     per hit.  The representatives, already proved non-special by the
     search, are expanded by each other row in one _expand_codes call per
-    row, every member checked, and the orbits * n members are sorted once
-    through an index list, member j having label j % orbits.  A repeat in
-    the sorted listing means an action that is not free or two orbits
-    that share a member; the slice must hold |K_0| members of each orbit,
-    and these must be the hits."""
+    row; no member is checked, since _prove_closure proves once that each
+    row keeps the non-special set (it runs only when there are hits).
+    The orbits * n members are sorted once through an index list, member
+    j having label j % orbits.  A repeat in the sorted listing means an
+    action that is not free or two orbits that share a member; the slice
+    must hold |K_0| members of each orbit, and these must be the hits."""
     trivial, *rows = inv.u
     if any(trivial):
         raise ConsistencyError("the first pairing row is not the trivial "
@@ -183,7 +193,8 @@ def _orbit_listing(spec: CoverSpec, inv: CoverInvariants,
         str.translate table; no table spans the whole alphabet."""
         return {c: letters[k][(v + row[k]) % orders[k]] for c, k, v in homes}
 
-    flat = [x for k, _, _ in spec._runs for x in inv.packed[k]]  # per code
+    if hits:  # with no hits, closure holds vacuously
+        _prove_closure(spec, inv)
     keep = _slice_rows(spec, inv, (0,))[1:]  # K_0 but its trivial row
     reps = hits
     for row in keep:  # the bare action: K_0 maps hits to hits
@@ -192,7 +203,7 @@ def _orbit_listing(spec: CoverSpec, inv: CoverInvariants,
     orbits = len(reps)
     members = reps.copy()
     for row in rows:
-        members += _expand_codes(inv, flat, reps, act(row))
+        members += _expand_codes(reps, act(row))
     order = sorted(range(len(members)), key=members.__getitem__)
     betas = list(map(members.__getitem__, order))
     if any(map(eq, betas, islice(betas, 1, None))):
@@ -206,6 +217,35 @@ def _orbit_listing(spec: CoverSpec, inv: CoverInvariants,
         raise ConsistencyError("the slice search missed an orbit member")
     ids = list(range(orbits))  # one int per orbit, shared by its labels
     return betas, [ids[j % orbits] for j in order]
+
+
+def _prove_closure(spec: CoverSpec, inv: CoverInvariants) -> None:
+    """Prove that every pairing row keeps the non-special set (the carry
+    identity of the module docstring) from inv.u and inv.t, reading the
+    first site of each rank, as the listing's action does.  A carry is
+    (a + x - (a + x) mod o) / o, so when the rows are multiplicative,
+    C(chi, psi) - t_chi - t_psi + t_{chi psi} = d_chi + d_psi - d_{chi psi}
+    with d_chi = sum_k u_{chi,k} / o_k - t_chi: 0 for every pair exactly
+    when d is additive on a finite group, that is 0.  So each rank's column
+    must be the one its entries at the factor steps w_l (mixed-radix
+    weights, each entry of order dividing m_l) build by cover._column, and
+    n t_chi the sum over ranks of count * (n / o) * u: O(n R) steps."""
+    u, t, n = inv.u, inv.t, spec.group.order
+    orders, steps, w = spec.group.factor_orders, [], n
+    for m in orders:  # w_l, factor l's mixed-radix weight
+        w //= m
+        steps.append(w)
+    sums = [0] * n
+    for k, o, count in spec._runs:
+        column = [row[k] for row in u]
+        entries = [column[w] for w in steps]
+        if (any(m * x % o for m, x in zip(orders, entries))
+                or _column(orders, entries, o) != column):
+            raise ConsistencyError(_LEFT_THE_SET)
+        scale = count * (n // o)
+        sums = [s + scale * x for s, x in zip(sums, column)]
+    if sums != [n * tc for tc in t]:
+        raise ConsistencyError(_LEFT_THE_SET)
 
 
 def _slice_rows(spec: CoverSpec, inv: CoverInvariants,
@@ -340,17 +380,10 @@ def _act(spec: CoverSpec, inv: CoverInvariants, beta: tuple[int, ...],
     return member
 
 
-def _expand_codes(inv: CoverInvariants, flat: list[int], codes: list[str],
-                  table: dict[int, str]) -> list[str]:
-    """_act on code strings: chi . beta for each string given, in
-    order, one str.translate by chi's table; each result is checked by
-    the packed sum, flat[c] the packed int of code c."""
-    members = [b.translate(table) for b in codes]
-    target = inv.packed_target
-    if any(sum(map(flat.__getitem__, map(ord, m))) != target
-           for m in members):
-        raise ConsistencyError(_LEFT_THE_SET)
-    return members
+def _expand_codes(codes: list[str], table: dict[int, str]) -> list[str]:
+    """_act on code strings, unchecked: chi . beta for each string
+    given, in order, one str.translate by chi's table."""
+    return [b.translate(table) for b in codes]
 
 
 def orbit(spec: CoverSpec, inv: CoverInvariants,

@@ -691,7 +691,7 @@ class TestEnumerate:
                                                 monkeypatch):
         # every check runs before the first byte of the listing
         monkeypatch.setattr(divisors_module, "_expand_codes",
-                            lambda inv, flat, codes, table: list(codes))
+                            lambda codes, table: list(codes))
         code, out = run(capsys, "enumerate", write_doc(HYPERELLIPTIC))
         assert code == 2
         assert json.loads(out) == {"error": {

@@ -426,12 +426,105 @@ class TestOrbitLabels:
 
     def test_corrupted_pairing_row_is_caught(self, mixed4):
         # the listing acts on codes, reading a row once per element rank:
-        # row 1 carries the two sites of the element 2 by 0, not by 3
+        # row 1 carries the two sites of the element 3 by 0, not by 3,
+        # and the closure proof finds that column no longer multiplicative
         spec, inv = mixed4.spec, mixed4.inv
         bad = copy.copy(inv)
         bad.u = (inv.u[0], inv.u[1][:4] + (0, 0), *inv.u[2:])
         with pytest.raises(ConsistencyError, match="non-special set"):
             enumerate_orbits(spec, bad)
+
+    def test_flipped_entry_that_keeps_the_set_is_caught(self, klein10):
+        # site 8 is the first of the element (1, 1); with row 1 carrying
+        # it by 0 every member still falls in the non-special set, so no
+        # check of a member sees it, but the orbits mix and labels go wrong
+        spec, inv = klein10.spec, klein10.inv
+        assert spec.sites[8].element.residues == (1, 1)
+        row = list(inv.u[1])
+        row[8] = (row[8] + 1) % 2
+        bad = copy.copy(inv)
+        bad.u = (inv.u[0], tuple(row), *inv.u[2:])
+        with pytest.raises(ConsistencyError, match="non-special set"):
+            enumerate_orbits(spec, bad)
+
+    def test_every_single_entry_shift_raises_or_lists_the_truth(
+            self, klein10, mixed4, z4z4x6):
+        # each nontrivial row, shifted by every s at the first site of each
+        # rank: the entries the listing's action reads
+        for cover in (klein10, mixed4, z4z4x6):
+            spec, inv = cover.spec, cover.inv
+            truth = enumerate_orbits(spec, inv)
+            for c in range(1, len(inv.u)):
+                for k, o, _ in spec._runs:
+                    for s in range(1, o):
+                        row = list(inv.u[c])
+                        row[k] = (row[k] + s) % o
+                        bad = copy.copy(inv)
+                        bad.u = (*inv.u[:c], tuple(row), *inv.u[c + 1:])
+                        try:
+                            listing = enumerate_orbits(spec, bad)
+                        except ConsistencyError:
+                            continue
+                        assert listing == truth, (cover.name, c, k, s)
+
+    def test_each_closure_condition_catches_what_the_others_pass(
+            self, klein10, mixed4):
+        def with_column(spec, inv, rank, column, implied_t):
+            # the entries of every row at the sites of one rank replaced
+            # by column[c]; t kept, or the t that the new rows imply
+            n, (k, o, count) = spec.group.order, spec._runs[rank]
+            u = tuple(row[:k] + (column[c],) * count + row[k + count:]
+                      for c, row in enumerate(inv.u))
+            bad = copy.copy(inv)
+            bad.u = u
+            if implied_t:
+                sums = [sum(count * (n // o) * row[k]
+                            for k, o, count in spec._runs) for row in u]
+                assert not any(x % n for x in sums)
+                bad.t = tuple(x // n for x in sums)
+            return spec, bad
+
+        # Z_2 x Z_4 with the element (0, 1), of order 4, on four sites
+        wrap = build_cover([2, 4], [([1, 0], 0), ([1, 0], 1)]
+                           + [([0, 1], v) for v in range(2, 6)])
+        cases = [
+            # klein10's (1, 1) column with one entry flipped, t following
+            # it: no longer the column its factor-step entries build
+            with_column(klein10.spec, klein10.inv, 2, [0, 0, 1, 0], True),
+            # mixed4's element 1 given element 3's column, t kept: still
+            # multiplicative, but the sums no longer give t
+            with_column(mixed4.spec, mixed4.inv, 0, [0, 3, 2, 1], False),
+            # (0, 1)'s column built with the step entry 1 at the factor
+            # Z_2, t following it: it passes all but the step's order
+            with_column(wrap, validate(wrap), 0,
+                        [(c // 4 + c) % 4 for c in range(8)], True),
+        ]
+        for spec, bad in cases:
+            with pytest.raises(ConsistencyError, match="non-special set"):
+                enumerate_orbits(spec, bad)
+
+    def test_closure_proved_once_per_listing_with_hits(
+            self, battery, mixed4, monkeypatch):
+        calls = []
+        prove = divisors_module._prove_closure
+
+        def spy(spec, inv):
+            calls.append(spec)
+            prove(spec, inv)
+
+        monkeypatch.setattr(divisors_module, "_prove_closure", spy)
+        for cover in (*battery, mixed4):
+            calls.clear()
+            enumerate_orbits(cover.spec, cover.inv)
+            assert calls == [cover.spec]
+        # (Z_2)^12 with its unit vectors and the all-ones element: the
+        # slice has no hits, so closure holds vacuously and is not proved
+        spec = build_cover([2] * 12, [([int(i == j) for j in range(12)], i)
+                                      for i in range(12)]
+                           + [([1] * 12, 12)])
+        calls.clear()
+        assert enumerate_orbits(spec, validate(spec)) == ([], [])
+        assert calls == []
 
     def test_representatives_are_first_members(self, battery, klein10,
                                                z4z4x6):
@@ -460,7 +553,7 @@ class TestOrbitLabels:
         # representative and the broken action reaches only the expansion
         spec, inv = hyperelliptic.spec, hyperelliptic.inv
         monkeypatch.setattr(divisors_module, "_expand_codes",
-                            lambda inv, flat, codes, table: list(codes))
+                            lambda codes, table: list(codes))
         with pytest.raises(ConsistencyError, match="repeats"):
             enumerate_orbits(spec, inv)
 
@@ -471,8 +564,8 @@ class TestOrbitLabels:
         first = encode(spec, enumerate_nonspecial(spec, inv)[0].beta)
         expand = divisors_module._expand_codes
         monkeypatch.setattr(divisors_module, "_expand_codes",
-                            lambda inv, flat, codes, table:
-                            expand(inv, flat, [first] * len(codes), table))
+                            lambda codes, table:
+                            expand([first] * len(codes), table))
         with pytest.raises(ConsistencyError, match="two"):
             enumerate_orbits(spec, inv)
 
