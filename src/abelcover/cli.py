@@ -23,11 +23,14 @@ JSON output has a fixed layout: the bytes of json.dumps(obj, indent=2)
 plus a newline, keys in the order documented per verb, one array item
 per line.  The enumerate listing and the exponents table (they can be
 large) are written with format strings in that layout, smaller payloads
-by json.dumps itself.  The listing is written record by record from the
-code strings of divisors._orbit_listing, each rendered by one
-str.translate, once every check has passed, so an error still prints as
-one JSON object and no record is held.  The table is written pair by
-pair the same way, once exponent_table has checked every row; each
+by json.dumps itself.  The listing is written from the code strings of
+divisors._orbit_listing once every check has passed, so an error still
+prints as one JSON object, and in blocks of BLOCK records, one join and
+one write per block, so no more than one block of text is held.  Each
+code string is rendered by halves (_rendered): every distinct half is
+translated once, and the memos hold the last head and every tail seen,
+at most 1 + prod of o_k over the tail sites strings.  The table is
+written pair by pair, once exponent_table has checked every row; each
 lambda is rendered once, as "%s": str(Fraction) is an optional -, ASCII
 digits and at most one /, none of which JSON escapes.  CSV is written
 the same way, with no csv module: a listing record "%d,%d,1%s" ends in
@@ -44,8 +47,9 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import chain, count, islice, product, repeat
 from math import prod
+from operator import add, itemgetter
 
 from .cover import CoverInvariants, CoverSpec, BranchPoint, validate
 from .dedekind import PhiKey, phi_exact
@@ -68,6 +72,7 @@ EXIT_CLOSED_PIPE = 141
 # 4300-digit bound then decides which values are accepted
 LAMBDA_DIGITS = 8600
 DETAIL_CHARS = 200  # a longer error detail is cut, its length given
+BLOCK = 2048  # enumerate records joined into one write
 
 
 def load_cover_document(path: str) -> CoverSpec:
@@ -196,11 +201,10 @@ def cmd_enumerate(args) -> int:
     codes, labels = _orbit_listing(spec, inv, args.cap)
     weights, out = _weights(spec), sys.stdout
     if args.csv:  # the code string renders as ",w" per site
-        render = [",%d" % w for w in weights]
         out.write(",".join(["index", "orbit", "p"] + [
             f"beta_{k}" for k in range(len(spec.sites))]) + "\n")
-        out.writelines("%d,%d,1%s\n" % (i, k, b.translate(render))
-                       for i, (k, b) in enumerate(zip(labels, codes)))
+        _write_records(out, "%d,%d,1%s\n", zip(count(), labels, _rendered(
+            codes, [",%d" % w for w in weights], 0)))
         return EXIT_OK
     # each record starts with its separator from the one before; a code
     # string renders as its weights, each after ",\n" and the indent, and
@@ -212,11 +216,52 @@ def cmd_enumerate(args) -> int:
     out.write(f'{{\n  "count": {len(codes)},\n'
               f'  "orbit_count": {len(codes) // inv.n},\n'
               f'  "empty": {"false" if codes else "true"},\n  "divisors": [')
-    out.writelines(record % (",\n" if i else "\n", i, k,
-                             b.translate(render)[1:])
-                   for i, (k, b) in enumerate(zip(labels, codes)))
+    _write_records(out, record, zip(chain(("\n",), repeat(",\n")), count(),
+                                    labels, _rendered(codes, render, 1)))
     out.write("\n  ]\n}\n" if codes else "]\n}\n")
     return EXIT_OK
+
+
+class _Halves(dict):
+    """Half code string -> half.translate(render)[cut:], translated on
+    first use; with forget set, a miss first clears every entry."""
+
+    __slots__ = ("render", "cut", "forget")
+
+    def __init__(self, render: list[str], cut: int, forget: bool) -> None:
+        self.render, self.cut, self.forget = render, cut, forget
+
+    def __missing__(self, half: str) -> str:
+        if self.forget:
+            self.clear()
+        text = self[half] = half.translate(self.render)[self.cut:]
+        return text
+
+
+def _rendered(codes: list[str], render: list[str], cut: int):
+    """An iterator over b.translate(render)[cut:] for each code string b
+    of codes, all of one length B, each code rendering to at least cut
+    characters.  Each b is split at h = ceil(B / 2) and each distinct half
+    is translated once: the head memo keeps only the last head (in a
+    lex-sorted listing equal heads are adjacent), the tail memo every tail
+    seen, at most min(len(codes), prod of o_k over the sites k >= h)
+    entries.  The strings are the same in any order of codes; only the
+    head memo's hit rate depends on the sort.  No Python frame runs per
+    string but on a miss."""
+    h = (len(codes[0]) + 1) // 2 if codes else 0
+    heads, tails = _Halves(render, cut, True), _Halves(render, 0, False)
+    return map(add, map(heads.__getitem__, map(itemgetter(slice(h)), codes)),
+               map(tails.__getitem__,
+                   map(itemgetter(slice(h, None)), codes)))
+
+
+def _write_records(out, record: str, fields) -> None:
+    """Write record % f for each tuple f of fields, BLOCK records at a
+    time: one join and one write per block, so at most one block of
+    text is held."""
+    records = map(record.__mod__, fields)
+    while block := "".join(islice(records, BLOCK)):
+        out.write(block)
 
 
 def _select_divisor(spec: CoverSpec, inv: CoverInvariants,

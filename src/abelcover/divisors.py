@@ -58,8 +58,9 @@ over the whole alphabet of Sigma_R codes, Sigma_R the sum over distinct
 elements of o(sigma); validate's MAX_PACKED_BITS keeps Sigma_R below
 0x110000 (_letters).  The listing is plain code strings and labels,
 finished and checked in full before it is returned, so that the CLI can
-write it record by record, rendering each string by one str.translate;
-enumerate_orbits decodes each into an InvariantDivisor of int weights.
+write it in blocks of records, rendering each distinct half of a string
+once; enumerate_orbits decodes each into an InvariantDivisor of int
+weights.
 chi_action, orbit and exponent_table act on one divisor at a time, on an
 int tuple, by the one checked action _act.
 

@@ -11,12 +11,14 @@ import importlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -600,6 +602,31 @@ class TestValidate:
         assert str(cap) in error["detail"]
 
 
+# the CI Z_31 cover, 744 divisors over two element ranks, and Z_257
+# with weights up to 256 at its last site
+Z31 = {"group": [31], "branch_points": [
+    {"element": [e], "lambda": str(k)}
+    for k, e in enumerate((1, 1, 1, 1, 27))]}
+Z257 = {"group": [257], "branch_points": [
+    {"element": [e], "lambda": str(k)} for k, e in enumerate((1, 1, 255))]}
+# Z2 with 16 sites: C(16, 8) = 12 870 divisors, 256 distinct halves
+Z2X16 = {"group": [2], "branch_points": [
+    {"element": [1], "lambda": str(v)} for v in range(16)]}
+
+
+class CountingWriter:
+    """A stdout stand-in that keeps what is written and counts the
+    calls to write."""
+
+    def __init__(self):
+        self.parts, self.writes = [], 0
+
+    def write(self, text):
+        self.writes += 1
+        self.parts.append(text)
+        return len(text)
+
+
 class TestEnumerate:
     def test_hyperelliptic_json(self, write_doc, capsys):
         code, out = run(capsys, "enumerate", write_doc(HYPERELLIPTIC))
@@ -687,6 +714,41 @@ class TestEnumerate:
         else:
             assert len(listing.read_text().splitlines()) == 12871
 
+    @pytest.mark.parametrize("fmt", ["--json", "--csv"])
+    def test_listing_is_written_in_blocks(self, write_doc, monkeypatch, fmt):
+        # one write per block of cli.BLOCK records, plus the head and the
+        # closing lines: on Z5 with 10 sites one write per record took
+        # 10-17 ms against 7-9 ms per block, for the same 23 MB
+        path = write_doc(Z2X16)
+        out = CountingWriter()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["enumerate", fmt, path]) == 0
+        blocks = -(-12870 // cli_module.BLOCK)
+        assert out.writes <= blocks + 2
+        text = "".join(out.parts)
+        if fmt == "--json":
+            assert json.loads(text)["count"] == 12870
+        else:
+            assert len(text.splitlines()) == 12871
+
+    @pytest.mark.parametrize("document, argv, digest", [
+        (Z31, ["enumerate"],
+         "232b33c53e3f8a829940684575d91c5c1f1a89d69d72ccf38256db3eeddef8f6"),
+        (Z31, ["enumerate", "--csv"],
+         "71c8267be72ad36a5f13c4215c721a5c8406c5b42db8a89c44e8ad08d1285221"),
+        (Z257, ["enumerate"],
+         "10b918e278b480946ed4928b1449e04e63f23b509f311c041e9e0edd61e3820b"),
+        (Z257, ["enumerate", "--csv"],
+         "1065d94da8628b9cc638e17b38a837a5b1d94822aa5d16a01135529e134fc4f6"),
+    ], ids=["z31", "z31-csv", "z257", "z257-csv"])
+    def test_multi_digit_digest(self, write_doc, capsys, document, argv,
+                                digest):
+        # weights of two and three digits over several element ranks;
+        # recorded when each record was rendered by one str.translate
+        code, out = run(capsys, *argv, write_doc(document))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_broken_orbit_prints_only_the_error(self, write_doc, capsys,
                                                 monkeypatch):
         # every check runs before the first byte of the listing
@@ -698,6 +760,75 @@ class TestEnumerate:
             "kind": "ConsistencyError",
             "detail": "an orbit repeats a member or two orbits share one, "
                       "yet the action is free"}}
+
+
+class TestRendered:
+    """cli._rendered translates each distinct half of a code string once
+    and gives the same strings as one str.translate per string, in any
+    order of the codes."""
+
+    @staticmethod
+    def listing(document):
+        spec = parse_cover_object(document)
+        codes, _ = divisors_module._orbit_listing(spec, validate(spec), 10**8)
+        return spec, codes
+
+    @staticmethod
+    def renders(spec):
+        weights = divisors_module._weights(spec)
+        return [([",\n        %d" % w for w in weights], 1),
+                ([",%d" % w for w in weights], 0)]
+
+    @pytest.fixture
+    def memos(self, monkeypatch):
+        made = []
+
+        class Recorded(cli_module._Halves):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(cli_module, "_Halves", Recorded)
+        return made
+
+    @pytest.mark.parametrize("document", [
+        Z31, Z257, HYPERELLIPTIC, CYCLIC3, Z2X16],
+        ids=["z31", "z257", "hyperelliptic", "cyclic3", "z2x16"])
+    @pytest.mark.parametrize("order", ["sorted", "shuffled", "repeated"])
+    def test_equals_one_translate_per_string(self, memos, document, order):
+        spec, codes = self.listing(document)
+        if order == "shuffled":
+            random.Random(5).shuffle(codes)
+        elif order == "repeated":
+            codes = codes[::3] + codes + codes[:7] * 3
+        h = (len(spec.sites) + 1) // 2
+        tails = prod(spec.site_orders[h:])
+        for render, cut in self.renders(spec):
+            memos.clear()
+            expected = [b.translate(render)[cut:] for b in codes]
+            assert list(cli_module._rendered(codes, render, cut)) == expected
+            heads_memo, tails_memo = memos
+            assert len(tails_memo) <= min(len(codes), tails)
+            if order == "sorted":
+                assert len(heads_memo) <= 1
+
+    @pytest.mark.parametrize("B", [0, 1, 2, 5])
+    def test_short_and_odd_lengths(self, memos, B):
+        # B = 0 is the shape of a cover with no sites, whose codes are
+        # empty strings; code c renders as ",c" with the comma cut
+        rng = random.Random(B)
+        codes = sorted("".join(chr(rng.randrange(12)) for _ in range(B))
+                       for _ in range(40))
+        render = [",%d" % c for c in range(12)]
+        for listing in (codes, codes[::-1], codes + codes):
+            memos.clear()
+            assert list(cli_module._rendered(listing, render, 1)) == [
+                b.translate(render)[1:] for b in listing]
+            if listing is codes:
+                assert len(memos[0]) <= 1
+        assert list(cli_module._rendered([], render, 1)) == []
 
 
 class TestExponents:
