@@ -24,23 +24,24 @@ side is zero past its first two entries; solve_level solves it in closed
 form, with no elimination.  At level 0 the matrix M has the entries
 C(l, i) for i = 0..d-1 and l = 1..d, and M^-1[0][0] = d forces
 x_1 = -d x_0, that is lead(f_1) = d lead(f_0).
-The finished solution is verified by fully expanding S(z, w) and reading
-off its w-degree.
+The finished solution is checked on every coefficient of z^i w^j with
+j > e, the ones the bound constrains.
 
-The solver clears denominators once: f_0 and f_1 are scaled to integer
-rows over one common denominator L, and the levels and the expansion
-run on ints.  Row l has d+e-l+1 entries, so deg f_l <= d+e-l holds by
-construction; each coefficient becomes a Fraction only at the end.
-build_pchichi builds f_0 and f_1 over the integers too, multiplying in
-one branch factor at a time: f_1 is a weighted logarithmic derivative
-of f_0, so the product rule builds it alongside f_0 with no division.
-Every coefficient a caller sees is a Fraction.
+One integer core runs the levels, the check and the output on L f_0 and
+L f_1 over a common denominator L: solve_polexist scales its inputs by
+the lcm of their denominators, build_pchichi builds its rows from the
+branch values, f_1 from the derivative of f_0.  Row l has d+e-l+1
+entries, so deg f_l <= d+e-l holds by construction.  Every coefficient
+a caller sees is a Fraction, built once at the end; the zero ones share
+one.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import count, repeat
 from math import comb, lcm
 
 from .cover import (CoverInvariants, CoverSpec, _character_rank,
@@ -127,26 +128,59 @@ def solve_level(a: int, r: int, b0: int, b1: int) -> list[int]:
             for m in range(r)]
 
 
-def _row_degree(row: Sequence[int]) -> int:
-    """The degree of the polynomial with these coefficients; -1 if zero."""
-    k = len(row) - 1
-    while k >= 0 and not row[k]:
-        k -= 1
-    return k
-
-
-def _expand(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """S(z, w) = sum_l f_l(w) (z - w)^l expanded fully from the integer
-    rows of f_0, ..., f_d: entry i lists the coefficients of z^i by
-    power of w."""
-    width = max(len(row) + l for l, row in enumerate(rows))
-    out = [[0] * width for _ in rows]
+def _check_bound(rows: list[list[int]], d: int, e: int) -> None:
+    """Refuse the rows a_{l,k} of L f_0, ..., L f_d (by power of -w, row l
+    of d+e-l+1 entries) if their assembly has a nonzero coefficient of
+    z^i w^j with j > e.  Only those coefficients are computed: in
+    L S(z, w), z^i (-w)^j has the coefficient sum_l C(l, i) a_{l,j-l+i}."""
+    high = [[0] * (d - i) for i in range(d + 1)]  # j = e+1+t <= d+e-i
     for l, row in enumerate(rows):
         for i in range(l + 1):
-            c, dst, lo = comb(l, i) * (-1) ** (l - i), out[i], l - i
-            hi = lo + len(row)
-            dst[lo:hi] = [x + c * a for x, a in zip(dst[lo:hi], row)]
-    return out
+            lo, dst, c = max(e + 1 - l + i, 0), high[i], comb(l, i)
+            t = lo + l - i - e - 1
+            dst[t:] = [x + c * a for x, a in zip(dst[t:], row[lo:])]
+    wdeg = max((e + 1 + t for dst in high for t, x in enumerate(dst) if x),
+               default=e)
+    if wdeg > e:
+        raise ConsistencyError(
+            f"assembly has w-degree {wdeg}, above the bound e = {e}")
+
+
+def _solve(f0: UniPoly, f1: UniPoly, rows: list[list[int]], scale: int,
+           d: int, e: int) -> KernelSolution:
+    """The canonical solution from rows = [L f_0, L f_1], int coefficients
+    by power of w over L = scale: level solves, bound check, output."""
+    n = d + e
+    # a_{l,k} = rows[l][k] is the coefficient of (-w)^k in L f_l
+    rows = [[-c if k & 1 else c for k, c in enumerate(row)] for row in rows]
+    rows += ([0] * (n - l + 1) for l in range(2, d + 1))
+    for h in range(d):
+        x1 = rows[1][n - h - 1] if h else 0  # unknown at level 0, checked
+        top = min(h, e)
+        sol = solve_level(top, d - h, -(rows[0][n - h] + x1), -x1)
+        if h == 0 and sol[0] != rows[1][n - 1]:
+            raise NoSolutionError(
+                f"the leading coefficient of f1 must be d = {d} times "
+                f"that of f0; got {f1.lead} against {f0.lead}")
+        # at h = 0 the first entry rewrites lead(L f_1) with itself
+        for l, x in enumerate(sol, top + 1):
+            rows[l][n - h - l] = x
+    _check_bound(rows, d, e)
+    zero = Fraction(0)
+    return KernelSolution((f0, f1, *(UniPoly(tuple(
+        Fraction(-c if k & 1 else c, scale) if c else zero
+        for k, c in enumerate(row))) for row in rows[2:])), d, e)
+
+
+def _check_inputs(f0: UniPoly, f1: UniPoly, d: int, e: int) -> None:
+    for name, x in (("d=", d), ("e=", e)):
+        _typed(x, int, name)
+    if d < 1 or e < 1:
+        raise DomainError(f"need d >= 1 and e >= 1, got d={d}, e={e}")
+    for name, f, want in (("f0", f0, d + e), ("f1", f1, d + e - 1)):
+        if _typed(f, UniPoly, f"{name} ").degree != want:
+            raise DomainError(
+                f"{name} must have degree {want}, got {f.degree}")
 
 
 def solve_polexist(f0: UniPoly, f1: UniPoly, d: int, e: int) -> KernelSolution:
@@ -156,46 +190,16 @@ def solve_polexist(f0: UniPoly, f1: UniPoly, d: int, e: int) -> KernelSolution:
     f_0 and f_1 UniPolys and d and e ints by the type rule.
     Raises NoSolutionError when lead(f_1) differs from d * lead(f_0); the
     level-0 system leaves no other choice.  The returned solution sets
-    every free coefficient to zero and is verified by full expansion.
-    The levels, the checks and the expansion run on L f_l as ints, L the
-    lcm of the denominators in f_0 and f_1; each new coefficient becomes
-    a Fraction once, at the end.
+    every free coefficient to zero and is verified on every coefficient
+    the bound constrains.  The levels and the check run on L f_l as
+    ints, L the lcm of the denominators in f_0 and f_1; each new
+    coefficient becomes a Fraction once, at the end.
     """
-    for name, x in (("d=", d), ("e=", e)):
-        _typed(x, int, name)
-    if d < 1 or e < 1:
-        raise DomainError(f"need d >= 1 and e >= 1, got d={d}, e={e}")
-    n = d + e
-    for name, f, want in (("f0", f0, n), ("f1", f1, n - 1)):
-        if _typed(f, UniPoly, f"{name} ").degree != want:
-            raise DomainError(
-                f"{name} must have degree {want}, got {f.degree}")
+    _check_inputs(f0, f1, d, e)
     scale = lcm(*(c.denominator for f in (f0, f1) for c in f.coeffs))
-    rows = [[c.numerator * (scale // c.denominator) for c in f.coeffs]
-            for f in (f0, f1)]
-    # a_{l,k} is the coefficient of (-w)^k in L f_l, rows[l][k] that of w^k
-    a0, a1 = ([c if k % 2 == 0 else -c for k, c in enumerate(row)]
-              for row in rows)
-    rows += ([0] * (n - l + 1) for l in range(2, d + 1))
-    for h in range(d):
-        x1 = a1[n - h - 1] if h else 0  # unknown at level 0, checked below
-        top = min(h, e)
-        sol = solve_level(top, d - h, -(a0[n - h] + x1), -x1)
-        if h == 0 and sol[0] != a1[n - 1]:
-            raise NoSolutionError(
-                f"the leading coefficient of f1 must be d = {d} times "
-                f"that of f0; got {f1.lead} against {f0.lead}")
-        # at h = 0 the first entry rewrites lead(L f_1) with itself
-        for l, x in enumerate(sol, top + 1):
-            k = n - h - l
-            rows[l][k] = x if k % 2 == 0 else -x
-    wdeg = max(map(_row_degree, _expand(rows)))
-    if wdeg > e:
-        raise ConsistencyError(
-            f"assembly has w-degree {wdeg}, above the bound e = {e}")
-    return KernelSolution((f0, f1, *(
-        UniPoly(tuple(Fraction(c, scale) for c in row)) for row in rows[2:])),
-        d, e)
+    return _solve(f0, f1, [[c.numerator * (scale // c.denominator)
+                            for c in f.coeffs] for f in (f0, f1)],
+                  scale, d, e)
 
 
 def build_pchichi(spec: CoverSpec, inv: CoverInvariants,
@@ -205,35 +209,46 @@ def build_pchichi(spec: CoverSpec, inv: CoverInvariants,
     f_0 is the monic product of (z - lambda) over the sites whose monodromy
     lies outside ker chi, of degree t_chi + t_conj as u_conj = -u mod o.
     f_1 is f_0 times the sum of u_{chi,sigma}/o(sigma) / (z - lambda), of
-    lead t_chi.  solve_polexist (d = t_chi, e = t_conj, both >= 1 as the
-    cover is connected) checks the degree and the lead; on a validated
-    cover both hold, so its DomainError and NoSolutionError never fire.
+    lead t_chi.  The solver's checks (d = t_chi, e = t_conj, both >= 1 as
+    the cover is connected) see the degree and the lead; on a validated
+    cover both hold, so their DomainError and NoSolutionError never fire.
 
-    Both are built over the integers, in one pass over the active sites.
-    With lambda = p/q in lowest terms, F_0 = prod (q z - p) has the lead
-    Q = prod q and f_0 = F_0 / Q.  With m the lcm of the active site
-    orders, m Q f_1 = sum_k w_k prod_{j != k} (q_j z - p_j) with
-    w = u (m/o) q; by the product rule, each factor (q z - p) multiplies
-    both rows and adds w times the old F_0 to the second, so nothing is
-    divided.
+    Both are built over the integers.  With lambda = p/q in lowest terms,
+    F_0 = prod (q z - p) has the lead Q = prod q and f_0 = F_0 / Q.  With
+    m the lcm of the active site orders, site k has the weight
+    c_k = u_k m / o_k; with c_0 the most common weight,
+
+        m Q f_1 = c_0 F_0' + sum_{c_k != c_0} (c_k - c_0) q_k
+                  prod_{j != k} (q_j z - p_j).
+
+    The sites of weight c_0 are multiplied into F_0 first; each later
+    factor (q z - p) multiplies both rows and adds (c_k - c_0) q_k times
+    the old F_0 to the second.  A cover whose active sites share one
+    weight builds F_0 alone, nothing is divided, and the solver core takes
+    m F_0 and m Q f_1 over the scale m Q.
     """
     _require_validated(spec, inv)
     c = _character_rank(spec, chi)
     if not c:
         raise DomainError("the construction needs a nontrivial character")
     tchi, tbar = inv.t[c], inv.t[_character_rank(spec, chi.conjugate())]
-    active = [(site.value.numerator, site.value.denominator, u, o)
-              for site, u, o in zip(spec.sites, inv.u[c], spec.site_orders)
-              if u > 0]
-    m = lcm(*(o for _, _, _, o in active))
-    row0, row1 = [1], [0]
-    for p, q, u, o in active:  # both times (q z - p), row1 plus w F_0
-        w = u * (m // o) * q
-        row0, row1 = (
-            [q * hi - p * lo for lo, hi in zip(row0 + [0], [0] + row0)],
-            [q * hi - p * lo + w * f
-             for lo, hi, f in zip(row1 + [0], [0] + row1, row0 + [0])])
-    scale = m * row0[-1]  # m Q; UniPoly trims row1's top entry, always 0
-    return solve_polexist(
-        UniPoly(tuple(Fraction(c, row0[-1]) for c in row0)),
-        UniPoly(tuple(Fraction(c, scale) for c in row1)), tchi, tbar)
+    active = [(site.value, u, o) for site, u, o in zip(
+        spec.sites, inv.u[c], spec.site_orders) if u > 0]
+    m = lcm(*(o for _, _, o in active))
+    sites = [(v.numerator, v.denominator, u * (m // o)) for v, u, o in active]
+    c0 = Counter(w for _, _, w in sites).most_common(1)[0][0] if sites else 0
+    row0, row1 = [1], []
+    for p, q, w in sorted(sites, key=lambda site: site[2] != c0):
+        if w != c0:  # so is every later weight; row1 is 0 up to here
+            w, row1 = (w - c0) * q, row1 or [0] * len(row0)
+            row1 = [q * hi - p * lo + w * f
+                    for lo, hi, f in zip(row1 + [0], [0] + row1, row0 + [0])]
+        row0 = [q * hi - p * lo for lo, hi in zip(row0 + [0], [0] + row0)]
+    # m Q f_1 = c_0 F_0' + row1, whose top entry is 0
+    row1 = [c0 * k * a + b
+            for k, a, b in zip(count(1), row0[1:], row1 or repeat(0))]
+    lead, scale = row0[-1], m * row0[-1]
+    f0 = UniPoly(tuple(Fraction(x, lead) for x in row0))
+    f1 = UniPoly(tuple(Fraction(x, scale) for x in row1))
+    _check_inputs(f0, f1, tchi, tbar)
+    return _solve(f0, f1, [[m * c for c in row0], row1], scale, tchi, tbar)

@@ -692,8 +692,8 @@ class TestEnumerate:
         assert json.loads(out)["error"]["kind"] == "resource-cap"
 
     @pytest.mark.parametrize("fmt", ["--json", "--csv"])
-    def test_listing_is_written_record_by_record(self, write_doc, tmp_path,
-                                                 fmt):
+    def test_listing_written_in_blocks_peaks_under_8_mb(self, write_doc,
+                                                        tmp_path, fmt):
         # Z2 with 16 sites lists C(16, 8) = 12 870 divisors (3 MB of
         # JSON); holding an InvariantDivisor per row and every formatted
         # record peaked at 14.6 MB here

@@ -10,14 +10,15 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 
 from abelcover import (AbelianGroup, ConsistencyError, DomainError,
-                       MalformedDataError, NoSolutionError, UniPoly,
-                       build_pchichi, dual_group, solve_polexist, validate)
-from abelcover.polykernel import solve_level
+                       KernelSolution, MalformedDataError, NoSolutionError,
+                       UniPoly, build_pchichi, dual_group, solve_polexist,
+                       validate)
+from abelcover.polykernel import _check_bound, solve_level
 from conftest import build_cover
 from oracles import (assembly_by_z_power, assembly_w_degree,
                      binomial_level_matrix, jordan_factor, kernel_pair,
@@ -258,6 +259,44 @@ class TestSolvePolexist:
             monkeypatch.undo()
             solve_polexist(f0, f1, d, e)
 
+    @pytest.mark.parametrize("above", [True, False])
+    def test_spoiled_row_checked_like_the_oracle(self, above):
+        """One integer coefficient a_{l,k} of a solved row, spoiled, moves
+        the coefficients of z^i w^(k+l-i); the check computes only those
+        with w-degree above e, so it must raise exactly when the Fraction
+        expansion of the spoiled solution has a w-degree above e, and
+        name that degree.  k + l > e always raises, k + l <= e never."""
+        rng = random.Random(61 + above)
+        raised = 0
+        for _ in range(40):
+            d, e = rng.randint(1, 7), rng.randint(1, 7)
+            n = d + e
+            polys = list(solve_polexist(*random_instance(rng, d, e), d, e)
+                         .polys)
+            scale = lcm(*(c.denominator for f in polys for c in f.coeffs))
+            # a_{l,k} = scale * f_l[k] * (-1)^k, row l padded to n - l + 1
+            rows = [[(-1) ** k * int(c * scale) for k, c in
+                     enumerate(f.coeffs)] + [0] * (n - l + 1 - len(f.coeffs))
+                    for l, f in enumerate(polys)]
+            _check_bound(rows, d, e)
+            l, k = rng.choice([(l, k) for l in range(d + 1)
+                               for k in range(n - l + 1)
+                               if (k + l > e) == above])
+            delta = rng.choice((-1, 1)) * rng.randint(1, 9)
+            rows[l][k] += delta
+            polys[l] = UniPoly([Fraction((-1) ** j * a, scale)
+                                for j, a in enumerate(rows[l])])
+            wdeg = assembly_w_degree(KernelSolution(tuple(polys), d, e))
+            if wdeg > e:
+                raised += 1
+                with pytest.raises(ConsistencyError, match=(
+                        f"^assembly has w-degree {wdeg}, "
+                        f"above the bound e = {e}$")):
+                    _check_bound(rows, d, e)
+            else:
+                _check_bound(rows, d, e)
+        assert raised == (40 if above else 0)
+
     def test_precondition_errors(self):
         f0 = UniPoly.monomial(1, 3)
         f1 = UniPoly.monomial(2, 2)
@@ -312,6 +351,13 @@ RATIONAL_COVERS = {
 }
 
 
+# Z4 with the elements (1, 3, 2, 2) repeated 30 times at lambda_k =
+# k/(k+5): at chi = 1 and 3 the active sites carry the weights 1, 3, 2
+# and 2 (u m / o with m = 4), and Q = prod q > 1.
+Z4_MIXED120 = ([4], [([(1, 3, 2, 2)[k % 4]], Fraction(k, k + 5))
+                     for k in range(120)])
+
+
 class TestBuildPchichi:
     @pytest.mark.parametrize("name", sorted(RATIONAL_COVERS))
     def test_rational_values_match_fraction_oracle(self, name):
@@ -330,6 +376,42 @@ class TestBuildPchichi:
                        for f in solution.polys for c in f.coeffs)
             built += 1
         assert built >= 2
+
+    @pytest.mark.parametrize("name, mixed", [
+        ("mixed4", True), ("klein10", False), ("z4z4x6", True),
+        ("z4_mixed120", True)])
+    def test_build_equals_the_solver_entry(self, name, mixed, request):
+        """build_pchichi hands its own integer rows to the solver core; it
+        must agree coefficient by coefficient with solve_polexist on its
+        f_0 and f_1, and those with the Fraction oracle.  mixed: some
+        character's active sites carry more than one weight u/o (every
+        site of klein10 has order 2, so its weights are all 1/2)."""
+        if name == "z4_mixed120":
+            spec = build_cover(*Z4_MIXED120)
+            inv = validate(spec)
+        else:
+            cover = request.getfixturevalue(name)
+            spec, inv = cover.spec, cover.inv
+        characters = dual_group(spec.group)
+        ts = dict(zip(characters, inv.t))
+        built = several = 0
+        for chi, u in zip(characters, inv.u):
+            t, tc = ts[chi], ts[chi.conjugate()]
+            if chi.is_trivial() or t < 1 or tc < 1:
+                continue
+            several += len({Fraction(x, o) for x, o in
+                            zip(u, spec.site_orders) if x}) > 1
+            solution = build_pchichi(spec, inv, chi)
+            f0, f1 = solution.polys[:2]
+            assert (f0, f1) == kernel_pair(spec, inv, chi)
+            solved = solve_polexist(f0, f1, t, tc)
+            assert (solution.d, solution.e) == (solved.d, solved.e)
+            assert [f.coeffs for f in solution.polys] == \
+                [f.coeffs for f in solved.polys]
+            assert all(type(c) is Fraction
+                       for f in solution.polys for c in f.coeffs)
+            built += 1
+        assert built >= 2 and (several > 0) == mixed
 
     def test_battery_lead_relation(self, battery):
         for cover in battery:
